@@ -61,7 +61,8 @@
 //! and nothing was quarantined, 1 otherwise.
 
 use std::process::ExitCode;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
@@ -90,6 +91,49 @@ struct Failure {
     program_seed: u64,
     plan: FaultPlan,
     detail: String,
+}
+
+/// One program's fault-free reference, shared by every case that
+/// strikes the program and released once the last of them settles.
+struct ProgramReference {
+    /// `None` before the first case computes the reference and again
+    /// after release; `Some(None)` records a reference that did not
+    /// halt within the watchdog budget.
+    slot: Mutex<Option<Option<Arc<FaultReference>>>>,
+    /// Cases of this program not yet classified or quarantined.
+    remaining: AtomicU64,
+}
+
+impl ProgramReference {
+    /// The slot, locked. A panic while computing the reference leaves
+    /// the slot empty, so a poisoned lock is still sound to use: the
+    /// next case simply computes the reference again.
+    fn lock(&self) -> MutexGuard<'_, Option<Option<Arc<FaultReference>>>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shared reference, computing it with `compute` when it is
+    /// missing. A released reference is recomputed: the run is
+    /// deterministic, so a late retry classifies exactly as before.
+    fn get(
+        &self,
+        compute: impl FnOnce() -> Option<Arc<FaultReference>>,
+    ) -> Option<Arc<FaultReference>> {
+        self.lock().get_or_insert_with(compute).clone()
+    }
+
+    /// Count `n` more cases of this program as settled. When none
+    /// remain, drop the shared reference and hand back its machine
+    /// buffer if no other holder is left.
+    fn settle(&self, n: u64) -> Option<FaultReference> {
+        // AcqRel pairs each settler's release with the last settler's
+        // acquire, so every earlier use of the reference happens before
+        // it is released.
+        if self.remaining.fetch_sub(n, Ordering::AcqRel) != n {
+            return None;
+        }
+        Arc::into_inner(self.lock().take().flatten()?)
+    }
 }
 
 /// One quarantined case: the worker died twice on it (panic in a
@@ -342,16 +386,6 @@ fn run() -> Result<ExitCode, String> {
         images.push((pseed, image, table, translated));
     }
     let icache_entries = SimConfig::default().icache_entries as u64;
-    // The fault-free reference commit log for each program, computed
-    // once by whichever worker strikes the program first and shared by
-    // every later case (the old scalar driver re-ran the reference
-    // twice per case). `None` records that the reference did not halt
-    // within the watchdog budget: every case of that program is
-    // skipped, exactly as when the per-case reference run hit the
-    // limit.
-    let references: Vec<OnceLock<Option<Arc<FaultReference>>>> =
-        (0..programs).map(|_| OnceLock::new()).collect();
-
     let total = programs * faults;
     let cp = match &resume_path {
         Some(path) => {
@@ -366,6 +400,24 @@ fn run() -> Result<ExitCode, String> {
         }
         None => Checkpoint::default(),
     };
+    // The fault-free reference commit log for each program, computed
+    // once by whichever worker strikes the program first and shared by
+    // every later case (the old scalar driver re-ran the reference
+    // twice per case). A reference that did not halt within the
+    // watchdog budget skips every case of its program, exactly as when
+    // the per-case reference run hit the limit. Each reference counts
+    // down the program's cases still to run (those past the resumed
+    // prefix) and is released after the last one, so only the
+    // programs in flight hold a machine.
+    let references: Vec<ProgramReference> = (0..programs)
+        .map(|p| {
+            let start = (p * faults).max(cp.completed);
+            ProgramReference {
+                slot: Mutex::new(None),
+                remaining: AtomicU64::new(((p + 1) * faults).saturating_sub(start)),
+            }
+        })
+        .collect();
 
     println!(
         "crisp-fault: {programs} programs x {faults} faults on {jobs} threads \
@@ -374,10 +426,14 @@ fn run() -> Result<ExitCode, String> {
 
     // Run one claimed block: group its cases by program so each group
     // shares one reference lookup, then push both phases of every case
-    // through the lane-parallel batch kernel.
+    // through the lane-parallel batch kernel. The groups settle their
+    // programs' reference counts only once the whole block has run: a
+    // block that panics part-way is retried case by case, and each
+    // case must count exactly once.
     let run_block = |cases: &[u64], pool: &mut MachinePool| {
         let mut out: Vec<(u64, CaseResult<Option<String>, Failure>)> =
             Vec::with_capacity(cases.len());
+        let mut groups: Vec<(usize, u64)> = Vec::new();
         let mut k = 0;
         while k < cases.len() {
             let p = cases[k] / faults;
@@ -387,8 +443,9 @@ fn run() -> Result<ExitCode, String> {
             }
             let group = &cases[k..end];
             k = end;
+            groups.push((p as usize, group.len() as u64));
             let (pseed, image, table, translated) = &images[p as usize];
-            let reference = references[p as usize].get_or_init(|| {
+            let reference = references[p as usize].get(|| {
                 let cfg = SimConfig {
                     max_cycles,
                     geometry,
@@ -422,7 +479,7 @@ fn run() -> Result<ExitCode, String> {
                 });
                 plans.push(plan);
             }
-            match classify_batch(image, &cfgs, Some(table), reference, batch as usize, pool) {
+            match classify_batch(image, &cfgs, Some(table), &reference, batch as usize, pool) {
                 // A load failure is deterministic per program: tally
                 // the group skipped, as the scalar classifier did.
                 Err(_) => out.extend(group.iter().map(|&i| (i, CaseResult::Done(None)))),
@@ -433,6 +490,11 @@ fn run() -> Result<ExitCode, String> {
                         out.push((i, verdict));
                     }
                 }
+            }
+        }
+        for (p, n) in groups {
+            if let Some(reference) = references[p].settle(n) {
+                pool.put(reference.into_machine());
             }
         }
         out
@@ -456,11 +518,16 @@ fn run() -> Result<ExitCode, String> {
             }
             None => cp.tally("skipped", 1),
         },
-        |i, detail| Quarantine {
-            case: i,
-            program_seed: images[(i / faults) as usize].0,
-            plan: plan_for(seed, i, icache_entries, &targets, predictor),
-            detail,
+        |i, detail| {
+            // A quarantined case settles too; its program's reference
+            // buffer is dropped rather than pooled.
+            references[(i / faults) as usize].settle(1);
+            Quarantine {
+                case: i,
+                program_seed: images[(i / faults) as usize].0,
+                plan: plan_for(seed, i, icache_entries, &targets, predictor),
+                detail,
+            }
         },
     )?;
 

@@ -105,9 +105,10 @@ impl Machine {
 
     /// Reinitialise this machine in place to the state a fresh
     /// [`Machine::load`] of `image` would produce, reusing the memory
-    /// allocation. Campaign workers run millions of short cases; zeroing
-    /// and rewriting an existing buffer avoids a fresh multi-hundred-KiB
-    /// allocation (and its page faults) per case.
+    /// allocation. Campaign workers run millions of short cases; reusing
+    /// a buffer avoids a fresh multi-hundred-KiB allocation (and its page
+    /// faults) per case, and [`Memory::zero`] clears only the few pages
+    /// the previous run wrote before the image is rewritten.
     ///
     /// The result is bit-identical to a fresh load — including the
     /// memory *size*, which is `max(DEFAULT_MEMORY_BYTES,

@@ -20,16 +20,38 @@ use crate::SimError;
 /// (see `crisp_asm::rand_prog`) and the lockstep commit comparison
 /// (`run_lockstep`) requires both engines to observe identical
 /// addresses and values for every such access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Touched pages
+///
+/// The array is split into at most 64 equal power-of-two pages, and a
+/// `u64` bitmap records which pages a store has touched since the last
+/// [`Memory::zero`]. The two stores ([`Memory::write_word`] and
+/// [`Memory::write_parcel`]) are the only mutators, and each sets its
+/// page's bit, so the invariant is: **every nonzero byte lies in a
+/// dirty page**. Campaign runs write a few pages of a 256 KiB array,
+/// so [`Memory::zero`] clears only the dirty pages, `==` compares only
+/// the pages dirty in either operand (the rest are zero on both sides),
+/// and a recycled buffer keeps only its touched pages resident.
+#[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// log2 of the page size in bytes.
+    page_shift: u32,
+    /// Bit `p` is set when page `p` may hold a nonzero byte.
+    dirty: u64,
 }
 
 impl Memory {
     /// Allocate `size` bytes of zeroed memory.
     pub fn new(size: u32) -> Memory {
+        // The smallest power of two that splits `size` into at most 64
+        // pages, and never below one word, so an aligned word or parcel
+        // never straddles two pages.
+        let page = size.div_ceil(64).next_power_of_two().max(4);
         Memory {
             bytes: vec![0; size as usize],
+            page_shift: page.trailing_zeros(),
+            dirty: 0,
         }
     }
 
@@ -83,10 +105,34 @@ impl Memory {
         match self.bytes.get_mut(a..a + 4) {
             Some(w) => {
                 w.copy_from_slice(&value.to_le_bytes());
+                self.mark(a);
                 Ok(())
             }
             None => Err(SimError::MemOutOfBounds { addr, size }),
         }
+    }
+
+    /// Record a store at in-bounds byte offset `a`: a shift and an OR,
+    /// with no branch on the store path.
+    #[inline]
+    fn mark(&mut self, a: usize) {
+        self.dirty |= 1 << (a >> self.page_shift);
+    }
+
+    /// The byte range of page `p`, clipped to the end of memory.
+    fn page(&self, p: u32) -> std::ops::Range<usize> {
+        let start = (p as usize) << self.page_shift;
+        start..(start + (1 << self.page_shift)).min(self.bytes.len())
+    }
+
+    /// The indices of the pages set in `bits`, lowest first.
+    fn pages(bits: u64) -> impl Iterator<Item = u32> {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            let p = rest.trailing_zeros();
+            rest &= rest.wrapping_sub(1);
+            (p < 64).then_some(p)
+        })
     }
 
     /// Read the 16-bit instruction parcel at `addr` (low bit ignored).
@@ -107,6 +153,7 @@ impl Memory {
     pub fn write_parcel(&mut self, addr: u32, value: u16) -> Result<(), SimError> {
         let a = self.check(addr & !1, 2)?;
         self.bytes[a..a + 2].copy_from_slice(&value.to_le_bytes());
+        self.mark(a);
         Ok(())
     }
 
@@ -144,12 +191,31 @@ impl Memory {
         n
     }
 
-    /// Zero the whole array in place, keeping the allocation — the reset
-    /// path behind [`crate::Machine::reset_from`].
+    /// Zero the array in place, keeping the allocation — the reset path
+    /// behind [`crate::Machine::reset_from`]. Only the dirty pages are
+    /// cleared; every other page is already zero.
     pub fn zero(&mut self) {
-        self.bytes.fill(0);
+        for p in Memory::pages(self.dirty) {
+            let r = self.page(p);
+            self.bytes[r].fill(0);
+        }
+        self.dirty = 0;
     }
 }
+
+impl PartialEq for Memory {
+    /// Byte-for-byte equality. Pages clean in both operands are zero on
+    /// both sides, so only the union of the dirty sets is compared.
+    fn eq(&self, other: &Memory) -> bool {
+        self.bytes.len() == other.bytes.len()
+            && Memory::pages(self.dirty | other.dirty).all(|p| {
+                let r = self.page(p);
+                self.bytes[r.clone()] == other.bytes[r]
+            })
+    }
+}
+
+impl Eq for Memory {}
 
 #[cfg(test)]
 mod tests {
@@ -197,6 +263,33 @@ mod tests {
             m.write_word(16, 0),
             Err(SimError::MemOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn page_size_splits_memory_into_at_most_64_pages() {
+        assert_eq!(Memory::new(0x4_0000).page_shift, 12);
+        assert_eq!(Memory::new(0x4_0001).page_shift, 13);
+        assert_eq!(Memory::new(64).page_shift, 2);
+        assert_eq!(Memory::new(0).page_shift, 2);
+    }
+
+    #[test]
+    fn zero_and_eq_see_only_touched_pages() {
+        let mut a = Memory::new(0x4_0000);
+        let mut b = Memory::new(0x4_0000);
+        a.write_word(0x3_fffc, 5).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(b, a);
+        b.write_word(0x3_fffc, 5).unwrap();
+        assert_eq!(a, b);
+        // A store of zero still marks its page; equality holds either way.
+        b.write_parcel(0x1_0000, 0).unwrap();
+        assert_eq!(a, b);
+        a.zero();
+        assert_eq!(a.dirty, 0);
+        assert_eq!(a.read_word(0x3_fffc).unwrap(), 0);
+        assert_eq!(a, Memory::new(0x4_0000));
+        assert_ne!(a, Memory::new(0x4_0004));
     }
 
     #[test]

@@ -724,9 +724,15 @@ impl PipeFront {
                     .execute_observed(&slot.d, cyc, &mut *lane.obs)?;
                 lane.stats.issued += 1;
                 lane.stats.program_instrs += 1 + u64::from(slot.d.folded);
-                if let FoldClass::Cond { predict_taken, .. } = slot.d.fold {
+                // A conditional entry whose step reports no direction
+                // halted before resolving: a parity-off opcode strike can
+                // turn a folded compare-and-branch into `halt`. It retires
+                // as no branch, matching `Machine::execute_observed`,
+                // which emits no `BranchRetire` for it.
+                if let (Some(taken), FoldClass::Cond { predict_taken, .. }) =
+                    (step.taken, slot.d.fold)
+                {
                     lane.stats.cond_branches += 1;
-                    let taken = step.taken.expect("conditional step reports direction");
                     // Shadow score of the compiler's static bit over the
                     // same retired branch stream, independent of which
                     // predictor actually drove the fetch — the basis of

@@ -1271,4 +1271,39 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn opcode_strike_that_halts_a_conditional_entry_classifies() {
+        // Regression: `crisp-fault --target all --predictor btb --seed
+        // 200006 --programs 1024 --faults 8` quarantined case 2576. A
+        // parity-off opcode strike turned a folded conditional entry
+        // into `halt`, whose step reports no branch direction, and the
+        // retire stage panicked on it instead of classifying the case.
+        let image = crisp_asm::rand_prog::GenProgram::generate(200_328, 10)
+            .image()
+            .unwrap();
+        let plan = FaultPlan {
+            cycle: 152,
+            slot: 21,
+            field: FaultField::Opcode(0),
+            target: FaultTarget::Cache,
+        };
+        let protected = SimConfig {
+            parity: PM::DetectInvalidate,
+            fault_plan: Some(plan),
+            predictor: HwPredictor::parse("btb").unwrap(),
+            ..SimConfig::default()
+        };
+        let unprotected = SimConfig {
+            parity: PM::Off,
+            ..protected
+        };
+        assert_eq!(classify_fault(&image, protected), Ok(FaultOutcome::Masked));
+        // The struck entry halts the run early: the commit that should
+        // have branched instead reports a halt the reference never did.
+        assert_eq!(
+            classify_fault(&image, unprotected),
+            Ok(FaultOutcome::ControlDivergence)
+        );
+    }
 }
