@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crisp_asm::{listing_of, Image};
 use crisp_cc::{
@@ -20,7 +21,8 @@ use crisp_predict::{
     JumpTrace,
 };
 use crisp_sim::{
-    CycleSim, FunctionalSim, HwPredictor, Machine, PipelineGeometry, SimConfig, Trace,
+    CommitLog, CycleSim, FaultOutcome, FunctionalSim, HaltReason, HwPredictor, Machine,
+    MachinePool, PipelineGeometry, PredecodedImage, RunEnd, SimConfig, SimError, Trace,
 };
 use crisp_workloads::{figure3_with_count, prediction_workloads, FIGURE3_SOURCE};
 
@@ -718,6 +720,85 @@ pub fn depth_sweep(depths: &[usize], count: u32) -> Vec<DepthSweepRow> {
             }
         })
         .collect()
+}
+
+/// Classify one fault case the slow, obvious way: a full functional
+/// reference run and a full faulted cycle-engine run (no shared
+/// reference, no early stop), their commit streams and final states
+/// compared after the fact in the verdict order `classify_batch`
+/// documents. `bench_sim`'s per-case arm times this shape, and
+/// `tests/prop_eject.rs` holds `classify_batch` to it.
+///
+/// # Panics
+///
+/// If the image does not load or the fault-free reference does not
+/// halt within `cfg.max_cycles` steps.
+pub fn classify_full_run(
+    image: &Image,
+    cfg: SimConfig,
+    table: Option<&Arc<PredecodedImage>>,
+    pool: &mut MachinePool,
+) -> FaultOutcome {
+    let machine = pool.take(image).expect("image loads");
+    let mut ref_log = CommitLog::default();
+    let reference = match table {
+        Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
+        None => FunctionalSim::with_policy(machine, cfg.fold_policy),
+    }
+    .max_steps(cfg.max_cycles)
+    .run_observed(&mut ref_log)
+    .expect("fault-free reference runs");
+    assert_eq!(reference.halt_reason, HaltReason::Halted, "reference halts");
+    let mut sim = CycleSim::with_observer(
+        pool.take(image).expect("image loads"),
+        cfg,
+        CommitLog::default(),
+    );
+    if let Some(t) = table {
+        sim.set_predecoded(Arc::clone(t));
+    }
+    let end = sim.run_until(|_| false);
+    let log = sim.observer();
+    let (fm, cm) = (&reference.machine, sim.machine());
+    let outcome = match ref_log
+        .records
+        .iter()
+        .zip(&log.records)
+        .find(|(r, f)| r != f)
+    {
+        Some((r, f))
+            if r.pc != f.pc
+                || r.next_pc != f.next_pc
+                || r.branch_pc != f.branch_pc
+                || r.folded != f.folded
+                || r.taken != f.taken
+                || r.halted != f.halted =>
+        {
+            FaultOutcome::ControlDivergence
+        }
+        Some(_) => FaultOutcome::Sdc,
+        None => match end {
+            Err(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
+            Err(_) => FaultOutcome::Sdc,
+            Ok(RunEnd::Watchdog) => FaultOutcome::Hang,
+            Ok(RunEnd::Stopped) => unreachable!("the run has no stop predicate"),
+            Ok(RunEnd::Halted) if ref_log.records.len() != log.records.len() => {
+                FaultOutcome::ControlDivergence
+            }
+            Ok(RunEnd::Halted)
+                if fm.accum != cm.accum
+                    || fm.sp != cm.sp
+                    || fm.psw.flag != cm.psw.flag
+                    || fm.mem != cm.mem =>
+            {
+                FaultOutcome::Sdc
+            }
+            Ok(RunEnd::Halted) => FaultOutcome::Masked,
+        },
+    };
+    pool.put(reference.machine);
+    pool.put(sim.into_machine());
+    outcome
 }
 
 #[cfg(test)]

@@ -29,11 +29,6 @@
 //!                     program (commit streams, final state, traces,
 //!                     stats) once per fold policy; interp skips that
 //!                     pass
-//!   --batch N         cycle-engine lanes per worker (default 8): each
-//!                     program's sweep configurations run as parallel
-//!                     batch lanes against one shared functional
-//!                     reference; --batch 1 is the scalar sweep, and
-//!                     any N produces identical output
 //!   --smoke           bounded CI run (64 asm + 8 C programs)
 //!   --resume FILE     checkpoint campaign progress in FILE
 //!   --heartbeat SECS  emit a campaign-telemetry JSONL snapshot to
@@ -58,10 +53,13 @@ use std::sync::Arc;
 use crisp_asm::rand_prog::{shrink, GenProgram};
 use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
-use crisp_cli::{extract_flag, extract_switch, Checkpoint};
+use crisp_cli::{
+    extract_flag, extract_switch, parse_engine, parse_heartbeat, parse_num, parse_predictor,
+    resume_checkpoint,
+};
 use crisp_sim::{
     diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, verify_threaded_pooled,
-    Divergence, Engine, FaultInjection, HwPredictor, LockstepBuffers, LockstepOutcome, MachinePool,
+    Divergence, Engine, FaultInjection, LockstepBuffers, LockstepOutcome, MachinePool,
     PipelineGeometry, PredecodedImage, SimConfig, TranslatedImage, MAX_DEPTH, MIN_DEPTH,
 };
 
@@ -144,24 +142,13 @@ impl Program {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(
-    raw: &mut Vec<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match extract_flag(raw, name).map_err(|e| e.to_string())? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}: bad value `{v}`")),
-    }
-}
-
 fn run() -> Result<ExitCode, String> {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: crisp-diff [--seed N] [--programs N] [--c-programs N] \
              [--max-blocks N] [--jobs N] [--max-cycles N] [--eu-depth N] \
-             [--predictor HW] [--engine interp|threaded] [--batch N] [--smoke] \
+             [--predictor HW] [--engine interp|threaded] [--smoke] \
              [--resume FILE] [--heartbeat SECS] [--inject]"
         );
         return Ok(ExitCode::SUCCESS);
@@ -179,7 +166,6 @@ fn run() -> Result<ExitCode, String> {
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
-    let batch: u64 = parse_num(&mut raw, "--batch", 8)?;
     let max_cycles: Option<u64> = extract_flag(&mut raw, "--max-cycles")
         .map_err(|e| e.to_string())?
         .map(|v| {
@@ -198,35 +184,17 @@ fn run() -> Result<ExitCode, String> {
                 })
         })
         .transpose()?;
-    let predictor: Option<HwPredictor> = extract_flag(&mut raw, "--predictor")
-        .map_err(|e| e.to_string())?
-        .map(|v| HwPredictor::parse(&v).map_err(|e| format!("--predictor: bad value `{v}`: {e}")))
-        .transpose()?;
+    let predictor = parse_predictor(&mut raw)?;
     // Campaigns default to the threaded tier: every program then also
     // cross-checks threaded-vs-interpreter bit-identity per fold policy.
-    let engine = match extract_flag(&mut raw, "--engine").map_err(|e| e.to_string())? {
-        Some(name) => Engine::parse(&name)
-            .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)"))?,
-        None => Engine::default(),
-    };
+    let engine = parse_engine(&mut raw, Engine::default())?;
     let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
-    let heartbeat_secs: Option<u64> = extract_flag(&mut raw, "--heartbeat")
-        .map_err(|e| e.to_string())?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--heartbeat: bad value `{v}` (want seconds >= 1)"))
-        })
-        .transpose()?;
+    let heartbeat_secs = parse_heartbeat(&mut raw)?;
     if let Some(flag) = raw.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
     if jobs == 0 {
         return Err("--jobs must be at least 1".into());
-    }
-    if batch == 0 {
-        return Err("--batch must be at least 1".into());
     }
     if max_cycles == Some(0) {
         return Err("--max-cycles must be at least 1".into());
@@ -279,49 +247,36 @@ fn run() -> Result<ExitCode, String> {
         configs.dedup();
     }
     let total = work.len() as u64;
-    let cp = match &resume_path {
-        Some(path) => {
-            let loaded = Checkpoint::load_for_campaign(path, total).map_err(|e| e.to_string())?;
-            if let Some(cp) = &loaded {
-                println!(
-                    "crisp-diff: resuming from {path} ({} / {total} programs done)",
-                    cp.completed
-                );
-            }
-            loaded.unwrap_or_default()
-        }
-        None => Checkpoint::default(),
-    };
+    let cp = resume_checkpoint("crisp-diff", resume_path.as_ref(), total, "programs")?;
 
     println!(
         "crisp-diff: {total} programs x {} configurations on {jobs} threads \
-         (base seed {seed}, batch {batch})",
+         (base seed {seed})",
         configs.len()
     );
 
-    // One claimed block is one program; its whole configuration sweep
-    // runs as batch lanes inside check_program.
+    // One claimed block is one program; check_program runs its whole
+    // configuration sweep.
     let run_block = |cases: &[u64], state: &mut (LockstepBuffers, MachinePool)| {
         let (bufs, pool) = state;
         cases
             .iter()
             .map(|&i| {
                 let program = &work[i as usize];
-                let result =
-                    match check_program(program, &configs, engine, batch as usize, bufs, pool) {
-                        Ok(commits) => CaseResult::Done(commits),
-                        Err(CheckFail::Load(msg)) => {
-                            CaseResult::Abort(format!("campaign aborted: {msg}"))
-                        }
-                        Err(CheckFail::Diverge(cfg, d)) => {
-                            CaseResult::Fail(shrink_failure(program, cfg, *d))
-                        }
-                        Err(CheckFail::Threaded(cfg, detail)) => CaseResult::Fail(Failure {
-                            program: clone_program(program),
-                            cfg,
-                            divergence: FailureKind::Threaded(detail),
-                        }),
-                    };
+                let result = match check_program(program, &configs, engine, bufs, pool) {
+                    Ok(commits) => CaseResult::Done(commits),
+                    Err(CheckFail::Load(msg)) => {
+                        CaseResult::Abort(format!("campaign aborted: {msg}"))
+                    }
+                    Err(CheckFail::Diverge(cfg, d)) => {
+                        CaseResult::Fail(shrink_failure(program, cfg, *d))
+                    }
+                    Err(CheckFail::Threaded(cfg, detail)) => CaseResult::Fail(Failure {
+                        program: clone_program(program),
+                        cfg,
+                        divergence: FailureKind::Threaded(detail),
+                    }),
+                };
                 (i, result)
             })
             .collect()
@@ -393,15 +348,14 @@ enum CheckFail {
 /// each policy's image is decoded once into a shared
 /// [`PredecodedImage`], its functional reference commit log is
 /// computed once by [`diff_reference`], and all of the policy's
-/// configurations then run as parallel cycle-engine lanes against that
-/// log via [`run_lockstep_batched`] (which falls back to the scalar
-/// lockstep oracle on any lane that does not cleanly agree, so
-/// divergence reports are identical to the scalar sweep's).
+/// configurations then run against that log via
+/// [`run_lockstep_batched`] (which falls back to the co-stepped
+/// lockstep oracle on any run that does not cleanly agree, so
+/// divergence reports are identical to [`run_lockstep`]'s).
 fn check_program(
     program: &Program,
     configs: &[SimConfig],
     engine: Engine,
-    lanes: usize,
     bufs: &mut LockstepBuffers,
     pool: &mut MachinePool,
 ) -> Result<u64, CheckFail> {
@@ -412,17 +366,10 @@ fn check_program(
     // Translated superinstruction tables are verified once per image x
     // policy, not once per configuration.
     let mut verified: Vec<Arc<TranslatedImage>> = Vec::with_capacity(4);
-    let mut idx = 0;
-    while idx < configs.len() {
-        // The sweep orders configurations policy-major; one contiguous
-        // group shares a predecode table and a functional reference.
-        let policy = configs[idx].fold_policy;
-        let mut end = idx + 1;
-        while end < configs.len() && configs[end].fold_policy == policy {
-            end += 1;
-        }
-        let group = &configs[idx..end];
-        idx = end;
+    // The sweep orders configurations policy-major; one contiguous
+    // group shares a predecode table and a functional reference.
+    for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
+        let policy = group[0].fold_policy;
         let table = PredecodedImage::shared(&image, policy).map_err(|e| {
             CheckFail::Load(format!(
                 "{}: predecode failed under {:?}: {e}",
@@ -430,23 +377,17 @@ fn check_program(
                 group[0]
             ))
         })?;
+        let load_failed = |e| {
+            CheckFail::Load(format!(
+                "{}: load failed under {:?}: {e}",
+                program.describe(),
+                group[0]
+            ))
+        };
         let reference = diff_reference(&image, policy, group[0].max_cycles, Some(&table), pool)
-            .map_err(|e| {
-                CheckFail::Load(format!(
-                    "{}: load failed under {:?}: {e}",
-                    program.describe(),
-                    group[0]
-                ))
-            })?;
-        let outcomes =
-            run_lockstep_batched(&image, group, Some(&table), &reference, lanes, pool, bufs)
-                .map_err(|e| {
-                    CheckFail::Load(format!(
-                        "{}: load failed under {:?}: {e}",
-                        program.describe(),
-                        group[0]
-                    ))
-                })?;
+            .map_err(load_failed)?;
+        let outcomes = run_lockstep_batched(&image, group, Some(&table), &reference, 1, pool, bufs)
+            .map_err(load_failed)?;
         for (cfg, out) in group.iter().zip(outcomes) {
             match out {
                 LockstepOutcome::Agree { commits: c, .. } => commits += c,

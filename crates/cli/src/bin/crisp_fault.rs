@@ -39,9 +39,6 @@
 //!                     run: threaded (default) or interp. Faulted runs
 //!                     always use the cycle engine — the struck state
 //!                     only exists there
-//!   --batch N         cycle-engine lanes per worker (default 8);
-//!                     --batch 1 is the scalar campaign, and any N
-//!                     produces byte-identical reports
 //!   --smoke           bounded CI run (2 programs x 32 faults)
 //!   --resume FILE     checkpoint campaign progress in FILE
 //!   --report FILE     write the JSON AVF report to FILE
@@ -49,14 +46,15 @@
 //!                     SECS seconds, plus a final campaign report
 //! ```
 //!
-//! Workers claim cases in `--batch`-sized blocks and run both phases
-//! of every case through the lane-parallel batch kernel
-//! ([`crisp_sim::MachineBatch`]); the fault-free reference commit log
-//! is computed once per program and shared by every case that strikes
-//! it. Worker panics are contained per block: the block is re-run case
-//! by case on fresh machine buffers and only a case that panics solo
-//! is quarantined (recorded, skipped, campaign continues) — a single
-//! pathological case can no longer abort a multi-hour campaign. Exit
+//! Workers claim cases in blocks of [`CLAIM_BLOCK`] and run both
+//! phases of every case through [`classify_batch`], which stops each
+//! faulted run as soon as its verdict is fixed; the fault-free
+//! reference commit log is computed once per program and shared by
+//! every case that strikes it. Worker panics are contained per block:
+//! the block is re-run case by case on fresh machine buffers and only
+//! a case that panics solo is quarantined (recorded, skipped, campaign
+//! continues) — a single pathological case can no longer abort a
+//! multi-hour campaign. Exit
 //! status is 0 when every fault is recovered under parity protection
 //! and nothing was quarantined, 1 otherwise.
 
@@ -66,8 +64,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
-use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
-use crisp_cli::{extract_flag, extract_switch, Checkpoint};
+use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult, CLAIM_BLOCK};
+use crisp_cli::{
+    extract_flag, extract_switch, parse_engine, parse_heartbeat, parse_num, parse_predictor,
+    resume_checkpoint, Checkpoint,
+};
 use crisp_sim::{
     classify_batch, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
     predictor_fault_space, Engine, FaultOutcome, FaultPlan, FaultReference, FaultTarget,
@@ -144,17 +145,6 @@ struct Quarantine {
     program_seed: u64,
     plan: FaultPlan,
     detail: String,
-}
-
-fn parse_num<T: std::str::FromStr>(
-    raw: &mut Vec<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match extract_flag(raw, name).map_err(|e| e.to_string())? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}: bad value `{v}`")),
-    }
 }
 
 /// Derive the deterministic fault plan for campaign case `case`. The
@@ -284,7 +274,7 @@ fn run() -> Result<ExitCode, String> {
         println!(
             "usage: crisp-fault [--seed N] [--programs N] [--faults N] [--max-blocks N] \
              [--jobs N] [--max-cycles N] [--eu-depth N] [--predictor HW] \
-             [--target cache|btb|pdu|all] [--engine interp|threaded] [--batch N] [--smoke] \
+             [--target cache|btb|pdu|all] [--engine interp|threaded] [--smoke] \
              [--resume FILE] [--report FILE] [--heartbeat SECS]"
         );
         return Ok(ExitCode::SUCCESS);
@@ -307,46 +297,29 @@ fn run() -> Result<ExitCode, String> {
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
-    let batch: u64 = parse_num(&mut raw, "--batch", 8)?;
-    let predictor: HwPredictor = extract_flag(&mut raw, "--predictor")
-        .map_err(|e| e.to_string())?
-        .map_or(Ok(SimConfig::default().predictor), |v| {
-            HwPredictor::parse(&v).map_err(|e| format!("--predictor: bad value `{v}`: {e}"))
-        })?;
+    let predictor = parse_predictor(&mut raw)?.unwrap_or(SimConfig::default().predictor);
     let target_spec = extract_flag(&mut raw, "--target")
         .map_err(|e| e.to_string())?
         .unwrap_or_else(|| "cache".into());
     let targets = parse_targets(&target_spec, predictor)?;
     // Campaigns default to the threaded tier for the fault-free
     // reference phase; --engine interp keeps the one-entry interpreter.
-    let engine = match extract_flag(&mut raw, "--engine").map_err(|e| e.to_string())? {
-        Some(name) => Engine::parse(&name)
-            .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)"))?,
-        None => Engine::default(),
-    };
+    let engine = parse_engine(&mut raw, Engine::default())?;
     let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
     let report_path = extract_flag(&mut raw, "--report").map_err(|e| e.to_string())?;
-    let heartbeat_secs: Option<u64> = extract_flag(&mut raw, "--heartbeat")
-        .map_err(|e| e.to_string())?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--heartbeat: bad value `{v}` (want seconds >= 1)"))
-        })
-        .transpose()?;
+    let heartbeat_secs = parse_heartbeat(&mut raw)?;
     if let Some(flag) = raw.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
     if jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
-    if batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
     if programs == 0 || faults == 0 {
         return Err("--programs and --faults must be at least 1".into());
     }
+    let total = programs.checked_mul(faults).ok_or_else(|| {
+        format!("--programs {programs} x --faults {faults} is more cases than fit in 64 bits")
+    })?;
     if max_cycles == 0 {
         return Err("--max-cycles must be at least 1".into());
     }
@@ -386,20 +359,7 @@ fn run() -> Result<ExitCode, String> {
         images.push((pseed, image, table, translated));
     }
     let icache_entries = SimConfig::default().icache_entries as u64;
-    let total = programs * faults;
-    let cp = match &resume_path {
-        Some(path) => {
-            let loaded = Checkpoint::load_for_campaign(path, total).map_err(|e| e.to_string())?;
-            if let Some(cp) = &loaded {
-                println!(
-                    "crisp-fault: resuming from {path} ({} / {total} cases done)",
-                    cp.completed
-                );
-            }
-            loaded.unwrap_or_default()
-        }
-        None => Checkpoint::default(),
-    };
+    let cp = resume_checkpoint("crisp-fault", resume_path.as_ref(), total, "cases")?;
     // The fault-free reference commit log for each program, computed
     // once by whichever worker strikes the program first and shared by
     // every later case (the old scalar driver re-ran the reference
@@ -421,28 +381,21 @@ fn run() -> Result<ExitCode, String> {
 
     println!(
         "crisp-fault: {programs} programs x {faults} faults on {jobs} threads \
-         (base seed {seed}, target {target_spec}, batch {batch})"
+         (base seed {seed}, target {target_spec})"
     );
 
     // Run one claimed block: group its cases by program so each group
-    // shares one reference lookup, then push both phases of every case
-    // through the lane-parallel batch kernel. The groups settle their
-    // programs' reference counts only once the whole block has run: a
-    // block that panics part-way is retried case by case, and each
-    // case must count exactly once.
+    // shares one reference lookup, then classify both phases of every
+    // case against it. The groups settle their programs' reference
+    // counts only once the whole block has run: a block that panics
+    // part-way is retried case by case, and each case must count
+    // exactly once.
     let run_block = |cases: &[u64], pool: &mut MachinePool| {
         let mut out: Vec<(u64, CaseResult<Option<String>, Failure>)> =
             Vec::with_capacity(cases.len());
         let mut groups: Vec<(usize, u64)> = Vec::new();
-        let mut k = 0;
-        while k < cases.len() {
-            let p = cases[k] / faults;
-            let mut end = k + 1;
-            while end < cases.len() && cases[end] / faults == p {
-                end += 1;
-            }
-            let group = &cases[k..end];
-            k = end;
+        for group in cases.chunk_by(|a, b| a / faults == b / faults) {
+            let p = group[0] / faults;
             groups.push((p as usize, group.len() as u64));
             let (pseed, image, table, translated) = &images[p as usize];
             let reference = references[p as usize].get(|| {
@@ -479,7 +432,7 @@ fn run() -> Result<ExitCode, String> {
                 });
                 plans.push(plan);
             }
-            match classify_batch(image, &cfgs, Some(table), &reference, batch as usize, pool) {
+            match classify_batch(image, &cfgs, Some(table), &reference, 1, pool) {
                 // A load failure is deterministic per program: tally
                 // the group skipped, as the scalar classifier did.
                 Err(_) => out.extend(group.iter().map(|&i| (i, CaseResult::Done(None)))),
@@ -503,7 +456,7 @@ fn run() -> Result<ExitCode, String> {
         CampaignSpec {
             total,
             jobs,
-            block: batch,
+            block: CLAIM_BLOCK,
             save_every: (jobs as u64 * 32).max(64),
             resume_path: resume_path.as_ref(),
             heartbeat_secs,

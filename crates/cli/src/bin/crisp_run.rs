@@ -72,7 +72,7 @@ use std::process::ExitCode;
 
 use crisp_asm::assemble_text;
 use crisp_cc::compile_crisp;
-use crisp_cli::{extract_flag, extract_switch, parse_common, read_input};
+use crisp_cli::{extract_flag, extract_switch, parse_common, parse_engine, read_input};
 use crisp_sim::{
     mispredict_cycles, render_timeline_for, write_chrome_trace_for, write_jsonl,
     write_trace_footer, BranchProfiler, CycleSim, Engine, EventRing, FunctionalSim, Machine,
@@ -125,11 +125,7 @@ fn run() -> Result<(), String> {
     let cycles = extract_switch(&mut raw, "--cycles");
     // One-shot runs default to the reference interpreter; campaign
     // drivers (crisp-diff, crisp-fault, bench_sim) default to threaded.
-    let engine = match extract_flag(&mut raw, "--engine").map_err(|e| e.to_string())? {
-        Some(name) => Engine::parse(&name)
-            .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)"))?,
-        None => Engine::Interp,
-    };
+    let engine = parse_engine(&mut raw, Engine::Interp)?;
     let trace_path = extract_flag(&mut raw, "--trace").map_err(|e| e.to_string())?;
     let chrome_path = extract_flag(&mut raw, "--chrome-trace").map_err(|e| e.to_string())?;
     let stats_path = extract_flag(&mut raw, "--stats-json").map_err(|e| e.to_string())?;

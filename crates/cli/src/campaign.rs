@@ -7,9 +7,10 @@
 //! and fold the results into a crash-safe [`Checkpoint`]. The
 //! supervisor owns the cross-cutting machinery:
 //!
-//! * **Batched claiming** — workers claim `block` cases at a time so
-//!   the driver can run them through a lane-parallel batch kernel
-//!   (`crisp_sim::MachineBatch`); `block = 1` is the scalar campaign.
+//! * **Block claiming** — workers claim `block` cases at a time, so a
+//!   driver can share per-block work (`crisp-fault` looks up each
+//!   program's fault-free reference once per block, not once per
+//!   case).
 //! * **Panic isolation** — a panicking block is retried case by case
 //!   on fresh worker state, so only the offending case is quarantined
 //!   (recorded, skipped, campaign continues) while its innocent
@@ -30,6 +31,11 @@ use crisp_telemetry::{CampaignMonitor, Heartbeat};
 
 use crate::{Checkpoint, WorkQueue};
 
+/// Cases a `crisp-fault` worker claims per block. Reports do not
+/// depend on it: every case's verdict is independent of its blockmates,
+/// and tallies fold in case order.
+pub const CLAIM_BLOCK: u64 = 8;
+
 /// How one campaign case resolved, as reported by the driver's block
 /// runner.
 pub enum CaseResult<T, E> {
@@ -49,8 +55,8 @@ pub struct CampaignSpec<'a> {
     pub total: u64,
     /// Worker threads.
     pub jobs: usize,
-    /// Cases claimed (and run) per block; the batch kernels' lane
-    /// count. `1` is the scalar campaign.
+    /// Cases claimed (and run) per block ([`CLAIM_BLOCK`] for
+    /// `crisp-fault`, one program at a time for `crisp-diff`).
     pub block: u64,
     /// Persist the checkpoint every this many completed cases.
     pub save_every: u64,

@@ -16,9 +16,9 @@ use std::sync::Mutex;
 use crisp_cc::{CompileOptions, PredictionMode};
 use crisp_isa::FoldPolicy;
 use crisp_sim::{
-    nth_field, nth_pdu_field, nth_predictor_field, predictor_fault_space, DegradePolicy, FaultPlan,
-    FaultTarget, HwPredictor, ParityMode, PipelineGeometry, SimConfig, FAULT_SPACE, MAX_DEPTH,
-    MIN_DEPTH, PDU_FAULT_SPACE,
+    nth_field, nth_pdu_field, nth_predictor_field, predictor_fault_space, DegradePolicy, Engine,
+    FaultPlan, FaultTarget, HwPredictor, ParityMode, PipelineGeometry, SimConfig, FAULT_SPACE,
+    MAX_DEPTH, MIN_DEPTH, PDU_FAULT_SPACE,
 };
 
 /// Parsed common command-line options.
@@ -259,6 +259,96 @@ pub fn extract_switch(args: &mut Vec<String>, name: &str) -> bool {
     } else {
         false
     }
+}
+
+/// Remove `--name N` from an argument vector and parse it, or return
+/// `default` when the flag is absent.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing or does not
+/// parse as a `T`.
+pub fn parse_num<T: std::str::FromStr>(
+    raw: &mut Vec<String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match extract_flag(raw, name).map_err(|e| e.to_string())? {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}: bad value `{v}`")),
+    }
+}
+
+/// Remove `--engine interp|threaded` from an argument vector, or
+/// return `default` when the flag is absent.
+///
+/// # Errors
+///
+/// A message when the value is missing or names no engine.
+pub fn parse_engine(raw: &mut Vec<String>, default: Engine) -> Result<Engine, String> {
+    match extract_flag(raw, "--engine").map_err(|e| e.to_string())? {
+        Some(name) => Engine::parse(&name)
+            .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)")),
+        None => Ok(default),
+    }
+}
+
+/// Remove `--predictor HW` from an argument vector: the live hardware
+/// predictor, `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A message when the value is missing or names no predictor.
+pub fn parse_predictor(raw: &mut Vec<String>) -> Result<Option<HwPredictor>, String> {
+    extract_flag(raw, "--predictor")
+        .map_err(|e| e.to_string())?
+        .map(|v| HwPredictor::parse(&v).map_err(|e| format!("--predictor: bad value `{v}`: {e}")))
+        .transpose()
+}
+
+/// Remove `--heartbeat SECS` from an argument vector: the campaign
+/// heartbeat period, `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A message when the value is missing or not a whole number of
+/// seconds `>= 1`.
+pub fn parse_heartbeat(raw: &mut Vec<String>) -> Result<Option<u64>, String> {
+    extract_flag(raw, "--heartbeat")
+        .map_err(|e| e.to_string())?
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("--heartbeat: bad value `{v}` (want seconds >= 1)"))
+        })
+        .transpose()
+}
+
+/// The starting checkpoint of a campaign of `total` `unit`s: the one
+/// at the `--resume` path when it exists (announced on stdout as
+/// `<tool>: resuming from ...`), else a fresh one.
+///
+/// # Errors
+///
+/// The [`Checkpoint::load_for_campaign`] failures, as text.
+pub fn resume_checkpoint(
+    tool: &str,
+    resume_path: Option<&String>,
+    total: u64,
+    unit: &str,
+) -> Result<Checkpoint, String> {
+    let Some(path) = resume_path else {
+        return Ok(Checkpoint::default());
+    };
+    let loaded = Checkpoint::load_for_campaign(path, total).map_err(|e| e.to_string())?;
+    if let Some(cp) = &loaded {
+        println!(
+            "{tool}: resuming from {path} ({} / {total} {unit} done)",
+            cp.completed
+        );
+    }
+    Ok(loaded.unwrap_or_default())
 }
 
 /// A crash-safe campaign checkpoint: how many leading cases of the

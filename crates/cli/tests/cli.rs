@@ -378,3 +378,22 @@ fn unknown_flags_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("unknown --emit"), "{stderr}");
 }
+
+#[test]
+fn crisp_fault_rejects_a_case_count_that_overflows() {
+    // 2 x 2^63 wraps to 0 cases and 3 x 6148914691236517206 to 2: both
+    // must fail as usage errors instead of running a wrapped campaign.
+    for (programs, faults) in [("2", "9223372036854775808"), ("3", "6148914691236517206")] {
+        let (stdout, stderr, ok) = run_tool(
+            env!("CARGO_BIN_EXE_crisp-fault"),
+            &["--jobs", "1", "--programs", programs, "--faults", faults],
+            "",
+        );
+        assert!(!ok, "{stdout}");
+        assert!(
+            stderr.contains("more cases than fit in 64 bits"),
+            "{stderr}"
+        );
+        assert!(!stdout.contains(r#""cases""#), "{stdout}");
+    }
+}

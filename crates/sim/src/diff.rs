@@ -24,11 +24,13 @@ use std::sync::Arc;
 
 use crisp_isa::FoldPolicy;
 
-use crate::batch::{LaneEnd, MachineBatch, MachinePool};
 use crate::config::HwPredictor;
+use crate::machine::reset_or_load;
 use crate::observe::{render_timeline_for, EventRing, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
-use crate::{CycleSim, FunctionalSim, HaltReason, Machine, SimConfig, SimError};
+use crate::{
+    CycleSim, FunctionalSim, HaltReason, Machine, MachinePool, RunEnd, SimConfig, SimError,
+};
 use crisp_asm::Image;
 
 /// Events of pipeline context retained for the divergence excerpt.
@@ -343,18 +345,6 @@ pub struct LockstepBuffers {
     pub(crate) cycle: Option<Machine>,
 }
 
-pub(crate) fn reset_or_load(buf: Option<Machine>, image: &Image) -> Result<Machine, SimError> {
-    match buf {
-        // `reset_from` is bit-identical to a fresh load (including the
-        // memory size), so pooled and unpooled runs cannot diverge.
-        Some(mut m) => {
-            m.reset_from(image)?;
-            Ok(m)
-        }
-        None => Machine::load(image),
-    }
-}
-
 /// [`run_lockstep`] with the campaign fast paths: `predecoded` (when
 /// given) serves both engines' decode work from a shared table, and
 /// `bufs` recycles the machine buffers across calls.
@@ -396,27 +386,34 @@ pub fn run_lockstep_pooled(
     if let Some(t) = predecoded {
         cyc.set_predecoded(Arc::clone(t));
     }
-    let outcome = lockstep_loop(&mut func, &mut cyc, &cfg);
+    let outcome = lockstep_loop(&mut func, &mut cyc);
     bufs.func = Some(func.into_machine());
     bufs.cycle = Some(cyc.into_machine());
     Ok(outcome)
 }
 
+/// Whether two engines ended in the same architectural state: the
+/// final-state check behind every lockstep agreement.
+fn same_final_state(a: &Machine, b: &Machine) -> bool {
+    a.accum == b.accum
+        && a.sp == b.sp
+        && a.psw.flag == b.psw.flag
+        && a.halted == b.halted
+        && a.mem == b.mem
+}
+
 fn lockstep_loop(
     func: &mut FunctionalSim,
     cyc: &mut CycleSim<(CommitLog, EventRing)>,
-    cfg: &SimConfig,
 ) -> LockstepOutcome {
     let mut flog = CommitLog::default();
     let mut compared = 0usize;
     let mut func_halted = false;
 
     loop {
-        if cyc.stats.cycles >= cfg.max_cycles
-            || cfg
-                .max_insns
-                .is_some_and(|limit| cyc.stats.program_instrs >= limit)
-        {
+        // One clock cycle, watchdog checked first.
+        let step_result = cyc.run_until(|_| true);
+        if step_result == Ok(RunEnd::Watchdog) {
             let at = cyc.stats.cycles;
             return diverge(
                 cyc,
@@ -427,7 +424,6 @@ fn lockstep_loop(
                 },
             );
         }
-        let step_result = cyc.step();
 
         // Drain the cycle engine's newly retired commits, co-stepping
         // the functional reference one commit per record.
@@ -472,11 +468,8 @@ fn lockstep_loop(
         }
 
         match step_result {
-            Ok(snap) => {
-                if snap.halted {
-                    break;
-                }
-            }
+            Ok(RunEnd::Halted) => break,
+            Ok(_) => {}
             Err(cycle_err) => {
                 // Agreement requires the functional engine to reach the
                 // same error within the in-flight window (the cycle
@@ -522,13 +515,7 @@ fn lockstep_loop(
     // halted = true on both sides, so the functional engine stopped at
     // the same commit). Belt and braces: the complete architectural
     // state must agree too, catching any write neither engine reported.
-    let (fm, cm) = (func.machine(), cyc.machine());
-    if fm.accum != cm.accum
-        || fm.sp != cm.sp
-        || fm.psw.flag != cm.psw.flag
-        || fm.halted != cm.halted
-        || fm.mem != cm.mem
-    {
+    if !same_final_state(func.machine(), cyc.machine()) {
         let at = cyc.stats.cycles;
         return diverge(cyc, compared, at, DivergenceKind::FinalState);
     }
@@ -542,14 +529,12 @@ fn lockstep_loop(
 /// engine retires against a precomputed reference [`CommitLog`], in
 /// retirement order, without storing the stream.
 ///
-/// This is the batched campaign kernels' observer. Where the scalar
-/// harnesses either co-step a live functional engine
-/// ([`run_lockstep`]) or buffer the whole faulted stream for a
-/// post-hoc comparison ([`crate::classify_fault`]), batched lanes
-/// share one reference log per (image, fold policy) and each lane
-/// carries only a cursor into it — no per-lane log allocation — and
-/// the driver polls [`PrefixCheck::decided`] between waves to eject a
-/// lane whose verdict is already fixed.
+/// This is the campaign kernels' observer. Where [`run_lockstep`]
+/// co-steps a live functional engine, the kernels share one reference
+/// log per (image, fold policy) and each case carries only a cursor
+/// into it — no per-case log allocation — and stops its run
+/// ([`CycleSim::run_until`]) as soon as [`PrefixCheck::decided`]
+/// reports that its verdict is fixed.
 #[derive(Debug, Clone)]
 pub struct PrefixCheck {
     reference: Arc<CommitLog>,
@@ -625,25 +610,21 @@ impl PipeObserver for PrefixCheck {
 /// The functional engine's complete run over one (image, fold policy):
 /// the commit stream plus — when the run halted cleanly — the final
 /// architectural state. One reference serves every configuration of a
-/// batched lockstep sweep under that policy, where the scalar harness
-/// re-steps the functional engine once per configuration.
+/// [`run_lockstep_batched`] sweep under that policy, where
+/// [`run_lockstep`] re-steps the functional engine once per
+/// configuration.
 #[derive(Debug)]
 pub struct DiffReference {
     log: Arc<CommitLog>,
-    /// `Some` only when the reference halted within the step budget.
+    /// `Some` only when the reference halted within the step budget. A
+    /// prefix-checked run can only agree against a clean reference; an
+    /// unclean one (error or step-budget expiry) sends every
+    /// configuration down the [`run_lockstep_pooled`] fallback, which
+    /// reproduces the error-chase and watchdog reporting exactly.
     machine: Option<Machine>,
 }
 
 impl DiffReference {
-    /// Whether the reference ran to a clean halt. Batched lanes can
-    /// only agree against a clean reference; an unclean one (error or
-    /// step-budget expiry) sends every configuration down the scalar
-    /// fallback, which reproduces the error-chase and watchdog
-    /// reporting exactly.
-    pub fn clean(&self) -> bool {
-        self.machine.is_some()
-    }
-
     /// The reference commit stream.
     pub fn log(&self) -> &Arc<CommitLog> {
         &self.log
@@ -657,7 +638,8 @@ impl DiffReference {
 /// cycle engine retires at most one entry per cycle, so a cycle run
 /// inside its watchdog can never need more reference steps than that.
 /// A reference that errors or exhausts the budget is still returned,
-/// just not [`DiffReference::clean`].
+/// without a final state, so [`run_lockstep_batched`] sends every
+/// configuration to the co-stepped fallback.
 ///
 /// # Errors
 ///
@@ -700,22 +682,25 @@ pub fn diff_reference(
     })
 }
 
-/// Batched variant of [`run_lockstep_pooled`]: run `cfgs` (all sharing
-/// `reference`'s fold policy) as SoA cycle-engine lanes against one
-/// precomputed functional reference, `lanes` at a time, refilling each
-/// slot as its lane drains.
+/// [`run_lockstep_pooled`] over a block of configurations (all sharing
+/// `reference`'s fold policy), checked against one precomputed
+/// functional reference instead of a co-stepped functional engine.
 ///
-/// A lane that matches the whole reference stream, halts, and
-/// reproduces the reference's final state reports
-/// [`LockstepOutcome::Agree`] with exactly the counts the scalar
-/// harness computes. Every other lane — a mismatched commit (the lane
-/// is ejected the wave the mismatch retires), an engine error, a
-/// watchdog expiry, a stream-length difference, a final-state
-/// difference, or an unclean reference — is re-run through the scalar
-/// [`run_lockstep_pooled`] harness, which reproduces the divergence
-/// report (timeline excerpt included) bit-identically to a
-/// scalar-only sweep. Campaigns abort on the first divergence, so the
-/// double-run costs nothing on the steady-state path.
+/// Each configuration runs on a pooled [`CycleSim`] with a
+/// [`PrefixCheck`] cursor, stopping at the first mismatched commit. A
+/// run that matches the whole reference stream, halts, and reproduces
+/// the reference's final state reports [`LockstepOutcome::Agree`] with
+/// exactly the counts [`run_lockstep`] computes. Every other run — a
+/// mismatched commit, an engine error, a watchdog expiry, a
+/// stream-length difference, a final-state difference, or an unclean
+/// reference — is re-run through [`run_lockstep_pooled`], which
+/// reproduces the divergence report (timeline excerpt included)
+/// bit-identically. Campaigns abort on the first divergence, so the
+/// double run costs nothing on the steady-state path.
+///
+/// `_lanes` is ignored: configurations run one at a time, as no
+/// measured batch width beat that. It stays so existing callers keep
+/// compiling.
 ///
 /// # Errors
 ///
@@ -730,80 +715,37 @@ pub fn run_lockstep_batched(
     cfgs: &[SimConfig],
     predecoded: Option<&Arc<PredecodedImage>>,
     reference: &DiffReference,
-    lanes: usize,
+    _lanes: usize,
     pool: &mut MachinePool,
     bufs: &mut LockstepBuffers,
 ) -> Result<Vec<LockstepOutcome>, SimError> {
-    let mut outcomes: Vec<Option<LockstepOutcome>> = (0..cfgs.len()).map(|_| None).collect();
-    let mut rerun: Vec<usize> = Vec::new();
-    match &reference.machine {
-        None => rerun.extend(0..cfgs.len()),
-        Some(ref_machine) => {
-            let mut batch: MachineBatch<PrefixCheck> =
-                MachineBatch::new(lanes.clamp(1, cfgs.len().max(1)));
-            let mut next = 0usize;
-            loop {
-                while next < cfgs.len() && batch.free_lane().is_some() {
-                    let cfg = cfgs[next];
-                    cfg.validate();
-                    if let Some(t) = predecoded {
-                        assert_eq!(
-                            t.policy(),
-                            cfg.fold_policy,
-                            "predecode table policy must match the swept config"
-                        );
-                    }
-                    let mut sim = CycleSim::with_observer(
-                        pool.take(image)?,
-                        cfg,
-                        PrefixCheck::new(Arc::clone(&reference.log)),
-                    );
-                    if let Some(t) = predecoded {
-                        sim.set_predecoded(Arc::clone(t));
-                    }
-                    batch.admit(next as u64, sim);
-                    next += 1;
+    cfgs.iter()
+        .map(|&cfg| {
+            if let Some(ref_machine) = &reference.machine {
+                let mut sim = CycleSim::with_observer(
+                    pool.take(image)?,
+                    cfg,
+                    PrefixCheck::new(Arc::clone(&reference.log)),
+                );
+                if let Some(t) = predecoded {
+                    sim.set_predecoded(Arc::clone(t));
                 }
-                if batch.live_lanes() == 0 {
-                    break;
-                }
-                batch.step_wave();
-                for lane in 0..batch.lanes() {
-                    if batch.is_live(lane) && batch.observer(lane).decided() {
-                        batch.eject(lane);
-                    }
-                }
-                for fin in batch.drain_finished() {
-                    let idx = fin.tag as usize;
-                    let fm = ref_machine;
-                    let cm = &fin.machine;
-                    let agree = matches!(fin.end, LaneEnd::Halted)
-                        && fin.obs.full_match()
-                        && fm.accum == cm.accum
-                        && fm.sp == cm.sp
-                        && fm.psw.flag == cm.psw.flag
-                        && fm.halted == cm.halted
-                        && fm.mem == cm.mem;
-                    if agree {
-                        outcomes[idx] = Some(LockstepOutcome::Agree {
-                            commits: fin.obs.matched() as u64,
-                            cycles: fin.stats.cycles,
-                        });
-                    } else {
-                        rerun.push(idx);
-                    }
-                    pool.put(fin.machine);
+                let end = sim.run_until(|s| s.observer().decided());
+                let agree = matches!(end, Ok(RunEnd::Halted))
+                    && sim.observer().full_match()
+                    && same_final_state(ref_machine, sim.machine());
+                let outcome = agree.then(|| LockstepOutcome::Agree {
+                    commits: sim.observer().matched() as u64,
+                    cycles: sim.stats.cycles,
+                });
+                pool.put(sim.into_machine());
+                if let Some(outcome) = outcome {
+                    return Ok(outcome);
                 }
             }
-        }
-    }
-    for idx in rerun {
-        outcomes[idx] = Some(run_lockstep_pooled(image, cfgs[idx], predecoded, bufs)?);
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every config ran as a lane or a scalar fallback"))
-        .collect())
+            run_lockstep_pooled(image, cfg, predecoded, bufs)
+        })
+        .collect()
 }
 
 #[cfg(test)]

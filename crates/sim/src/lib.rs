@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod batch;
 mod config;
 pub mod diff;
 mod error;
@@ -67,7 +66,6 @@ pub mod threaded;
 mod trace;
 
 pub use accounting::{BubbleCause, CycleAccounts};
-pub use batch::{FinishedLane, LaneEnd, MachineBatch, MachinePool};
 pub use config::{DegradePolicy, FaultInjection, HwPredictor, SimConfig};
 pub use diff::{
     diff_reference, run_lockstep, run_lockstep_batched, run_lockstep_pooled, sweep_configs,
@@ -78,7 +76,7 @@ pub use error::{HaltReason, SimError};
 pub use functional::{FunctionalRun, FunctionalSim};
 pub use geometry::{PipelineGeometry, StageHistogram, MAX_DEPTH, MIN_DEPTH};
 pub use icache::{CacheLookup, DecodedCache};
-pub use machine::{Machine, Step};
+pub use machine::{Machine, MachinePool, Step};
 pub use mem::Memory;
 pub use observe::{
     mispredict_cycles, parse_jsonl, render_timeline, render_timeline_for, write_chrome_trace,
@@ -86,16 +84,15 @@ pub use observe::{
     PipeEvent, PipeObserver, StallKind, TraceFooter, TraceParseError,
 };
 pub use pdu::Pdu;
-pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, StageView};
+pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, RunEnd, StageView};
 pub use predecode::{PredecodedImage, DECODE_WINDOW};
 pub use predictor::{BtbTable, CounterTable, HwPredictorState, JumpTraceTable, Predictor};
 pub use profile::{BranchProfiler, SiteStats};
 pub use soft_error::{
-    apply_fault, classify_batch, classify_fault, classify_fault_pooled,
-    classify_fault_translated_pooled, decode_entry, entry_bits, fault_reference, nth_field,
-    nth_pdu_field, nth_predictor_field, parity32, predictor_fault_space, ClassifyBuffers,
-    FaultField, FaultOutcome, FaultPlan, FaultReference, FaultTarget, ParityMode, FAULT_SPACE,
-    FIELD_NAMES, PDU_FAULT_SPACE,
+    apply_fault, classify_batch, classify_fault, decode_entry, entry_bits, fault_reference,
+    nth_field, nth_pdu_field, nth_predictor_field, parity32, predictor_fault_space, FaultField,
+    FaultOutcome, FaultPlan, FaultReference, FaultTarget, ParityMode, FAULT_SPACE, FIELD_NAMES,
+    PDU_FAULT_SPACE,
 };
 pub use stats::{resolve_stage, CycleStats, OpcodeCounts, RunStats, STATS_SCHEMA_VERSION};
 pub use threaded::{verify_threaded_pooled, Engine, ThreadedSim, TranslatedImage};

@@ -353,6 +353,46 @@ impl Machine {
     }
 }
 
+/// Reuse `buf` for `image` when there is one, else load afresh.
+pub(crate) fn reset_or_load(buf: Option<Machine>, image: &Image) -> Result<Machine, SimError> {
+    match buf {
+        // `reset_from` is bit-identical to a fresh load (including the
+        // memory size), so pooled and unpooled runs cannot diverge.
+        Some(mut m) => {
+            m.reset_from(image)?;
+            Ok(m)
+        }
+        None => Machine::load(image),
+    }
+}
+
+/// A pool of architectural-state buffers for the campaign kernels.
+/// A campaign worker keeps one: it grows to the worker's high-water
+/// mark of machines in flight (a shared reference plus the case being
+/// run) once and then serves every later case allocation-free.
+#[derive(Debug, Default)]
+pub struct MachinePool {
+    free: Vec<Machine>,
+}
+
+impl MachinePool {
+    /// A machine loaded from `image`, recycling a pooled buffer when
+    /// one is free ([`Machine::reset_from`] is bit-identical to a fresh
+    /// [`Machine::load`], so pooled and unpooled runs cannot diverge).
+    ///
+    /// # Errors
+    ///
+    /// Propagates load/reset failures.
+    pub fn take(&mut self, image: &Image) -> Result<Machine, SimError> {
+        reset_or_load(self.free.pop(), image)
+    }
+
+    /// Return a machine buffer to the pool for a later case.
+    pub fn put(&mut self, m: Machine) {
+        self.free.push(m);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

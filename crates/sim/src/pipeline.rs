@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use crate::predecode::PredecodedImage;
 use crate::predictor::HwPredictorState;
-use crate::soft_error::FaultTarget;
+use crate::soft_error::{FaultTarget, ParityMode};
 use crate::stats::resolve_stage;
 use crate::{CacheLookup, CycleStats, DecodedCache, HaltReason, Machine, Pdu, SimConfig, SimError};
 
@@ -145,30 +145,29 @@ pub struct CycleRun {
 /// uninstrumented model (the `sim_throughput` benchmark guards this).
 #[derive(Debug)]
 pub struct CycleSim<O: PipeObserver = NullObserver> {
-    pub(crate) machine: Machine,
-    pub(crate) cfg: SimConfig,
-    pub(crate) cache: DecodedCache,
-    pub(crate) pdu: Pdu,
+    machine: Machine,
+    cfg: SimConfig,
+    cache: DecodedCache,
+    pdu: Pdu,
     /// The front-end hot state (stage latches, sequencing registers,
     /// bubble provenance) — see [`PipeFront`].
-    pub(crate) front: PipeFront,
+    front: PipeFront,
     /// Live dynamic-prediction hardware, when configured (`None` for
     /// the shipped static-bit design, keeping its hot path untouched).
-    pub(crate) predictor: Option<HwPredictorState>,
+    predictor: Option<HwPredictorState>,
     /// The event sink.
-    pub(crate) obs: O,
+    obs: O,
     /// Timing counters (public so callers can sample mid-run).
     pub stats: CycleStats,
 }
 
-/// The cycle engine's per-lane front-end hot state: EU stage latches,
+/// The cycle engine's front-end hot state: EU stage latches,
 /// sequencing registers, and bubble provenance.
 ///
-/// Split out of [`CycleSim`] so the batched campaign kernel
-/// ([`crate::batch::MachineBatch`]) can hold N of these in
-/// structure-of-arrays form, stepping each lane against its own backing
-/// state through [`PipeFront::cycle_once`]. The scalar simulator is the
-/// one-lane specialization of the same code path.
+/// Split out of [`CycleSim`] so [`PipeFront::cycle_once`] can borrow
+/// the front end mutably alongside the rest of the simulator's state
+/// (handed over as one [`LaneMut`]) without fighting the borrow
+/// checker over `self`.
 #[derive(Debug, Clone)]
 pub(crate) struct PipeFront {
     /// EU stage latches, youngest first: `stages[0]` is the issue
@@ -209,10 +208,10 @@ pub(crate) struct PipeFront {
     parity_pc: Option<u32>,
 }
 
-/// Mutable borrows of one lane's backing state — everything a
-/// [`PipeFront`] needs besides itself to advance a cycle. The scalar
-/// engine builds one from its own fields; [`crate::batch::MachineBatch`]
-/// builds one per lane from its parallel arrays.
+/// Mutable borrows of a simulator's backing state — everything a
+/// [`PipeFront`] needs besides itself to advance a cycle. [`CycleSim`]
+/// builds one from its own fields each cycle (a split borrow of
+/// `self`).
 pub(crate) struct LaneMut<'a, O: PipeObserver> {
     pub machine: &'a mut Machine,
     pub cache: &'a mut DecodedCache,
@@ -223,13 +222,17 @@ pub(crate) struct LaneMut<'a, O: PipeObserver> {
     pub obs: &'a mut O,
 }
 
-/// Whether a watchdog limit ([`SimConfig::max_cycles`] /
-/// [`SimConfig::max_insns`]) has expired for the given counters.
-pub(crate) fn watchdog_expired(cfg: &SimConfig, stats: &CycleStats) -> bool {
-    stats.cycles >= cfg.max_cycles
-        || cfg
-            .max_insns
-            .is_some_and(|limit| stats.program_instrs >= limit)
+/// How a [`CycleSim::run_until`] run ended (an engine error is the
+/// `Err` side instead).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunEnd {
+    /// The program retired `halt`.
+    Halted,
+    /// A watchdog limit ([`SimConfig::max_cycles`] /
+    /// [`SimConfig::max_insns`]) expired first.
+    Watchdog,
+    /// The caller's stop predicate fired.
+    Stopped,
 }
 
 impl CycleSim {
@@ -322,33 +325,61 @@ impl<O: PipeObserver> CycleSim<O> {
     ///
     /// Same conditions as [`CycleSim::run`].
     pub fn run_observed(mut self) -> Result<(CycleRun, O), SimError> {
+        self.run_until(|_| false)?;
+        Ok(self.finish())
+    }
+
+    /// Run until `halt`, a watchdog limit, or `stop` — whichever comes
+    /// first. Each cycle checks the watchdog, advances the machine one
+    /// clock, then asks `stop` (which sees the simulator as that cycle
+    /// left it). The simulator survives the run, error or not, so the
+    /// caller can still read its machine, counters and observer.
+    ///
+    /// Campaign kernels stop a case as soon as its verdict is fixed —
+    /// see [`crate::classify_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CycleSim::run`].
+    pub fn run_until(&mut self, mut stop: impl FnMut(&Self) -> bool) -> Result<RunEnd, SimError> {
         loop {
             if self.watchdog_expired() {
                 self.stats.watchdog = true;
-                let run = CycleRun {
-                    machine: self.machine,
-                    stats: self.stats,
-                    halted: false,
-                    halt_reason: HaltReason::Watchdog,
-                };
-                return Ok((run, self.obs));
+                return Ok(RunEnd::Watchdog);
             }
             if self.cycle_once()? {
-                let run = CycleRun {
-                    machine: self.machine,
-                    stats: self.stats,
-                    halted: true,
-                    halt_reason: HaltReason::Halted,
-                };
-                return Ok((run, self.obs));
+                return Ok(RunEnd::Halted);
+            }
+            if stop(self) {
+                return Ok(RunEnd::Stopped);
             }
         }
+    }
+
+    /// Whether a parity-protected run's planned soft-error fault has
+    /// both struck and been caught by a parity check (a decoded-cache
+    /// invalidate or a predictor scrub). From then on no corrupted entry
+    /// can execute, so the rest of the run matches the fault-free
+    /// reference (see [`crate::classify_batch`]).
+    pub fn parity_settled(&self) -> bool {
+        self.cfg.parity == ParityMode::DetectInvalidate
+            && self.stats.faults_injected > 0
+            && (self.cache.parity_invalidates
+                + self
+                    .predictor
+                    .as_ref()
+                    .map_or(0, HwPredictorState::parity_scrubs))
+                > 0
     }
 
     /// Whether a watchdog limit ([`SimConfig::max_cycles`] /
     /// [`SimConfig::max_insns`]) has expired.
     fn watchdog_expired(&self) -> bool {
-        watchdog_expired(&self.cfg, &self.stats)
+        self.stats.cycles >= self.cfg.max_cycles
+            || self
+                .cfg
+                .max_insns
+                .is_some_and(|limit| self.stats.program_instrs >= limit)
     }
 
     /// Advance the machine by one clock cycle and return a snapshot of
@@ -392,8 +423,13 @@ impl<O: PipeObserver> CycleSim<O> {
     /// Consume the simulator after stepping to completion. A run
     /// abandoned before `halt` reports [`HaltReason::Watchdog`].
     pub fn into_run(self) -> CycleRun {
+        self.finish().0
+    }
+
+    /// Split the simulator into its run result and its observer.
+    fn finish(self) -> (CycleRun, O) {
         let halted = self.machine.halted;
-        CycleRun {
+        let run = CycleRun {
             machine: self.machine,
             stats: self.stats,
             halted,
@@ -402,7 +438,8 @@ impl<O: PipeObserver> CycleSim<O> {
             } else {
                 HaltReason::Watchdog
             },
-        }
+        };
+        (run, self.obs)
     }
 
     /// Run until `halt`, or until a watchdog limit expires (a graceful
@@ -603,7 +640,7 @@ impl PipeFront {
         }
     }
 
-    /// Advance one lane by one clock cycle. Returns `true` on halt.
+    /// Advance the machine by one clock cycle. Returns `true` on halt.
     ///
     /// The paper's 3-stage geometry gets a monomorphized copy of the
     /// cycle body whose stage loops unroll at compile time — the
@@ -1074,6 +1111,39 @@ mod tests {
 
     fn run(src: &str) -> CycleRun {
         run_cfg(src, SimConfig::default())
+    }
+
+    #[test]
+    fn run_until_stops_after_the_cycle_and_resumes_exactly() {
+        let src = "
+            mov 0(sp),$0
+        top:
+            add 0(sp),$1
+            cmp.s< 0(sp),$9
+            ifjmpy.t top
+            halt
+        ";
+        let img = assemble_text(src).unwrap();
+        let whole = run(src);
+        let mut sim = CycleSim::new(Machine::load(&img).unwrap(), SimConfig::default());
+        // `stop` sees each cycle's result, so it fires after cycle 5.
+        assert_eq!(sim.run_until(|s| s.stats.cycles >= 5), Ok(RunEnd::Stopped));
+        assert_eq!(sim.stats.cycles, 5);
+        // A stopped run picks up where it left off: stopping changes
+        // nothing about how the run ends.
+        assert_eq!(sim.run_until(|_| false), Ok(RunEnd::Halted));
+        assert_eq!(sim.stats, whole.stats);
+        assert_eq!(sim.machine(), &whole.machine);
+        // The watchdog is checked before the cycle runs, so a budget of
+        // N cycles runs exactly N.
+        let cfg = SimConfig {
+            max_cycles: 7,
+            ..SimConfig::default()
+        };
+        let mut sim = CycleSim::new(Machine::load(&img).unwrap(), cfg);
+        assert_eq!(sim.run_until(|_| false), Ok(RunEnd::Watchdog));
+        assert_eq!(sim.stats.cycles, 7);
+        assert!(sim.stats.watchdog);
     }
 
     #[test]

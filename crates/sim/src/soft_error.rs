@@ -51,13 +51,12 @@ use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, NextPc, Operand};
 
 use std::sync::Arc;
 
-use crate::batch::{FinishedLane, LaneEnd, MachineBatch, MachinePool};
 use crate::config::HwPredictor;
 use crate::diff::{CommitLog, CommitRecord, PrefixCheck};
 use crate::error::HaltReason;
 use crate::{
-    CycleSim, FunctionalSim, Machine, PredecodedImage, SimConfig, SimError, ThreadedSim,
-    TranslatedImage,
+    CycleSim, FunctionalSim, Machine, MachinePool, PredecodedImage, RunEnd, SimConfig, SimError,
+    ThreadedSim, TranslatedImage,
 };
 use crisp_asm::Image;
 
@@ -620,6 +619,10 @@ fn classify_pair(reference: &CommitRecord, faulted: &CommitRecord) -> FaultOutco
 /// left the instruction stream) and to SDC for data errors (a wild
 /// address from a corrupted operand).
 ///
+/// This is [`fault_reference`] followed by a one-case
+/// [`classify_batch`]; campaign drivers call the two directly so one
+/// reference serves every case of a program.
+///
 /// # Errors
 ///
 /// Only harness-level failures are `Err`: the image does not load, or
@@ -627,81 +630,18 @@ fn classify_pair(reference: &CommitRecord, faulted: &CommitRecord) -> FaultOutco
 /// `cfg.max_cycles` steps (campaign drivers pre-screen programs so this
 /// does not happen).
 pub fn classify_fault(image: &Image, cfg: SimConfig) -> Result<FaultOutcome, SimError> {
-    classify_fault_pooled(image, cfg, None, &mut ClassifyBuffers::default())
-}
-
-/// Reusable machine buffers for [`classify_fault_pooled`]; campaign
-/// workers keep one per thread so each case resets memory in place
-/// instead of allocating a fresh [`Machine`].
-#[derive(Debug, Default)]
-pub struct ClassifyBuffers {
-    pool: MachinePool,
-}
-
-/// Pooled variant of [`classify_fault`]: recycles per-worker machine
-/// buffers via [`Machine::reset_from`] and, when `predecoded` is given,
-/// shares one decode table (which must match `cfg.fold_policy`) between
-/// the functional reference and the faulted cycle run.
-///
-/// Classification is identical to [`classify_fault`]. If the faulted
-/// run dies with a simulator error its machine buffer is lost and the
-/// next case falls back to a fresh load; that path is rare and already
-/// pays the cost of an early exit.
-///
-/// # Errors
-///
-/// Same harness-level failures as [`classify_fault`].
-pub fn classify_fault_pooled(
-    image: &Image,
-    cfg: SimConfig,
-    predecoded: Option<&Arc<PredecodedImage>>,
-    bufs: &mut ClassifyBuffers,
-) -> Result<FaultOutcome, SimError> {
-    classify_fault_translated_pooled(image, cfg, predecoded, None, bufs)
-}
-
-/// [`classify_fault_pooled`] with the fault-free reference run on the
-/// threaded-code tier when `translated` is given (which must match
-/// `cfg.fold_policy`). The faulted run always stays on the cycle
-/// engine — faults are injected into live front-end state that only
-/// exists there — so only the reference phase speeds up; campaign
-/// drivers hoist one [`TranslatedImage`] per program and pay
-/// translation once across every fault case.
-///
-/// Classification is identical either way: the threaded tier is
-/// bit-identical to the interpreter (commit stream, final state), which
-/// `tests/prop_threaded.rs` proves over the generated corpora.
-///
-/// # Errors
-///
-/// Same harness-level failures as [`classify_fault`].
-pub fn classify_fault_translated_pooled(
-    image: &Image,
-    cfg: SimConfig,
-    predecoded: Option<&Arc<PredecodedImage>>,
-    translated: Option<&Arc<TranslatedImage>>,
-    bufs: &mut ClassifyBuffers,
-) -> Result<FaultOutcome, SimError> {
-    let reference = fault_reference(image, cfg, predecoded, translated, &mut bufs.pool)?;
-    let outcomes = classify_batch(
-        image,
-        std::slice::from_ref(&cfg),
-        predecoded,
-        &reference,
-        1,
-        &mut bufs.pool,
-    )?;
-    bufs.pool.put(reference.into_machine());
-    Ok(outcomes[0])
+    let mut pool = MachinePool::default();
+    let reference = fault_reference(image, cfg, None, None, &mut pool)?;
+    Ok(classify_batch(image, &[cfg], None, &reference, 1, &mut pool)?[0])
 }
 
 /// The fault-free reference for one program: the commit stream and
 /// final architectural state every fault case classifies against.
 ///
-/// Campaign drivers hoist one of these per program — the scalar kernel
-/// re-runs the reference for every case (twice: once per parity
-/// phase), so hoisting removes ~2·F functional runs from a program's F
-/// fault cases. The reference depends only on the image, the fold
+/// Campaign drivers hoist one of these per program — a per-case
+/// classifier would re-run the reference for every case (twice: once
+/// per parity phase), so hoisting removes ~2·F functional runs from a
+/// program's F fault cases. The reference depends only on the image, the fold
 /// policy and the step budget, none of which vary within a campaign.
 #[derive(Debug)]
 pub struct FaultReference {
@@ -782,35 +722,36 @@ pub fn fault_reference(
     })
 }
 
-/// Classify a batch of faulted runs against one precomputed reference,
-/// `lanes` SoA cycle-engine lanes at a time, returning one
-/// [`FaultOutcome`] per config in order.
+/// Classify a block of faulted runs against one precomputed reference,
+/// returning one [`FaultOutcome`] per config in order.
 ///
-/// Each case runs with a [`PrefixCheck`] cursor over the reference
-/// stream instead of buffering its own commit log. A lane whose prefix
-/// has diverged is ejected at the end of the wave the mismatch retired
-/// in: the verdict ([`classify_pair`] on the divergent records) is
-/// already fixed, and running on — potentially hundreds of thousands
-/// of cycles to a watchdog hang — is pure waste. Completed lanes keep
-/// the scalar verdict order: divergent prefix, then watchdog hang,
-/// then stream-length mismatch, then final-state SDC, then masked.
-/// A lane that dies on a [`SimError`] with its prefix still clean
-/// classifies by the error kind (decode errors are control divergence,
-/// anything else data corruption), exactly as the scalar kernel does.
+/// Each case runs on a pooled [`CycleSim`] with a [`PrefixCheck`]
+/// cursor over the reference stream instead of buffering its own
+/// commit log, and stops early ([`CycleSim::run_until`]) once its
+/// verdict is fixed. A case whose prefix has diverged stops at the end
+/// of the cycle the mismatch retired in: the verdict ([`classify_pair`]
+/// on the divergent records) cannot change, and running on —
+/// potentially hundreds of thousands of cycles to a watchdog hang — is
+/// pure waste. Completed cases keep the full-run verdict order:
+/// divergent prefix, then watchdog hang, then stream-length mismatch,
+/// then final-state SDC, then masked. A case that dies on a
+/// [`SimError`] with its prefix still clean classifies by the error
+/// kind (decode errors are control divergence, anything else data
+/// corruption).
 ///
-/// Parity-protected lanes settle early too: under
+/// Parity-protected cases settle early too: under
 /// [`ParityMode::DetectInvalidate`] every cache read is parity-checked,
 /// so once the planned fault has struck *and* been caught (invalidated
-/// or scrubbed — [`MachineBatch::parity_settled`]) no corrupted entry
-/// can ever execute and the tail of the run is bit-identical to the
-/// reference; the lane is ejected as [`FaultOutcome::Masked`] without
+/// or scrubbed — [`CycleSim::parity_settled`]) no corrupted entry can
+/// ever execute and the tail of the run is bit-identical to the
+/// reference; the case stops as [`FaultOutcome::Masked`] without
 /// simulating that tail. The one observable difference from running
 /// the tail out: a protected run whose caught-fault refetch would have
-/// pushed it past the watchdog budget now classifies as the masked
-/// fault it provably is rather than a spurious `Hang`.
+/// pushed it past the watchdog budget classifies as the masked fault it
+/// provably is rather than a spurious `Hang`.
 ///
-/// [`classify_fault_translated_pooled`] is the one-lane specialization
-/// of this kernel, so batch and scalar campaigns tally identically.
+/// `_lanes` is ignored: cases run one at a time, as no measured batch
+/// width beat that. It stays so existing callers keep compiling.
 ///
 /// # Errors
 ///
@@ -825,23 +766,11 @@ pub fn classify_batch(
     cfgs: &[SimConfig],
     predecoded: Option<&Arc<PredecodedImage>>,
     reference: &FaultReference,
-    lanes: usize,
+    _lanes: usize,
     pool: &mut MachinePool,
 ) -> Result<Vec<FaultOutcome>, SimError> {
-    let mut outcomes: Vec<Option<FaultOutcome>> = (0..cfgs.len()).map(|_| None).collect();
-    let mut batch: MachineBatch<PrefixCheck> = MachineBatch::new(lanes.clamp(1, cfgs.len().max(1)));
-    let mut next = 0usize;
-    loop {
-        while next < cfgs.len() && batch.free_lane().is_some() {
-            let cfg = cfgs[next];
-            cfg.validate();
-            if let Some(t) = predecoded {
-                assert_eq!(
-                    t.policy(),
-                    cfg.fold_policy,
-                    "predecoded table policy must match cfg.fold_policy"
-                );
-            }
+    cfgs.iter()
+        .map(|&cfg| {
             let mut sim = CycleSim::with_observer(
                 pool.take(image)?,
                 cfg,
@@ -850,49 +779,35 @@ pub fn classify_batch(
             if let Some(t) = predecoded {
                 sim.set_predecoded(Arc::clone(t));
             }
-            batch.admit(next as u64, sim);
-            next += 1;
-        }
-        if batch.live_lanes() == 0 {
-            break;
-        }
-        batch.step_wave();
-        for lane in 0..batch.lanes() {
-            if batch.is_live(lane) && (batch.observer(lane).decided() || batch.parity_settled(lane))
-            {
-                batch.eject(lane);
-            }
-        }
-        for fin in batch.drain_finished() {
-            outcomes[fin.tag as usize] = Some(lane_outcome(reference, &fin));
-            pool.put(fin.machine);
-        }
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every config ran as a lane"))
-        .collect())
+            let end = sim.run_until(|s| s.observer().decided() || s.parity_settled());
+            let outcome = case_outcome(reference, &sim, end);
+            pool.put(sim.into_machine());
+            Ok(outcome)
+        })
+        .collect()
 }
 
-/// The scalar verdict order applied to one drained lane.
-fn lane_outcome(reference: &FaultReference, lane: &FinishedLane<PrefixCheck>) -> FaultOutcome {
-    if let Some((r, f)) = lane.obs.mismatch() {
+/// The full-run verdict order applied to one stopped case.
+fn case_outcome(
+    reference: &FaultReference,
+    sim: &CycleSim<PrefixCheck>,
+    end: Result<RunEnd, SimError>,
+) -> FaultOutcome {
+    let check = sim.observer();
+    if let Some((r, f)) = check.mismatch() {
         return classify_pair(r, f);
     }
-    match &lane.end {
-        // A lane ejected with a clean prefix was parity-settled: its
-        // planned fault was caught and invalidated before any corrupted
-        // entry could execute, so the rest of the run is bit-identical
-        // to the reference and the fault is masked by construction.
-        LaneEnd::Ejected => FaultOutcome::Masked,
-        LaneEnd::Error(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
-        LaneEnd::Error(_) => FaultOutcome::Sdc,
-        LaneEnd::Watchdog => FaultOutcome::Hang,
-        LaneEnd::Halted => {
-            if lane.obs.extra() > 0 || lane.obs.matched() != reference.log.records.len() {
+    match end {
+        // A case stopped with a clean prefix was parity-settled.
+        Ok(RunEnd::Stopped) => FaultOutcome::Masked,
+        Err(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
+        Err(_) => FaultOutcome::Sdc,
+        Ok(RunEnd::Watchdog) => FaultOutcome::Hang,
+        Ok(RunEnd::Halted) => {
+            if check.extra() > 0 || check.matched() != reference.log.records.len() {
                 return FaultOutcome::ControlDivergence;
             }
-            let (fm, cm) = (&reference.machine, &lane.machine);
+            let (fm, cm) = (&reference.machine, sim.machine());
             if fm.accum != cm.accum
                 || fm.sp != cm.sp
                 || fm.psw.flag != cm.psw.flag
@@ -1223,10 +1138,10 @@ mod tests {
 
     #[test]
     fn pooled_classification_matches_fresh_runs() {
-        // Buffer recycling and shared decode tables must not change a
-        // single verdict: sweep a slice of the fault space and compare
-        // against the unpooled oracle, reusing one buffer pair across
-        // every case so stale state would be caught.
+        // Buffer recycling, a shared reference and shared decode tables
+        // must not change a single verdict: sweep a slice of the fault
+        // space and compare against the unpooled oracle, recycling one
+        // pool across every case so stale state would be caught.
         use crisp_isa::FoldPolicy;
         let image = crisp_asm::assemble_text(
             "
@@ -1239,9 +1154,10 @@ mod tests {
             ",
         )
         .unwrap();
-        let mut bufs = ClassifyBuffers::default();
+        let mut pool = MachinePool::default();
         for policy in [FoldPolicy::None, FoldPolicy::Host13] {
             let table = crate::PredecodedImage::shared(&image, policy).unwrap();
+            let mut cfgs = Vec::new();
             for cycle in [2u64, 5, 9] {
                 for slot in [0u32, 3] {
                     for field in [
@@ -1249,7 +1165,7 @@ mod tests {
                         FaultField::NextPc(0),
                         FaultField::Opcode(2),
                     ] {
-                        let cfg = SimConfig {
+                        cfgs.push(SimConfig {
                             fold_policy: policy,
                             fault_plan: Some(FaultPlan {
                                 cycle,
@@ -1258,16 +1174,18 @@ mod tests {
                                 target: FaultTarget::Cache,
                             }),
                             ..SimConfig::default()
-                        };
-                        let fresh = classify_fault(&image, cfg).unwrap();
-                        let pooled =
-                            classify_fault_pooled(&image, cfg, Some(&table), &mut bufs).unwrap();
-                        assert_eq!(
-                            fresh, pooled,
-                            "{policy:?} cycle {cycle} slot {slot} {field:?}"
-                        );
+                        });
                     }
                 }
+            }
+            let reference =
+                fault_reference(&image, cfgs[0], Some(&table), None, &mut pool).unwrap();
+            let pooled =
+                classify_batch(&image, &cfgs, Some(&table), &reference, 1, &mut pool).unwrap();
+            pool.put(reference.into_machine());
+            for (cfg, pooled) in cfgs.iter().zip(pooled) {
+                let fresh = classify_fault(&image, *cfg).unwrap();
+                assert_eq!(fresh, pooled, "{policy:?} {:?}", cfg.fault_plan);
             }
         }
     }

@@ -62,8 +62,9 @@ use std::sync::Arc;
 use crisp_asm::Image;
 use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, FoldPolicy, Operand};
 
-use crate::diff::{reset_or_load, LockstepBuffers};
+use crate::diff::LockstepBuffers;
 use crate::functional::push_branch_event;
+use crate::machine::reset_or_load;
 use crate::observe::{NullObserver, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::{

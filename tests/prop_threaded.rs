@@ -14,12 +14,13 @@
 //! policy); these properties drive it across the corpus space.
 
 use crisp::asm::rand_prog::GenProgram;
+use crisp::asm::Image;
 use crisp::cc::{compile_crisp, generate_c, CompileOptions};
 use crisp::isa::FoldPolicy;
 use crisp::sim::{
-    classify_fault_pooled, classify_fault_translated_pooled, nth_field, ClassifyBuffers, FaultPlan,
-    FaultTarget, LockstepBuffers, ParityMode, PredecodedImage, SimConfig, TranslatedImage,
-    FAULT_SPACE,
+    classify_batch, fault_reference, nth_field, FaultOutcome, FaultPlan, FaultTarget,
+    LockstepBuffers, MachinePool, ParityMode, PredecodedImage, SimConfig, SimError,
+    TranslatedImage, FAULT_SPACE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -40,6 +41,22 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         field: nth_field(i),
         target: FaultTarget::Cache,
     })
+}
+
+/// Classify one case the way `crisp-fault` does: the fault-free
+/// reference (on the threaded tier when `translated` is given), then
+/// the faulted run against it.
+fn classify(
+    image: &Image,
+    cfg: SimConfig,
+    predecoded: &Arc<PredecodedImage>,
+    translated: Option<&Arc<TranslatedImage>>,
+    pool: &mut MachinePool,
+) -> Result<FaultOutcome, SimError> {
+    let reference = fault_reference(image, cfg, Some(predecoded), translated, pool)?;
+    let outcome = classify_batch(image, &[cfg], Some(predecoded), &reference, 1, pool);
+    pool.put(reference.into_machine());
+    Ok(outcome?[0])
 }
 
 proptest! {
@@ -102,7 +119,7 @@ proptest! {
         let policy = SimConfig::default().fold_policy;
         let pre = PredecodedImage::shared(&image, policy).unwrap();
         let table = Arc::new(TranslatedImage::from_predecoded(Arc::clone(&pre)));
-        let mut bufs = ClassifyBuffers::default();
+        let mut pool = MachinePool::default();
         for parity in [ParityMode::DetectInvalidate, ParityMode::Off] {
             let cfg = SimConfig {
                 parity,
@@ -110,9 +127,8 @@ proptest! {
                 max_cycles: 200_000,
                 ..SimConfig::default()
             };
-            let interp = classify_fault_pooled(&image, cfg, Some(&pre), &mut bufs);
-            let threaded =
-                classify_fault_translated_pooled(&image, cfg, Some(&pre), Some(&table), &mut bufs);
+            let interp = classify(&image, cfg, &pre, None, &mut pool);
+            let threaded = classify(&image, cfg, &pre, Some(&table), &mut pool);
             match (interp, threaded) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(
                     a, b,
