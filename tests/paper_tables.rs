@@ -6,7 +6,10 @@
 //! pipeline model is refined; the bands keep the paper's shape
 //! guaranteed).
 
-use crisp_bench::{btb_compare, table1, table2, table4};
+use crisp::predict::{evaluate_predictor, Btb, BtbConfig, JumpTrace};
+use crisp::sim::CounterTable;
+use crisp::workloads::prediction_workloads;
+use crisp_bench::{ablation_finite_dynamic, btb_compare, table1, table2, table4, trace_of};
 
 #[test]
 fn table2_exact_counts() {
@@ -124,5 +127,91 @@ fn comparison_section_bands() {
         assert!((r.btb - r.static_acc).abs() < 0.10, "{r:?}");
         // The 8-entry jump trace never beats the BTB meaningfully.
         assert!(r.jump_trace <= r.btb + 0.05, "{r:?}");
+    }
+}
+
+/// Table sizes of the finite-table ablation.
+const FINITE_SIZES: [usize; 4] = [8, 32, 128, 512];
+
+#[test]
+fn trace_driven_exact_counts() {
+    // `(correct, total)` per prediction workload for the comparison
+    // section's BTB 128x4 and MU5 jump trace 8 (over every transfer)
+    // and the ablation's 2-bit finite tables (over conditional
+    // branches). The bands above tolerate whole points; these catch a
+    // predictor model that moves by a single branch.
+    type Row = (&'static str, (u64, u64), u64, [(u64, u64); 4]);
+    let expected: [Row; 6] = [
+        (
+            "troff-proxy",
+            (34479, 36957),
+            33464,
+            [
+                (32984, 35456),
+                (32982, 35456),
+                (32982, 35456),
+                (32982, 35456),
+            ],
+        ),
+        (
+            "cc-proxy",
+            (61325, 78573),
+            48298,
+            [
+                (49596, 68360),
+                (51122, 68360),
+                (51122, 68360),
+                (51122, 68360),
+            ],
+        ),
+        (
+            "drc-proxy",
+            (22309, 24752),
+            22271,
+            [
+                (20600, 23736),
+                (21276, 23736),
+                (21297, 23736),
+                (21297, 23736),
+            ],
+        ),
+        (
+            "dhry",
+            (13510, 15708),
+            8115,
+            [(8465, 11384), (8812, 11384), (9208, 11384), (9208, 11384)],
+        ),
+        (
+            "cwhet",
+            (6517, 7354),
+            5624,
+            [(2846, 3601), (2919, 3601), (2918, 3601), (2918, 3601)],
+        ),
+        (
+            "puzzle",
+            (789, 999),
+            710,
+            [(577, 778), (574, 778), (574, 778), (574, 778)],
+        ),
+    ];
+    let workloads = prediction_workloads();
+    assert_eq!(workloads.len(), expected.len());
+    let ablation = ablation_finite_dynamic(&FINITE_SIZES);
+    for ((w, (name, btb, jt, finite)), (ab_name, _, ab_ratios)) in
+        workloads.iter().zip(expected).zip(ablation)
+    {
+        assert_eq!(w.name, name);
+        assert_eq!(ab_name, name);
+        let trace = trace_of(w.source);
+        let b = Btb::new(BtbConfig::default()).evaluate(&trace);
+        assert_eq!((b.correct, b.total), btb, "{name}: BTB 128x4");
+        let j = JumpTrace::new(JumpTrace::MU5_ENTRIES).evaluate(&trace);
+        assert_eq!((j.correct, j.total), (jt, btb.1), "{name}: jump trace 8");
+        for ((&n, want), ratio) in FINITE_SIZES.iter().zip(finite).zip(ab_ratios) {
+            let a = evaluate_predictor(&trace, &mut CounterTable::new(2, n));
+            assert_eq!((a.correct, a.total), want, "{name}: 2-bit x {n}");
+            // The ablation prints exactly these counts.
+            assert_eq!(ratio, want.0 as f64 / want.1 as f64, "{name}: 2-bit x {n}");
+        }
     }
 }
