@@ -611,7 +611,7 @@ fn classify_pair(reference: &CommitRecord, faulted: &CommitRecord) -> FaultOutco
 ///
 /// The faulted run's commit stream is compared record by record with
 /// the reference; the first disagreement buckets the fault via
-/// [`classify_pair`]. A clean prefix that ends in the watchdog is a
+/// `classify_pair`. A clean prefix that ends in the watchdog is a
 /// [`FaultOutcome::Hang`]; a clean prefix of different length is a
 /// control divergence (the run halted early or late); equal streams
 /// with equal final state are [`FaultOutcome::Masked`]. A faulted run
@@ -729,7 +729,7 @@ pub fn fault_reference(
 /// cursor over the reference stream instead of buffering its own
 /// commit log, and stops early ([`CycleSim::run_until`]) once its
 /// verdict is fixed. A case whose prefix has diverged stops at the end
-/// of the cycle the mismatch retired in: the verdict ([`classify_pair`]
+/// of the cycle the mismatch retired in: the verdict (`classify_pair`
 /// on the divergent records) cannot change, and running on —
 /// potentially hundreds of thousands of cycles to a watchdog hang — is
 /// pure waste. Completed cases keep the full-run verdict order:

@@ -31,7 +31,7 @@ const IDX_IF_JUMP: usize = 20;
 /// program instructions, not pipeline slots.
 ///
 /// The category set is closed (every `ExecOp` maps to one of
-/// [`CATEGORY_NAMES`]), so the histogram is a fixed array and the
+/// `CATEGORY_NAMES`), so the histogram is a fixed array and the
 /// per-retired-instruction [`OpcodeCounts::record`] is two indexed
 /// increments — no tree walk on the hot path. Ad-hoc names passed to
 /// [`OpcodeCounts::bump`] that fall outside the set land in a cold

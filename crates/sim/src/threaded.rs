@@ -12,7 +12,7 @@
 //! translation-time specializations do the heavy lifting:
 //!
 //! * **Micro-op lowering** — each body entry is lowered from the
-//!   decoder's nested `ExecOp`/`Operand` enums into a flat [`HostOp`]
+//!   decoder's nested `ExecOp`/`Operand` enums into a flat `HostOp`
 //!   with operand addressing pre-resolved (stack offset, absolute
 //!   address or immediate baked in), so the hot loop is one `match`
 //!   per entry instead of three.
