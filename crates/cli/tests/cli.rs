@@ -312,13 +312,22 @@ fn crisp_run_predictor_flag_drives_live_prediction() {
         "{btb_out}"
     );
 
-    let (_, stderr, ok) = run_tool(
-        env!("CARGO_BIN_EXE_crisp-run"),
-        &["--cycles", "--predictor", "oracle"],
-        asm,
-    );
-    assert!(!ok);
-    assert!(stderr.contains("bad --predictor value"), "{stderr}");
+    // Unknown schemes and geometries too large to allocate are usage
+    // errors, not crashes.
+    for bad in [
+        "oracle",
+        "counter2x4611686018427387904",
+        "btb1152921504606846976x1",
+        "jumptrace4611686018427387904",
+    ] {
+        let (_, stderr, ok) = run_tool(
+            env!("CARGO_BIN_EXE_crisp-run"),
+            &["--cycles", "--predictor", bad],
+            asm,
+        );
+        assert!(!ok);
+        assert!(stderr.contains("bad --predictor value"), "{bad}: {stderr}");
+    }
 }
 
 #[test]

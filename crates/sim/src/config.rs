@@ -111,11 +111,18 @@ impl HwPredictor {
         Ok(parsed)
     }
 
+    /// Largest table any predictor may hold, in entries (BTB: sets ×
+    /// ways). Far above every modelled design (the paper's largest, the
+    /// 128 × 4 BTB, has 512), and small enough that a table is always
+    /// allocatable.
+    pub const MAX_ENTRIES: usize = 1 << 16;
+
     /// Geometry invariants, shared by [`SimConfig::validate`] (which
     /// panics — construction sites are static) and
     /// [`HwPredictor::parse`] (which reports, since its input is a
     /// command line).
     fn check(&self) -> Result<(), String> {
+        let too_big = |what: &str| format!("{what} exceeds {} entries", HwPredictor::MAX_ENTRIES);
         match *self {
             HwPredictor::StaticBit => {}
             HwPredictor::Dynamic { bits, entries } => {
@@ -125,6 +132,9 @@ impl HwPredictor {
                 if !entries.is_power_of_two() || entries < 1 {
                     return Err("dynamic predictor table must be a power of two".to_string());
                 }
+                if entries > HwPredictor::MAX_ENTRIES {
+                    return Err(too_big("dynamic predictor table"));
+                }
             }
             HwPredictor::Btb { entries, ways } => {
                 if !entries.is_power_of_two() || entries < 1 {
@@ -133,10 +143,17 @@ impl HwPredictor {
                 if ways < 1 {
                     return Err("BTB ways must be at least 1".to_string());
                 }
+                match entries.checked_mul(ways) {
+                    Some(n) if n <= HwPredictor::MAX_ENTRIES => {}
+                    _ => return Err(too_big("BTB sets x ways")),
+                }
             }
             HwPredictor::JumpTrace { entries } => {
                 if entries < 1 {
                     return Err("jump trace needs at least one entry".to_string());
+                }
+                if entries > HwPredictor::MAX_ENTRIES {
+                    return Err(too_big("jump trace"));
                 }
             }
         }
@@ -364,6 +381,13 @@ mod tests {
             HwPredictor::parse("jumptrace4"),
             Ok(HwPredictor::JumpTrace { entries: 4 })
         );
+        assert_eq!(
+            HwPredictor::parse("btb256x256"),
+            Ok(HwPredictor::Btb {
+                entries: 256,
+                ways: 256
+            })
+        );
     }
 
     #[test]
@@ -398,6 +422,13 @@ mod tests {
             "btbx",
             "jumptrace0",
             "jumptracex",
+            "counter2x4611686018427387904",
+            "counter2x131072",
+            "btb1152921504606846976x1",
+            "btb256x512",
+            "btb1x18446744073709551615",
+            "jumptrace4611686018427387904",
+            "jumptrace65537",
         ] {
             assert!(HwPredictor::parse(bad).is_err(), "{bad:?} must be rejected");
         }
