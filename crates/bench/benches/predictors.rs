@@ -1,7 +1,7 @@
 //! Predictor-model throughput over a real workload trace.
 
 use crisp_bench::trace_of;
-use crisp_predict::{evaluate_dynamic, evaluate_static_optimal, Btb, BtbConfig, JumpTrace};
+use crisp_predict::{evaluate_dynamic, evaluate_static_optimal, Btb, JumpTrace};
 use crisp_workloads::TROFF_PROXY_SOURCE;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -18,7 +18,7 @@ fn bench_predictors(c: &mut Criterion) {
         });
     }
     g.bench_function("btb_128x4", |b| {
-        b.iter(|| Btb::new(BtbConfig::default()).evaluate(&trace))
+        b.iter(|| Btb::new(128, 4).evaluate(&trace))
     });
     g.bench_function("jump_trace_8", |b| {
         b.iter(|| JumpTrace::new(JumpTrace::MU5_ENTRIES).evaluate(&trace))

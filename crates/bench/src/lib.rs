@@ -17,12 +17,11 @@ use crisp_cc::{
 };
 use crisp_isa::FoldPolicy;
 use crisp_predict::{
-    evaluate_dynamic, evaluate_predictor, evaluate_static_optimal, Btb, BtbConfig, FinitePredictor,
-    JumpTrace,
+    evaluate_dynamic, evaluate_predictor, evaluate_static_optimal, Btb, JumpTrace,
 };
 use crisp_sim::{
-    CommitLog, CycleSim, FaultOutcome, FunctionalSim, HaltReason, HwPredictor, Machine,
-    MachinePool, PipelineGeometry, PredecodedImage, RunEnd, SimConfig, SimError, Trace,
+    CommitLog, CounterTable, CycleSim, FaultOutcome, FunctionalSim, HaltReason, HwPredictor,
+    Machine, MachinePool, PipelineGeometry, PredecodedImage, RunEnd, SimConfig, SimError, Trace,
 };
 use crisp_workloads::{figure3_with_count, prediction_workloads, FIGURE3_SOURCE};
 
@@ -340,7 +339,7 @@ pub fn btb_compare() -> Vec<BtbRow> {
         .map(|w| {
             let trace = trace_of(w.source);
             let st = evaluate_static_optimal(&trace);
-            let btb = Btb::new(BtbConfig::default()).evaluate(&trace);
+            let btb = Btb::new(128, 4).evaluate(&trace);
             let jt = JumpTrace::new(JumpTrace::MU5_ENTRIES).evaluate(&trace);
             let image = compile_crisp(w.source, &CompileOptions::default()).expect("compiles");
             let live = |predictor| {
@@ -363,7 +362,7 @@ pub fn btb_compare() -> Vec<BtbRow> {
             BtbRow {
                 program: w.name.to_owned(),
                 static_acc: st.accuracy.ratio(),
-                btb: btb.effectiveness(),
+                btb: btb.ratio(),
                 jump_trace: jt.ratio(),
                 transfers: btb.total,
                 btb_live: live_correct_rate(&btb_run),
@@ -519,7 +518,7 @@ pub fn ablation_finite_dynamic(sizes: &[usize]) -> Vec<(String, f64, Vec<f64>)> 
             let infinite = evaluate_dynamic(&trace, 2).ratio();
             let by_size = sizes
                 .iter()
-                .map(|&n| evaluate_predictor(&trace, &mut FinitePredictor::new(2, n)).ratio())
+                .map(|&n| evaluate_predictor(&trace, &mut CounterTable::new(2, n)).ratio())
                 .collect();
             (w.name.to_owned(), infinite, by_size)
         })

@@ -1,230 +1,31 @@
-use crisp_sim::{BranchEvent, Trace};
+use crisp_sim::BtbTable;
 
-use crate::Predictor;
+use crate::Targeted;
 
-/// Geometry of a branch target buffer.
+/// A Lee-Smith branch target buffer: the cycle engine's [`BtbTable`]
+/// (set-associative, 2-bit counters, LRU, allocate-on-taken, a miss
+/// predicts fall-through) plus the last target seen per branch.
 ///
-/// The paper quotes Lee & Smith's "128 sets of 4 entries" as the
-/// high-water mark (and notes such a BTB "would be nearly as large as
-/// our entire microprocessor chip").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BtbConfig {
-    /// Number of sets (power of two).
-    pub sets: usize,
-    /// Associativity.
-    pub ways: usize,
-}
-
-impl Default for BtbConfig {
-    fn default() -> BtbConfig {
-        BtbConfig { sets: 128, ways: 4 }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BtbEntry {
-    pc: u32,
-    target: u32,
-    /// 2-bit direction counter.
-    counter: u8,
-    /// LRU stamp.
-    used: u64,
-}
-
-/// Counters accumulated by a BTB evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BtbStats {
-    /// Lookups that hit an entry.
-    pub hits: u64,
-    /// Branches predicted correctly: a taken branch hit with the right
-    /// target and a taken-predicting counter, or a not-taken branch
-    /// that either missed or hit with a not-taken-predicting counter.
-    pub correct: u64,
-    /// Total branches evaluated.
-    pub total: u64,
-    /// Entries evicted.
-    pub evictions: u64,
-}
-
-impl BtbStats {
-    /// The effectiveness ratio (the paper quotes up to 78% for the
-    /// 128×4 Lee-Smith configuration).
-    pub fn effectiveness(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.total as f64
-        }
-    }
-}
-
-/// A set-associative branch target buffer with 2-bit direction counters
-/// and LRU replacement.
-#[derive(Debug, Clone)]
-pub struct Btb {
-    cfg: BtbConfig,
-    sets: Vec<Vec<BtbEntry>>,
-    clock: u64,
-    /// Accumulated statistics.
-    pub stats: BtbStats,
-}
+/// The paper quotes Lee & Smith's "128 sets of 4 entries", up to 78%
+/// effective, as the high-water mark (and notes such a BTB "would be
+/// nearly as large as our entire microprocessor chip").
+pub type Btb = Targeted<BtbTable>;
 
 impl Btb {
-    /// Create a BTB.
+    /// Create a BTB of `sets` sets × `ways` ways.
     ///
     /// # Panics
     ///
     /// Panics when `sets` is not a power of two or `ways` is zero.
-    pub fn new(cfg: BtbConfig) -> Btb {
-        assert!(
-            cfg.sets.is_power_of_two() && cfg.sets >= 1,
-            "sets must be a power of two"
-        );
-        assert!(cfg.ways >= 1, "ways must be at least 1");
-        Btb {
-            cfg,
-            sets: vec![Vec::new(); cfg.sets],
-            clock: 0,
-            stats: BtbStats::default(),
-        }
-    }
-
-    fn set_index(&self, pc: u32) -> usize {
-        ((pc >> 1) as usize) & (self.cfg.sets - 1)
-    }
-
-    /// Process one dynamic branch: predict, score, train.
-    pub fn access(&mut self, e: &BranchEvent) {
-        self.clock += 1;
-        self.stats.total += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways;
-        let idx = self.set_index(e.pc);
-        let set = &mut self.sets[idx];
-
-        let hit = set.iter_mut().find(|en| en.pc == e.pc);
-        let correct = match &hit {
-            Some(en) => {
-                self.stats.hits += 1;
-                let predict_taken = en.counter >= 2;
-                if e.taken {
-                    predict_taken && en.target == e.target
-                } else {
-                    !predict_taken
-                }
-            }
-            // Miss predicts not-taken (fall through).
-            None => !e.taken,
-        };
-        self.stats.correct += u64::from(correct);
-
-        match hit {
-            Some(en) => {
-                en.counter = if e.taken {
-                    (en.counter + 1).min(3)
-                } else {
-                    en.counter.saturating_sub(1)
-                };
-                en.target = e.target;
-                en.used = clock;
-            }
-            None if e.taken => {
-                // Allocate on taken branches only (a BTB of fall-through
-                // branches would be useless).
-                let entry = BtbEntry {
-                    pc: e.pc,
-                    target: e.target,
-                    counter: 2,
-                    used: clock,
-                };
-                if set.len() < ways {
-                    set.push(entry);
-                } else {
-                    let lru = set
-                        .iter_mut()
-                        .min_by_key(|en| en.used)
-                        .expect("ways >= 1 guarantees an entry");
-                    *lru = entry;
-                    self.stats.evictions += 1;
-                }
-            }
-            None => {}
-        }
-    }
-
-    /// Evaluate a whole trace (all transfer kinds — a BTB serves
-    /// unconditional branches, calls and returns too).
-    pub fn evaluate(mut self, trace: &Trace) -> BtbStats {
-        for e in trace {
-            self.access(e);
-        }
-        self.stats
-    }
-}
-
-/// Direction-only predictor view of the BTB, for replaying a pipeline's
-/// split predict/update stream (the fused [`Btb::access`] serves trace
-/// evaluation, where the outcome is known at lookup time).
-///
-/// `predict` is read-only and `update` carries all mutation — counter
-/// movement, LRU stamps and allocation (with a placeholder target of 0:
-/// stored targets never influence hit/miss, counter or replacement
-/// state, so direction behaviour is unaffected). `stats` accumulates
-/// only through [`Btb::access`].
-impl Predictor for Btb {
-    fn predict(&mut self, pc: u32) -> bool {
-        let idx = self.set_index(pc);
-        match self.sets[idx].iter().find(|en| en.pc == pc) {
-            Some(en) => en.counter >= 2,
-            None => false,
-        }
-    }
-
-    fn update(&mut self, pc: u32, taken: bool) {
-        self.clock += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways;
-        let idx = self.set_index(pc);
-        let set = &mut self.sets[idx];
-        match set.iter_mut().find(|en| en.pc == pc) {
-            Some(en) => {
-                en.counter = if taken {
-                    (en.counter + 1).min(3)
-                } else {
-                    en.counter.saturating_sub(1)
-                };
-                en.used = clock;
-            }
-            None if taken => {
-                let entry = BtbEntry {
-                    pc,
-                    target: 0,
-                    counter: 2,
-                    used: clock,
-                };
-                if set.len() < ways {
-                    set.push(entry);
-                } else {
-                    let lru = set
-                        .iter_mut()
-                        .min_by_key(|en| en.used)
-                        .expect("ways >= 1 guarantees an entry");
-                    *lru = entry;
-                }
-            }
-            None => {}
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("BTB {}x{}", self.cfg.sets, self.cfg.ways)
+    pub fn new(sets: usize, ways: usize) -> Btb {
+        Targeted::over(BtbTable::new(sets, ways))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_sim::BranchKind;
+    use crisp_sim::{BranchEvent, BranchKind};
 
     fn ev(pc: u32, target: u32, taken: bool) -> BranchEvent {
         BranchEvent {
@@ -238,38 +39,35 @@ mod tests {
     #[test]
     fn learns_a_steady_loop_branch() {
         let trace: Vec<_> = (0..100).map(|_| ev(0x10, 0x4, true)).collect();
-        let stats = Btb::new(BtbConfig::default()).evaluate(&trace);
+        let acc = Btb::new(128, 4).evaluate(&trace);
         // First access misses (predicted not-taken), rest are correct.
-        assert_eq!(stats.correct, 99);
-        assert_eq!(stats.total, 100);
+        assert_eq!(acc.correct, 99);
+        assert_eq!(acc.total, 100);
     }
 
     #[test]
     fn not_taken_branches_correct_on_miss() {
         let trace: Vec<_> = (0..50).map(|_| ev(0x10, 0x40, false)).collect();
-        let stats = Btb::new(BtbConfig::default()).evaluate(&trace);
-        assert_eq!(stats.correct, 50);
-        assert_eq!(stats.hits, 0, "never-taken branches are not allocated");
+        let acc = Btb::new(128, 4).evaluate(&trace);
+        assert_eq!(acc.correct, 50);
     }
 
     #[test]
     fn capacity_pressure_evicts_lru() {
         // 1 set × 2 ways, three hot branches mapping to the same set.
-        let cfg = BtbConfig { sets: 1, ways: 2 };
         let mut trace = Vec::new();
         for _ in 0..30 {
             trace.push(ev(0x10, 0x2, true));
             trace.push(ev(0x20, 0x4, true));
             trace.push(ev(0x30, 0x6, true));
         }
-        let stats = Btb::new(cfg).evaluate(&trace);
-        assert!(stats.evictions > 0);
         // Round-robin over 3 branches with 2 ways: every access misses
         // after its entry was evicted.
-        assert!(stats.effectiveness() < 0.5, "{stats:?}");
-        // The same trace with enough ways is nearly perfect.
-        let stats = Btb::new(BtbConfig { sets: 1, ways: 4 }).evaluate(&trace);
-        assert!(stats.effectiveness() > 0.9, "{stats:?}");
+        let acc = Btb::new(1, 2).evaluate(&trace);
+        assert_eq!((acc.correct, acc.total), (0, 90));
+        // The same trace with enough ways misses only the first visits.
+        let acc = Btb::new(1, 4).evaluate(&trace);
+        assert_eq!((acc.correct, acc.total), (87, 90));
     }
 
     #[test]
@@ -279,13 +77,13 @@ mod tests {
         for i in 0..40u32 {
             trace.push(ev(0x10, 0x100 + (i % 4) * 0x10, true));
         }
-        let stats = Btb::new(BtbConfig::default()).evaluate(&trace);
-        assert!(stats.effectiveness() < 0.30, "{stats:?}");
+        let acc = Btb::new(128, 4).evaluate(&trace);
+        assert_eq!((acc.correct, acc.total), (0, 40));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_rejected() {
-        Btb::new(BtbConfig { sets: 3, ways: 1 });
+        Btb::new(3, 1);
     }
 }

@@ -23,7 +23,7 @@ impl Accuracy {
         }
     }
 
-    fn record(&mut self, correct: bool) {
+    pub(crate) fn record(&mut self, correct: bool) {
         self.total += 1;
         self.correct += u64::from(correct);
     }
@@ -81,7 +81,7 @@ pub fn evaluate_dynamic(trace: &Trace, bits: u8) -> Accuracy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_sim::BranchEvent;
+    use crisp_sim::{BranchEvent, CounterTable};
 
     fn cond(pc: u32, taken: bool) -> BranchEvent {
         BranchEvent {
@@ -159,6 +159,25 @@ mod tests {
         let t = Vec::new();
         assert_eq!(evaluate_static_optimal(&t).accuracy.total, 0);
         assert_eq!(evaluate_dynamic(&t, 3).ratio(), 0.0);
+    }
+
+    #[test]
+    fn finite_table_aliasing_degrades_accuracy() {
+        // Two opposite-biased branches mapping to the SAME slot of a
+        // 1-entry table destroy each other; a large table keeps them
+        // apart and matches the infinite table.
+        let mut t = Vec::new();
+        for _ in 0..200 {
+            t.push(cond(0x10, true));
+            t.push(cond(0x30, false));
+        }
+        let small = evaluate_predictor(&t, &mut CounterTable::new(2, 1));
+        let mut big_table = CounterTable::new(2, 256);
+        assert_eq!(big_table.name(), "2-bit dynamic, 256 entries");
+        let big = evaluate_predictor(&t, &mut big_table);
+        assert_eq!(big, evaluate_dynamic(&t, 2));
+        assert!(big.ratio() > 0.95, "{big:?}");
+        assert!(small.ratio() < 0.6, "{small:?}");
     }
 
     #[test]

@@ -1,41 +1,16 @@
-use crisp_sim::{BranchEvent, Trace};
+use crisp_sim::JumpTraceTable;
 
-use crate::Predictor;
+use crate::Targeted;
 
-/// Counters accumulated by a jump-trace evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JumpTraceStats {
-    /// Correct predictions (hit + taken + right target, or miss +
-    /// not taken).
-    pub correct: u64,
-    /// Total branches evaluated.
-    pub total: u64,
-}
-
-impl JumpTraceStats {
-    /// Correct fraction. The paper: "Results for the MU5 show only a
-    /// 40-65 percent correct prediction rate for an eight entry
-    /// jump-trace, barely better than tossing a coin."
-    pub fn ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.total as f64
-        }
-    }
-}
-
-/// The Manchester MU5 Jump Trace: a small fully-associative FIFO of
-/// `(branch address → target)` pairs. A hit predicts the branch taken
-/// to the stored target; a miss predicts sequential flow. Taken
-/// branches are inserted; a not-taken occurrence evicts its entry.
-#[derive(Debug, Clone)]
-pub struct JumpTrace {
-    capacity: usize,
-    entries: Vec<(u32, u32)>, // FIFO order, oldest first
-    /// Accumulated statistics.
-    pub stats: JumpTraceStats,
-}
+/// The Manchester MU5 Jump Trace: the cycle engine's
+/// [`JumpTraceTable`] (a small fully-associative FIFO of taken-branch
+/// addresses) plus the last target seen per branch. A hit predicts the
+/// branch taken to the stored target; a miss predicts sequential flow.
+///
+/// The paper: "Results for the MU5 show only a 40-65 percent correct
+/// prediction rate for an eight entry jump-trace, barely better than
+/// tossing a coin."
+pub type JumpTrace = Targeted<JumpTraceTable>;
 
 impl JumpTrace {
     /// The MU5's published size.
@@ -47,90 +22,14 @@ impl JumpTrace {
     ///
     /// Panics when `capacity` is zero.
     pub fn new(capacity: usize) -> JumpTrace {
-        assert!(capacity >= 1, "capacity must be at least 1");
-        JumpTrace {
-            capacity,
-            entries: Vec::new(),
-            stats: JumpTraceStats::default(),
-        }
-    }
-
-    /// Process one dynamic branch.
-    pub fn access(&mut self, e: &BranchEvent) {
-        self.stats.total += 1;
-        let hit = self.entries.iter().position(|&(pc, _)| pc == e.pc);
-        let correct = match hit {
-            Some(i) => {
-                let (_, target) = self.entries[i];
-                e.taken && target == e.target
-            }
-            None => !e.taken,
-        };
-        self.stats.correct += u64::from(correct);
-
-        match (hit, e.taken) {
-            (Some(i), true) => self.entries[i].1 = e.target,
-            (Some(i), false) => {
-                self.entries.remove(i);
-            }
-            (None, true) => {
-                if self.entries.len() == self.capacity {
-                    self.entries.remove(0);
-                }
-                self.entries.push((e.pc, e.target));
-            }
-            (None, false) => {}
-        }
-    }
-
-    /// Evaluate a whole trace.
-    pub fn evaluate(mut self, trace: &Trace) -> JumpTraceStats {
-        for e in trace {
-            self.access(e);
-        }
-        self.stats
-    }
-}
-
-/// Direction-only predictor view of the jump trace, for replaying a
-/// pipeline's split predict/update stream (the fused
-/// [`JumpTrace::access`] serves trace evaluation).
-///
-/// `predict` is read-only; `update` carries all FIFO mutation, with a
-/// placeholder target of 0 on insertion — stored targets never
-/// influence hit/miss or FIFO order, so direction behaviour is
-/// unaffected. `stats` accumulates only through [`JumpTrace::access`].
-impl Predictor for JumpTrace {
-    fn predict(&mut self, pc: u32) -> bool {
-        self.entries.iter().any(|&(epc, _)| epc == pc)
-    }
-
-    fn update(&mut self, pc: u32, taken: bool) {
-        let hit = self.entries.iter().position(|&(epc, _)| epc == pc);
-        match (hit, taken) {
-            (Some(_), true) => {}
-            (Some(i), false) => {
-                self.entries.remove(i);
-            }
-            (None, true) => {
-                if self.entries.len() == self.capacity {
-                    self.entries.remove(0);
-                }
-                self.entries.push((pc, 0));
-            }
-            (None, false) => {}
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("jump trace, {} entries", self.capacity)
+        Targeted::over(JumpTraceTable::new(capacity))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crisp_sim::BranchKind;
+    use crisp_sim::{BranchEvent, BranchKind};
 
     fn ev(pc: u32, taken: bool) -> BranchEvent {
         BranchEvent {
@@ -144,8 +43,8 @@ mod tests {
     #[test]
     fn hot_branch_predicted_after_first_visit() {
         let trace: Vec<_> = (0..20).map(|_| ev(0x10, true)).collect();
-        let stats = JumpTrace::new(8).evaluate(&trace);
-        assert_eq!(stats.correct, 19);
+        let acc = JumpTrace::new(8).evaluate(&trace);
+        assert_eq!(acc.correct, 19);
     }
 
     #[test]
@@ -160,8 +59,8 @@ mod tests {
         }
         let small = JumpTrace::new(8).evaluate(&trace);
         let big = JumpTrace::new(16).evaluate(&trace);
-        assert!(small.ratio() < 0.2, "{small:?}");
-        assert!(big.ratio() > 0.9, "{big:?}");
+        assert_eq!((small.correct, small.total), (0, 240));
+        assert_eq!((big.correct, big.total), (228, 240));
     }
 
     #[test]
@@ -172,15 +71,15 @@ mod tests {
             ev(0x10, true),
             ev(0x10, true),
         ];
-        let stats = JumpTrace::new(8).evaluate(&trace);
+        let acc = JumpTrace::new(8).evaluate(&trace);
         // taken(miss, wrong) / not-taken(hit, wrong) / taken(miss after
         // eviction, wrong) / taken(hit, right)
-        assert_eq!(stats.correct, 1);
+        assert_eq!(acc.correct, 1);
     }
 
     #[test]
+    #[should_panic(expected = "capacity must be at least 1")]
     fn zero_capacity_panics() {
-        let r = std::panic::catch_unwind(|| JumpTrace::new(0));
-        assert!(r.is_err());
+        JumpTrace::new(0);
     }
 }

@@ -6,8 +6,18 @@
 //! one, two and three bits of *dynamic history* with an infinite table
 //! (per J. Smith's weighted counters), and separately discusses the
 //! Lee-Smith branch target buffer and the MU5 8-entry jump trace.
-//! This crate implements all of them over [`crisp_sim::Trace`]s recorded
+//! This crate scores all of them over [`crisp_sim::Trace`]s recorded
 //! by the functional simulator.
+//!
+//! Each hardware structure has one implementation: the table in
+//! [`crisp_sim::predictor`] that the cycle engine runs live. [`Btb`]
+//! and [`JumpTrace`] are [`Targeted`] tables: target bookkeeping over
+//! [`crisp_sim::BtbTable`] and [`crisp_sim::JumpTraceTable`], since a
+//! trace-driven score counts a taken branch correct only when the
+//! stored target matches too. The finite-table ablation runs
+//! [`crisp_sim::CounterTable`] through [`evaluate_predictor`] as is.
+//! Only [`CounterPredictor`]'s infinite table, Table 1's idealisation,
+//! has no hardware twin.
 //!
 //! # Example
 //!
@@ -30,10 +40,10 @@
 mod btb;
 mod counter;
 mod evaluate;
-mod finite;
 mod jump_trace;
+mod targeted;
 
-pub use btb::{Btb, BtbConfig, BtbStats};
+pub use btb::Btb;
 pub use counter::CounterPredictor;
 // The shared predictor trait lives in `crisp_sim` (the cycle engine
 // consumes it too); re-exported here so trace-driven code keeps its
@@ -42,5 +52,5 @@ pub use crisp_sim::Predictor;
 pub use evaluate::{
     evaluate_dynamic, evaluate_predictor, evaluate_static_optimal, Accuracy, StaticOptimal,
 };
-pub use finite::FinitePredictor;
-pub use jump_trace::{JumpTrace, JumpTraceStats};
+pub use jump_trace::JumpTrace;
+pub use targeted::Targeted;

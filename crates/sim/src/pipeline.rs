@@ -940,8 +940,8 @@ impl PipeFront {
                     // dynamic predictor when configured. `guess` must be
                     // a read-only lookup — training happens at retire —
                     // or wrong-path fetches and in-flight repeats of a
-                    // tight loop would desynchronize the table from the
-                    // trace-driven reference models (see
+                    // tight loop would desynchronize the table from a
+                    // replay of the retired branch stream (see
                     // `crate::predictor`).
                     let branch_pc = d.branch_pc.unwrap_or(d.pc);
                     // A fully-degraded table (every way disabled by the

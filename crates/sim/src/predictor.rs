@@ -6,8 +6,9 @@
 //! same predictions over the same branch stream*, or the cycle-level
 //! and trace-level numbers cannot be reconciled. This module owns the
 //! shared [`Predictor`] trait (re-exported by `crisp_predict`) plus the
-//! finite, preallocated table implementations the pipeline instantiates
-//! from [`HwPredictor`]:
+//! one implementation of each hardware table: the pipeline
+//! instantiates them from [`HwPredictor`], and `crisp-predict` scores
+//! traces on the same types:
 //!
 //! * [`CounterTable`] — a direct-mapped table of n-bit saturating
 //!   counters (J. Smith's weighted history, the scheme behind the
@@ -27,15 +28,15 @@
 //! **`predict` never mutates predictor state; `update` carries every
 //! mutation** (counter movement, LRU stamps, allocation, eviction).
 //! Under that contract, replaying the pipeline's actual operation
-//! stream through a trace-driven model reproduces its prediction
-//! stream exactly — the cross-validation the `prop_predictor_xval`
-//! suite enforces.
+//! stream through a fresh table reproduces its prediction stream
+//! exactly — the seam test in the `prop_predictor_xval` suite.
 //!
-//! On direction-only equivalence: the BTB and jump trace store branch
-//! targets, but no stored target ever influences hit/miss, counter
-//! state, or replacement. Conditional-branch targets are static per
-//! address in this ISA, so the direction-only tables here are exactly
-//! direction-equivalent to the target-carrying `crisp-predict` models.
+//! The tables here are direction-only: the BTB and jump trace store no
+//! branch targets, since no stored target ever influences hit/miss,
+//! counter state or replacement. `crisp-predict`'s `Btb` and
+//! `JumpTrace` add target bookkeeping over these tables, so a
+//! trace-driven score can also charge a taken branch whose stored
+//! target is stale.
 
 use crate::config::{DegradePolicy, HwPredictor};
 use crate::soft_error::{FaultField, ParityMode};
@@ -58,8 +59,8 @@ pub trait Predictor {
 /// A direct-mapped table of n-bit saturating counters (the dynamic
 /// hardware predictor the paper evaluated and rejected). Counters start
 /// at the weakly-not-taken value; the index is the parcel address
-/// (`pc >> 1`) masked to the table size — identical to
-/// `crisp_predict::FinitePredictor`, which cross-validates it.
+/// (`pc >> 1`) masked to the table size. The finite-table ablation
+/// scores traces on this type directly.
 #[derive(Debug, Clone)]
 pub struct CounterTable {
     bits: u8,

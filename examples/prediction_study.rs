@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crisp::cc::{apply_profile, compile_crisp, CompileOptions};
-use crisp::predict::{evaluate_dynamic, evaluate_static_optimal, Btb, BtbConfig, JumpTrace};
+use crisp::predict::{evaluate_dynamic, evaluate_static_optimal, Btb, JumpTrace};
 use crisp::sim::{FunctionalSim, Machine};
 use crisp::workloads::DHRY_SOURCE;
 
@@ -36,12 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             evaluate_dynamic(&run.trace, bits).ratio()
         );
     }
-    let btb = Btb::new(BtbConfig::default()).evaluate(&run.trace);
+    let btb = Btb::new(128, 4).evaluate(&run.trace);
     let jt = JumpTrace::new(JumpTrace::MU5_ENTRIES).evaluate(&run.trace);
-    println!(
-        "  BTB 128x4          : {:.3} (all transfers)",
-        btb.effectiveness()
-    );
+    println!("  BTB 128x4          : {:.3} (all transfers)", btb.ratio());
     println!("  MU5 jump trace (8) : {:.3} (all transfers)", jt.ratio());
 
     // 3. Patch the optimal bits into the image and re-measure.

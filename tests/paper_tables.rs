@@ -6,7 +6,7 @@
 //! pipeline model is refined; the bands keep the paper's shape
 //! guaranteed).
 
-use crisp::predict::{evaluate_predictor, Btb, BtbConfig, JumpTrace};
+use crisp::predict::{evaluate_predictor, Btb, JumpTrace};
 use crisp::sim::CounterTable;
 use crisp::workloads::prediction_workloads;
 use crisp_bench::{ablation_finite_dynamic, btb_compare, table1, table2, table4, trace_of};
@@ -203,7 +203,7 @@ fn trace_driven_exact_counts() {
         assert_eq!(w.name, name);
         assert_eq!(ab_name, name);
         let trace = trace_of(w.source);
-        let b = Btb::new(BtbConfig::default()).evaluate(&trace);
+        let b = Btb::new(128, 4).evaluate(&trace);
         assert_eq!((b.correct, b.total), btb, "{name}: BTB 128x4");
         let j = JumpTrace::new(JumpTrace::MU5_ENTRIES).evaluate(&trace);
         assert_eq!((j.correct, j.total), (jt, btb.1), "{name}: jump trace 8");

@@ -1,32 +1,35 @@
-//! Trace-vs-pipeline cross-validation for the dynamic predictors.
+//! The predict-at-fetch / train-at-retire seam of the dynamic
+//! predictors.
 //!
-//! The cycle engine consults an in-pipeline hardware table
-//! (`HwPredictorState`) at fetch and trains it at retire; the
-//! `crisp_predict` crate models the same schemes trace-driven. These
-//! are separate implementations of the same machines, so this harness
-//! proves they agree *bit for bit*: run the pipeline with an event
-//! ring, then replay its `Predict`/`BranchRetire` stream through the
-//! matching trace model — every `predict()` must reproduce the
-//! pipeline's guess, every retirement becomes an `update()`.
+//! The cycle engine consults its hardware table (`HwPredictorState`)
+//! at fetch and trains it at retire. The trace-driven study drives the
+//! same table types with a fused predict-then-train per branch, so the
+//! two agree only if the pipeline keeps the seam's contract: a guess
+//! never mutates the table, and every retired conditional branch trains
+//! it exactly once, in retirement order, at its branch address. This
+//! harness checks that contract *bit for bit*: run the pipeline with an
+//! event ring, then replay its `Predict`/`BranchRetire` stream through
+//! a fresh table of the same configuration. Every replayed guess must
+//! reproduce the pipeline's, and every retirement becomes a `train`.
 //!
 //! The replay honours the pipeline's exact interleaving: wrong-path
 //! fetches are predicted but never retire (so never train), tight
 //! loops predict several times between updates, and a retirement in
 //! cycle N trains the table before that cycle's fetch consults it
 //! (retire precedes fetch within `cycle_once`, and the ring preserves
-//! insertion order).
+//! insertion order). A pipeline that trained at fetch, trained a
+//! wrong-path branch or let a guess move LRU state would diverge here.
 //!
-//! A second property pins the counter-table seam directly:
-//! `crisp_sim::CounterTable` (the in-pipeline direction table) and
-//! `crisp_predict::FinitePredictor` (the trace-driven finite table)
-//! must be indistinguishable over arbitrary predict/update streams,
-//! and both must match the idealised infinite-table
-//! `CounterPredictor` when no two branches alias.
+//! A second property pins the counter table against the idealised
+//! infinite-table `CounterPredictor`: when no two branches alias, the
+//! finite hardware table and Table 1's infinite one are
+//! indistinguishable over arbitrary predict/update streams.
 
 use crisp::asm::rand_prog::GenProgram;
-use crisp::predict::{Btb, BtbConfig, CounterPredictor, FinitePredictor, JumpTrace, Predictor};
+use crisp::predict::{CounterPredictor, Predictor};
 use crisp::sim::{
-    CounterTable, CycleSim, EventRing, HwPredictor, Machine, PipeEvent, PipelineGeometry, SimConfig,
+    CounterTable, CycleSim, EventRing, HwPredictor, HwPredictorState, Machine, PipeEvent,
+    PipelineGeometry, SimConfig,
 };
 use proptest::prelude::*;
 
@@ -55,22 +58,10 @@ fn predictors() -> Vec<HwPredictor> {
     ]
 }
 
-/// Build the trace-driven twin of an in-pipeline predictor config.
-fn trace_model(p: HwPredictor) -> Box<dyn Predictor> {
-    match p {
-        HwPredictor::StaticBit => unreachable!("the static bit consults no table"),
-        HwPredictor::Dynamic { bits, entries } => Box::new(FinitePredictor::new(bits, entries)),
-        HwPredictor::Btb { entries, ways } => Box::new(Btb::new(BtbConfig {
-            sets: entries,
-            ways,
-        })),
-        HwPredictor::JumpTrace { entries } => Box::new(JumpTrace::new(entries)),
-    }
-}
-
-/// Run the pipeline under `cfg`, replay its event stream through the
-/// matching trace model, and return how many predictions were checked.
-/// Panics (via assert) on the first divergent prediction.
+/// Run the pipeline under `cfg`, replay its event stream through a
+/// fresh table of the same configuration, and return how many
+/// predictions were checked. Panics (via assert) on the first
+/// divergent prediction.
 fn xval_run(image: &crisp::asm::Image, cfg: SimConfig) -> u64 {
     let sim = CycleSim::with_observer(Machine::load(image).unwrap(), cfg, EventRing::new(1 << 20));
     let (run, ring) = sim.run_observed().unwrap();
@@ -79,7 +70,8 @@ fn xval_run(image: &crisp::asm::Image, cfg: SimConfig) -> u64 {
         run.stats.dropped_events, 0,
         "ring too small: replay needs the complete stream"
     );
-    let mut model = trace_model(cfg.predictor);
+    let mut replay =
+        HwPredictorState::from_config(cfg.predictor).expect("a dynamic predictor has a table");
     let mut checked = 0u64;
     for ev in ring.events() {
         match *ev {
@@ -87,20 +79,20 @@ fn xval_run(image: &crisp::asm::Image, cfg: SimConfig) -> u64 {
                 cycle,
                 branch_pc,
                 guess,
-                ..
+                miss,
             } => {
                 assert_eq!(
-                    model.predict(branch_pc),
-                    guess,
-                    "trace model `{}` diverged from the pipeline at cycle {cycle}, \
+                    replay.guess(branch_pc),
+                    (guess, miss),
+                    "replayed `{}` diverged from the pipeline at cycle {cycle}, \
                      branch {branch_pc:#x} (prediction #{checked})",
-                    model.name(),
+                    replay.name(),
                 );
                 checked += 1;
             }
             PipeEvent::BranchRetire {
                 branch_pc, taken, ..
-            } => model.update(branch_pc, taken),
+            } => replay.train(branch_pc, taken),
             _ => {}
         }
     }
@@ -148,9 +140,9 @@ fn pipeline_predictions_match_trace_models_on_fixed_corpus() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cross-validate over the differential campaign's own program
+    /// Check the seam over the differential campaign's own program
     /// generator: whatever control flow it emits, the pipeline's
-    /// prediction stream must replay exactly on the trace models.
+    /// prediction stream must replay exactly on a fresh table.
     #[test]
     fn pipeline_predictions_match_trace_models_on_generated_programs(
         seed in 0u64..1 << 32,
@@ -163,33 +155,26 @@ proptest! {
         }
     }
 
-    /// The in-pipeline `CounterTable` and the trace-driven
-    /// `FinitePredictor` are the same machine: over an arbitrary
-    /// interleaving of predicts and updates they agree on every
-    /// prediction. With addresses confined to distinct slots of a
-    /// large table, both also match the infinite-table
-    /// `CounterPredictor`.
+    /// With addresses confined to distinct slots, the finite
+    /// `CounterTable` matches the infinite-table `CounterPredictor` on
+    /// every prediction over an arbitrary interleaving of predicts and
+    /// updates.
     #[test]
     fn counter_table_matches_finite_and_infinite_models(
         bits in 1u8..=3,
         ops in prop::collection::vec((0u32..64, any::<bool>(), any::<bool>()), 1..200),
     ) {
         let mut table = CounterTable::new(bits, 64);
-        let mut finite = FinitePredictor::new(bits, 64);
         let mut infinite = CounterPredictor::new(bits);
         for (slot, taken, is_update) in ops {
             // Parcel addresses land each slot in its own counter of a
-            // 64-entry table, so the finite models never alias and the
-            // infinite table is reachable too.
+            // 64-entry table, so the finite table never aliases.
             let pc = slot << 1;
             if is_update {
                 table.train(pc, taken);
-                finite.update(pc, taken);
                 infinite.update(pc, taken);
             } else {
-                let guess = table.guess(pc);
-                prop_assert_eq!(guess, finite.predict(pc));
-                prop_assert_eq!(guess, infinite.predict(pc));
+                prop_assert_eq!(table.guess(pc), infinite.predict(pc));
             }
         }
     }
