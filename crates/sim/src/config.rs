@@ -115,7 +115,7 @@ impl HwPredictor {
     /// ways). Far above every modelled design (the paper's largest, the
     /// 128 × 4 BTB, has 512), and small enough that a table is always
     /// allocatable.
-    pub const MAX_ENTRIES: usize = 1 << 16;
+    const MAX_ENTRIES: usize = 1 << 16;
 
     /// Geometry invariants, shared by [`SimConfig::validate`] (which
     /// panics — construction sites are static) and
@@ -426,7 +426,7 @@ mod tests {
             "counter2x131072",
             "btb1152921504606846976x1",
             "btb256x512",
-            "btb1x18446744073709551615",
+            "btb1024x18446744073709551615",
             "jumptrace4611686018427387904",
             "jumptrace65537",
         ] {
