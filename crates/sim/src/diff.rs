@@ -116,9 +116,10 @@ impl CommitRecord {
 /// A [`PipeObserver`] that captures the commit stream: one
 /// [`CommitRecord`] per retired entry, in retirement order, with the
 /// clock each record retired on kept in a parallel vector (see
-/// [`CommitRecord`] for why the clock is split out). All other events
-/// pass through untouched, so it composes with any sibling observer in
-/// a tuple.
+/// [`CommitRecord`] for why the clock is split out). It is a
+/// commit-only observer ([`PipeObserver::PIPELINE`] is `false`): alone
+/// it is sent nothing but commits, and in a tuple it ignores the other
+/// events its sibling receives.
 #[derive(Debug, Default, Clone)]
 pub struct CommitLog {
     /// Per-commit architectural records.
@@ -129,6 +130,8 @@ pub struct CommitLog {
 }
 
 impl PipeObserver for CommitLog {
+    const PIPELINE: bool = false;
+
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
         if let Some((cycle, rec)) = CommitRecord::from_event(&ev) {
@@ -535,6 +538,11 @@ fn lockstep_loop(
 /// into it — no per-case log allocation — and stops its run
 /// ([`CycleSim::run_until`]) as soon as [`PrefixCheck::decided`]
 /// reports that its verdict is fixed.
+///
+/// It reads only [`PipeEvent::Commit`], so it declares itself
+/// commit-only ([`PipeObserver::PIPELINE`] is `false`): the cycle
+/// engine then builds and delivers no other event to it, and a checked
+/// run costs little more than an unobserved one.
 #[derive(Debug, Clone)]
 pub struct PrefixCheck {
     reference: Arc<CommitLog>,
@@ -591,6 +599,8 @@ impl PrefixCheck {
 }
 
 impl PipeObserver for PrefixCheck {
+    const PIPELINE: bool = false;
+
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
         let Some((_, rec)) = CommitRecord::from_event(&ev) else {
@@ -929,5 +939,17 @@ mod tests {
         assert!(log.records.is_empty());
         // And NullObserver remains zero-cost for lockstep-free runs.
         const { assert!(!NullObserver::ENABLED) };
+    }
+
+    #[test]
+    fn commit_stream_observers_are_commit_only() {
+        const {
+            assert!(!PrefixCheck::PIPELINE && PrefixCheck::ENABLED);
+            assert!(!CommitLog::PIPELINE && CommitLog::ENABLED);
+            assert!(<(CommitLog, EventRing)>::PIPELINE);
+            assert!(!<(CommitLog, PrefixCheck)>::PIPELINE);
+            assert!(!NullObserver::PIPELINE);
+            assert!(EventRing::PIPELINE);
+        };
     }
 }

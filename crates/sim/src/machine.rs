@@ -305,7 +305,9 @@ impl Machine {
     /// (and [`PipeEvent::Halt`] / [`PipeEvent::BranchRetire`] as
     /// applicable) at `cycle`. Both engines retire through this method
     /// so observers see an identical commit stream; with
-    /// [`crate::NullObserver`] it compiles to exactly `execute`.
+    /// [`crate::NullObserver`] it compiles to exactly `execute`, and a
+    /// commit-only observer ([`PipeObserver::PIPELINE`] `false`) gets
+    /// the `Commit` alone.
     ///
     /// # Errors
     ///
@@ -317,12 +319,14 @@ impl Machine {
         obs: &mut O,
     ) -> Result<Step, SimError> {
         let step = self.execute(d)?;
-        if O::ENABLED {
+        if O::PIPELINE {
             obs.event(PipeEvent::Issue {
                 cycle,
                 pc: d.pc,
                 folded: d.folded,
             });
+        }
+        if O::ENABLED {
             obs.event(PipeEvent::Commit {
                 cycle,
                 pc: d.pc,
@@ -336,6 +340,8 @@ impl Machine {
                 mem_write: step.mem_write,
                 halted: step.halted,
             });
+        }
+        if O::PIPELINE {
             if step.halted {
                 obs.event(PipeEvent::Halt { cycle });
             }

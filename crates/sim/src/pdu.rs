@@ -224,7 +224,7 @@ impl Pdu {
             // inserted as-is — the SDC path the campaign measures.
             if delta != 0 && cache.parity_mode() == ParityMode::DetectInvalidate {
                 cache.parity_invalidates += 1;
-                if O::ENABLED {
+                if O::PIPELINE {
                     obs.event(PipeEvent::ParityError {
                         cycle,
                         pc: d.pc,
@@ -234,7 +234,7 @@ impl Pdu {
                 continue;
             }
             let evicted = cache.insert(d);
-            if O::ENABLED {
+            if O::PIPELINE {
                 obs.event(PipeEvent::CacheFill {
                     cycle,
                     pc: d.pc,
@@ -349,7 +349,7 @@ impl Pdu {
         self.decodes += 1;
         self.folds += u64::from(d.folded);
         self.since_demand += 1;
-        if O::ENABLED {
+        if O::PIPELINE {
             obs.event(PipeEvent::Decode {
                 cycle,
                 pc: d.pc,
