@@ -54,7 +54,7 @@ use crisp_asm::rand_prog::{shrink, GenProgram};
 use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
-    extract_flag, extract_switch, parse_engine, parse_heartbeat, parse_num, parse_predictor,
+    extract_flag, parse_engine, parse_heartbeat, parse_num, parse_predictor, parse_switch,
     resume_checkpoint,
 };
 use crisp_sim::{
@@ -153,8 +153,8 @@ fn run() -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    let smoke = extract_switch(&mut raw, "--smoke");
-    let inject = extract_switch(&mut raw, "--inject");
+    let smoke = parse_switch(&mut raw, "--smoke")?;
+    let inject = parse_switch(&mut raw, "--inject")?;
     let seed: u64 = parse_num(&mut raw, "--seed", 0)?;
     let default_programs: u64 = if smoke { 64 } else { 1000 };
     let default_c: u64 = if smoke { 8 } else { 50 };

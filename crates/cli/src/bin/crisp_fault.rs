@@ -66,7 +66,7 @@ use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult, CLAIM_BLOCK};
 use crisp_cli::{
-    extract_flag, extract_switch, parse_engine, parse_heartbeat, parse_num, parse_predictor,
+    extract_flag, parse_engine, parse_heartbeat, parse_num, parse_predictor, parse_switch,
     resume_checkpoint, Checkpoint,
 };
 use crisp_sim::{
@@ -279,7 +279,7 @@ fn run() -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    let smoke = extract_switch(&mut raw, "--smoke");
+    let smoke = parse_switch(&mut raw, "--smoke")?;
     let seed: u64 = parse_num(&mut raw, "--seed", 0)?;
     let default_programs: u64 = if smoke { 2 } else { 8 };
     let default_faults: u64 = if smoke { 32 } else { 64 };

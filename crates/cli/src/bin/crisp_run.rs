@@ -72,7 +72,7 @@ use std::process::ExitCode;
 
 use crisp_asm::assemble_text;
 use crisp_cc::compile_crisp;
-use crisp_cli::{extract_flag, extract_switch, parse_common, parse_engine, read_input};
+use crisp_cli::{extract_flag, parse_common, parse_engine, parse_switch, read_input};
 use crisp_sim::{
     mispredict_cycles, render_timeline_for, write_chrome_trace_for, write_jsonl,
     write_trace_footer, BranchProfiler, CycleSim, Engine, EventRing, FunctionalSim, Machine,
@@ -121,18 +121,18 @@ fn run() -> Result<(), String> {
         );
         return Ok(());
     }
-    let is_asm = extract_switch(&mut raw, "--asm");
-    let cycles = extract_switch(&mut raw, "--cycles");
+    let is_asm = parse_switch(&mut raw, "--asm")?;
+    let cycles = parse_switch(&mut raw, "--cycles")?;
     // One-shot runs default to the reference interpreter; campaign
     // drivers (crisp-diff, crisp-fault, bench_sim) default to threaded.
     let engine = parse_engine(&mut raw, Engine::Interp)?;
     let trace_path = extract_flag(&mut raw, "--trace").map_err(|e| e.to_string())?;
     let chrome_path = extract_flag(&mut raw, "--chrome-trace").map_err(|e| e.to_string())?;
     let stats_path = extract_flag(&mut raw, "--stats-json").map_err(|e| e.to_string())?;
-    let profile = extract_switch(&mut raw, "--profile");
-    let timeline = extract_switch(&mut raw, "--timeline");
-    let branch_trace = extract_switch(&mut raw, "--branch-trace");
-    let cpi_breakdown = extract_switch(&mut raw, "--cpi-breakdown");
+    let profile = parse_switch(&mut raw, "--profile")?;
+    let timeline = parse_switch(&mut raw, "--timeline")?;
+    let branch_trace = parse_switch(&mut raw, "--branch-trace")?;
+    let cpi_breakdown = parse_switch(&mut raw, "--cpi-breakdown")?;
     let args = parse_common(raw.into_iter()).map_err(|e| e.to_string())?;
     if let Some(flag) = args.rest.first() {
         return Err(format!("unknown flag `{flag}`"));

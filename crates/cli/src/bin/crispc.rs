@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use crisp_asm::{assemble, listing_of};
 use crisp_cc::{compile_crisp_module, compile_vax};
-use crisp_cli::{extract_flag, extract_switch, parse_common, read_input};
+use crisp_cli::{extract_flag, parse_common, parse_switch, read_input};
 
 fn main() -> ExitCode {
     match run() {
@@ -42,7 +42,7 @@ fn run() -> Result<(), String> {
     let emit = extract_flag(&mut raw, "--emit")
         .map_err(|e| e.to_string())?
         .unwrap_or("list".into());
-    let _ = extract_switch(&mut raw, "--"); // tolerate a bare separator
+    parse_switch(&mut raw, "--")?; // tolerate a bare separator
     let args = parse_common(raw.into_iter()).map_err(|e| e.to_string())?;
     if let Some(flag) = args.rest.first() {
         return Err(format!("unknown flag `{flag}`"));

@@ -234,11 +234,16 @@ fn parse_fault_spec(spec: &str, predictor: HwPredictor) -> Result<FaultPlan, Usa
     })
 }
 
+fn given_twice(name: &str) -> String {
+    format!("`{name}` given more than once")
+}
+
 /// Remove `--name VALUE` from an argument vector, returning the value.
 ///
 /// # Errors
 ///
-/// [`UsageError`] when the flag is present without a value.
+/// [`UsageError`] when the flag is present without a value, or is
+/// given more than once.
 pub fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, UsageError> {
     if let Some(pos) = args.iter().position(|a| a == name) {
         if pos + 1 >= args.len() {
@@ -246,12 +251,17 @@ pub fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>
         }
         let value = args.remove(pos + 1);
         args.remove(pos);
+        if args.iter().any(|a| a == name) {
+            return err(given_twice(name));
+        }
         return Ok(Some(value));
     }
     Ok(None)
 }
 
-/// Remove a boolean `--name` switch from an argument vector.
+/// Remove the first boolean `--name` switch from an argument vector.
+/// A repeat stays in `args`, where the caller's leftover check rejects
+/// it; [`parse_switch`] names the repeat instead.
 pub fn extract_switch(args: &mut Vec<String>, name: &str) -> bool {
     if let Some(pos) = args.iter().position(|a| a == name) {
         args.remove(pos);
@@ -259,6 +269,19 @@ pub fn extract_switch(args: &mut Vec<String>, name: &str) -> bool {
     } else {
         false
     }
+}
+
+/// Remove a boolean `--name` switch from an argument vector.
+///
+/// # Errors
+///
+/// A message naming the switch when it is given more than once.
+pub fn parse_switch(args: &mut Vec<String>, name: &str) -> Result<bool, String> {
+    let given = extract_switch(args, name);
+    if given && args.iter().any(|a| a == name) {
+        return Err(given_twice(name));
+    }
+    Ok(given)
 }
 
 /// Remove `--name N` from an argument vector and parse it, or return
@@ -680,6 +703,26 @@ mod tests {
     fn tool_specific_flags_pass_through() {
         let a = parse(&["--cycles", "x.c"]).unwrap();
         assert_eq!(a.rest, vec!["--cycles".to_string()]);
+    }
+
+    #[test]
+    fn repeated_flags_and_switches_are_named() {
+        let mut args: Vec<String> = ["--jobs", "2", "--jobs", "1"].map(String::from).into();
+        let e = extract_flag(&mut args, "--jobs").unwrap_err();
+        assert_eq!(e.to_string(), "`--jobs` given more than once");
+        let mut args: Vec<String> = ["--smoke", "x", "--smoke"].map(String::from).into();
+        assert_eq!(
+            parse_switch(&mut args, "--smoke"),
+            Err("`--smoke` given more than once".to_string())
+        );
+        let mut args: Vec<String> = ["--smoke", "--jobs", "1"].map(String::from).into();
+        assert_eq!(parse_switch(&mut args, "--smoke"), Ok(true));
+        assert_eq!(parse_switch(&mut args, "--inject"), Ok(false));
+        assert_eq!(
+            extract_flag(&mut args, "--jobs").unwrap().as_deref(),
+            Some("1")
+        );
+        assert!(args.is_empty());
     }
 
     #[test]

@@ -389,6 +389,48 @@ fn unknown_flags_fail_cleanly() {
 }
 
 #[test]
+fn repeated_flags_fail_with_a_clear_error() {
+    // A repeated value flag or switch used to fall through to the
+    // leftover check and read as an unknown flag.
+    let cases: [(&str, &[&str], &str); 5] = [
+        (
+            env!("CARGO_BIN_EXE_crisp-diff"),
+            &["--jobs", "2", "--jobs", "1"],
+            "--jobs",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-diff"),
+            &["--smoke", "--smoke"],
+            "--smoke",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-fault"),
+            &["--smoke", "--smoke"],
+            "--smoke",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-fault"),
+            &["--smoke", "--report", "a.json", "--report", "b.json"],
+            "--report",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-run"),
+            &["--cycles", "--cycles"],
+            "--cycles",
+        ),
+    ];
+    for (exe, args, flag) in cases {
+        let (stdout, stderr, ok) = run_tool(exe, args, PROGRAM);
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(
+            stderr.contains(&format!("`{flag}` given more than once")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn crisp_fault_rejects_a_case_count_that_overflows() {
     // 2 x 2^63 wraps to 0 cases and 3 x 6148914691236517206 to 2: both
     // must fail as usage errors instead of running a wrapped campaign.
