@@ -54,7 +54,8 @@ fn bench_engines(c: &mut Criterion) {
 
 /// Observability overhead guard. `cycle_nullobs` is the default engine —
 /// the `NullObserver` path, which must stay within noise (≤2 %) of
-/// `cycle_figure3_256` above since `O::ENABLED` guards compile away.
+/// `cycle_figure3_256` above since its `ENABLED`/`PIPELINE` guards
+/// compile away.
 /// `cycle_ring_profiler` measures the real cost of full tracing plus
 /// branch-site profiling, for calibrating `--trace`/`--profile` runs.
 fn bench_observer_overhead(c: &mut Criterion) {
