@@ -348,30 +348,29 @@ impl PipeEvent {
 ///
 /// Implementations should be cheap: the simulator calls [`event`] from
 /// its inner loop. Two associated constants let call sites skip event
-/// construction at monomorphization:
+/// construction at monomorphization: `ENABLED` guards
+/// [`PipeEvent::Commit`] and `PIPELINE` guards every other event. With
+/// both `false` (the no-op observer) the default-instantiated simulator
+/// compiles to exactly the uninstrumented code.
 ///
-/// * `ENABLED` guards [`PipeEvent::Commit`]. When `false` (the no-op
-///   observer) nothing is emitted at all, so the default-instantiated
-///   simulator compiles to exactly the uninstrumented code.
-/// * `PIPELINE` guards every other event. A commit-only observer (a
-///   commit-stream comparator such as [`crate::PrefixCheck`]) sets it
-///   to `false` and receives only `Commit`; the simulated machine does
-///   the same work either way. It defaults to `ENABLED`, and a tuple
-///   ORs it across its members.
-///
-/// An observer that sets `PIPELINE = false` must ignore every event
-/// but `Commit`: anything else it would have seen is simply not built.
+/// A commit-only observer (a commit-stream comparator such as
+/// [`crate::PrefixCheck`]) sets `PIPELINE = false` and is sent only
+/// `Commit`; the simulated machine does the same work either way. Such
+/// an observer must ignore every other event, which it still receives
+/// in a tuple beside a full observer.
 ///
 /// [`event`]: PipeObserver::event
 pub trait PipeObserver {
-    /// Whether this observer consumes events. Call sites guard
-    /// [`PipeEvent::Commit`] construction on it; when `false` the whole
-    /// emission path folds away at monomorphization.
+    /// Whether this observer consumes [`PipeEvent::Commit`]. Call sites
+    /// guard its construction on this; when it and
+    /// [`PipeObserver::PIPELINE`] are `false` the whole emission path
+    /// folds away.
     const ENABLED: bool = true;
 
     /// Whether this observer consumes any event other than
     /// [`PipeEvent::Commit`]. Call sites guard every non-commit event
-    /// on it. Defaults to [`PipeObserver::ENABLED`].
+    /// on it. Defaults to [`PipeObserver::ENABLED`]; a tuple ORs it
+    /// across its members.
     const PIPELINE: bool = Self::ENABLED;
 
     /// Receive one event.
@@ -390,8 +389,6 @@ impl PipeObserver for NullObserver {
 }
 
 /// Observers compose: a tuple forwards every event to both members.
-/// A member with `PIPELINE = false` still receives the non-commit
-/// events its sibling asked for and ignores them, as it must.
 impl<A: PipeObserver, B: PipeObserver> PipeObserver for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     const PIPELINE: bool = A::PIPELINE || B::PIPELINE;
