@@ -356,7 +356,8 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
     // full functional reference run plus a full cycle-engine faulted
     // run, compared post hoc. The second arm hoists one shared
     // reference per program and runs each faulted case through
-    // `classify_batch`, which stops it at its first divergent commit or
+    // `classify_batch`, which forks it off a shared fault-free run at
+    // its strike cycle and stops it at its first divergent commit or
     // once parity has caught its fault, exactly as `crisp-fault` does.
     // The ratio between the two is the report's campaign speedup
     // headline. The second arm once stepped cases through an 8-lane

@@ -47,8 +47,9 @@
 //! ```
 //!
 //! Workers claim cases in blocks of [`CLAIM_BLOCK`] and run both
-//! phases of every case through [`classify_batch`], which stops each
-//! faulted run as soon as its verdict is fixed; the fault-free
+//! phases of every case through [`classify_batch`], which forks each
+//! faulted run off a shared fault-free cycle run at its strike cycle
+//! and stops it as soon as its verdict is fixed; the fault-free
 //! reference commit log is computed once per program and shared by
 //! every case that strikes it. Worker panics are contained per block:
 //! the block is re-run case by case on fresh machine buffers and only
@@ -268,6 +269,59 @@ fn parse_targets(spec: &str, predictor: HwPredictor) -> Result<Vec<FaultTarget>,
     }
 }
 
+/// The flags that define a campaign's work list or its verdicts:
+/// equal `Campaign`s run the same cases and judge them the same way.
+/// Worker count, engine, checkpoint, report and heartbeat flags change
+/// neither.
+#[derive(Debug, Clone, PartialEq)]
+struct Campaign {
+    seed: u64,
+    programs: u64,
+    faults: u64,
+    max_blocks: usize,
+    max_cycles: u64,
+    eu_depth: usize,
+    predictor: HwPredictor,
+    target_spec: String,
+}
+
+impl Campaign {
+    /// Take the campaign-defining flags (and `--smoke`, which only
+    /// changes the `--programs` / `--faults` defaults) out of `raw`.
+    fn parse(raw: &mut Vec<String>) -> Result<Campaign, String> {
+        let smoke = parse_switch(raw, "--smoke")?;
+        let (default_programs, default_faults) = if smoke { (2, 32) } else { (8, 64) };
+        Ok(Campaign {
+            seed: parse_num(raw, "--seed", 0)?,
+            programs: parse_num(raw, "--programs", default_programs)?,
+            faults: parse_num(raw, "--faults", default_faults)?,
+            max_blocks: parse_num(raw, "--max-blocks", 10)?,
+            max_cycles: parse_num(raw, "--max-cycles", 200_000)?,
+            eu_depth: parse_num(raw, "--eu-depth", SimConfig::default().geometry.depth())?,
+            predictor: parse_predictor(raw)?.unwrap_or(SimConfig::default().predictor),
+            target_spec: extract_flag(raw, "--target")
+                .map_err(|e| e.to_string())?
+                .unwrap_or_else(|| "cache".into()),
+        })
+    }
+
+    /// The command line that re-runs exactly this campaign.
+    fn reproduce(&self) -> String {
+        format!(
+            "crisp-fault --seed {} --programs {} --faults {} --max-blocks {} \
+             --max-cycles {} --eu-depth {} --predictor {} --target {}",
+            self.seed,
+            self.programs,
+            self.faults,
+            self.max_blocks,
+            self.max_cycles,
+            self.eu_depth,
+            self.predictor.label(),
+            self.target_spec
+        )
+    }
+}
+
 fn run() -> Result<ExitCode, String> {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--help" || a == "-h") {
@@ -279,29 +333,24 @@ fn run() -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    let smoke = parse_switch(&mut raw, "--smoke")?;
-    let seed: u64 = parse_num(&mut raw, "--seed", 0)?;
-    let default_programs: u64 = if smoke { 2 } else { 8 };
-    let default_faults: u64 = if smoke { 32 } else { 64 };
-    let programs: u64 = parse_num(&mut raw, "--programs", default_programs)?;
-    let faults: u64 = parse_num(&mut raw, "--faults", default_faults)?;
-    let max_blocks: usize = parse_num(&mut raw, "--max-blocks", 10)?;
-    let max_cycles: u64 = parse_num(&mut raw, "--max-cycles", 200_000)?;
-    let eu_depth: usize = parse_num(
-        &mut raw,
-        "--eu-depth",
-        SimConfig::default().geometry.depth(),
-    )?;
+    let campaign = Campaign::parse(&mut raw)?;
+    let Campaign {
+        seed,
+        programs,
+        faults,
+        max_blocks,
+        max_cycles,
+        eu_depth,
+        predictor,
+        ..
+    } = campaign;
+    let target_spec = &campaign.target_spec;
     let jobs: usize = parse_num(
         &mut raw,
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
-    let predictor = parse_predictor(&mut raw)?.unwrap_or(SimConfig::default().predictor);
-    let target_spec = extract_flag(&mut raw, "--target")
-        .map_err(|e| e.to_string())?
-        .unwrap_or_else(|| "cache".into());
-    let targets = parse_targets(&target_spec, predictor)?;
+    let targets = parse_targets(target_spec, predictor)?;
     // Campaigns default to the threaded tier for the fault-free
     // reference phase; --engine interp keeps the one-entry interpreter.
     let engine = parse_engine(&mut raw, Engine::default())?;
@@ -433,8 +482,10 @@ fn run() -> Result<ExitCode, String> {
                 plans.push(plan);
             }
             match classify_batch(image, &cfgs, Some(table), &reference, 1, pool) {
-                // A load failure is deterministic per program: tally
-                // the group skipped, as the scalar classifier did.
+                // A load failure, or a fault-free cycle run that
+                // overruns --max-cycles, is deterministic per program:
+                // tally the group skipped, as a reference that does not
+                // halt is.
                 Err(_) => out.extend(group.iter().map(|&i| (i, CaseResult::Done(None)))),
                 Ok(outcomes) => {
                     for (j, &i) in group.iter().enumerate() {
@@ -496,10 +547,7 @@ fn run() -> Result<ExitCode, String> {
             f.plan.field
         );
         println!("  detail       : {}", f.detail);
-        println!(
-            "  reproduce    : crisp-fault --seed {seed} --programs {programs} --faults {faults} \
-             --target {target_spec}"
-        );
+        println!("  reproduce    : {}", campaign.reproduce());
         return Ok(ExitCode::FAILURE);
     }
 
@@ -656,4 +704,42 @@ fn print_report(
         None => println!("{json}"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Campaign {
+        let mut raw: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let campaign = Campaign::parse(&mut raw).expect("flags parse");
+        assert!(raw.is_empty(), "unconsumed flags {raw:?}");
+        campaign
+    }
+
+    #[test]
+    fn reproduce_line_round_trips_every_campaign_flag() {
+        let flags: [&[&str]; 9] = [
+            &[],
+            &["--seed", "200006"],
+            &["--programs", "3", "--faults", "5"],
+            &["--smoke"],
+            &["--max-blocks", "4"],
+            &["--max-cycles", "300"],
+            &["--eu-depth", "5"],
+            &["--predictor", "btb16x2"],
+            &["--target", "all", "--predictor", "counter3x8"],
+        ];
+        for given in flags {
+            let campaign = parse(given);
+            let line = campaign.reproduce();
+            let args: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(args[0], "crisp-fault");
+            assert_eq!(parse(&args[1..]), campaign, "{given:?} -> {line}");
+        }
+        // Every non-default value shows up in the line.
+        let line = parse(&["--predictor", "btb", "--max-cycles", "300"]).reproduce();
+        assert!(line.contains("--predictor btb128x4"), "{line}");
+        assert!(line.contains("--max-cycles 300"), "{line}");
+    }
 }

@@ -150,6 +150,30 @@ impl Machine {
         Ok(())
     }
 
+    /// Overwrite this machine with a copy of `src`, reusing the memory
+    /// allocation ([`Memory::copy_from`] touches only the pages dirty
+    /// on either side). The result equals `src.clone()`.
+    pub fn copy_from(&mut self, src: &Machine) {
+        let Machine {
+            mem,
+            sp,
+            accum,
+            psw,
+            pc,
+            halted,
+            text_base,
+            text_end,
+        } = src;
+        self.mem.copy_from(mem);
+        self.sp = *sp;
+        self.accum = *accum;
+        self.psw = *psw;
+        self.pc = *pc;
+        self.halted = *halted;
+        self.text_base = *text_base;
+        self.text_end = *text_end;
+    }
+
     /// Read the value of an operand.
     ///
     /// # Errors
@@ -374,8 +398,9 @@ pub(crate) fn reset_or_load(buf: Option<Machine>, image: &Image) -> Result<Machi
 
 /// A pool of architectural-state buffers for the campaign kernels.
 /// A campaign worker keeps one: it grows to the worker's high-water
-/// mark of machines in flight (a shared reference plus the case being
-/// run) once and then serves every later case allocation-free.
+/// mark of machines in flight (a shared reference, a fault-free golden
+/// run and the case forked off it) once and then serves every later
+/// case allocation-free.
 #[derive(Debug, Default)]
 pub struct MachinePool {
     free: Vec<Machine>,
@@ -391,6 +416,17 @@ impl MachinePool {
     /// Propagates load/reset failures.
     pub fn take(&mut self, image: &Image) -> Result<Machine, SimError> {
         reset_or_load(self.free.pop(), image)
+    }
+
+    /// A machine buffer the caller is about to overwrite (see
+    /// [`Machine::copy_from`]): a pooled one as it stands when one is
+    /// free, else a fresh load of `image`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates load failures.
+    pub fn take_buffer(&mut self, image: &Image) -> Result<Machine, SimError> {
+        self.free.pop().map_or_else(|| Machine::load(image), Ok)
     }
 
     /// Return a machine buffer to the pool for a later case.

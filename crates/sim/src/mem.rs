@@ -201,6 +201,23 @@ impl Memory {
         }
         self.dirty = 0;
     }
+
+    /// Make this array a byte-for-byte copy of `src`, keeping the
+    /// allocation when the sizes match. Only the pages dirty in either
+    /// array are copied: every other page is zero on both sides. This
+    /// is how [`crate::Machine::copy_from`] forks a run's memory into a
+    /// recycled buffer without touching the whole array.
+    pub fn copy_from(&mut self, src: &Memory) {
+        if self.bytes.len() != src.bytes.len() {
+            self.clone_from(src);
+            return;
+        }
+        for p in Memory::pages(self.dirty | src.dirty) {
+            let r = self.page(p);
+            self.bytes[r.clone()].copy_from_slice(&src.bytes[r]);
+        }
+        self.dirty = src.dirty;
+    }
 }
 
 impl PartialEq for Memory {
@@ -290,6 +307,43 @@ mod tests {
         assert_eq!(a.read_word(0x3_fffc).unwrap(), 0);
         assert_eq!(a, Memory::new(0x4_0000));
         assert_ne!(a, Memory::new(0x4_0004));
+    }
+
+    #[test]
+    fn copy_from_equals_clone_across_dirty_sets() {
+        // Each case: (pages written in the destination, pages written
+        // in the source). Disjoint, overlapping, nested and empty sets.
+        let cases: [(&[u32], &[u32]); 5] = [
+            (&[1, 5], &[2, 63]),
+            (&[3, 4, 9], &[4, 9, 10]),
+            (&[0, 7, 8, 40], &[7]),
+            (&[], &[0, 31]),
+            (&[12, 13], &[]),
+        ];
+        for (dst_pages, src_pages) in cases {
+            let mut dst = Memory::new(0x4_0000);
+            let mut src = Memory::new(0x4_0000);
+            for &p in dst_pages {
+                dst.write_word(p << 12 | 0x40, -7).unwrap();
+                dst.write_word(p << 12 | 0xffc, 11).unwrap();
+            }
+            for &p in src_pages {
+                src.write_word(p << 12 | 0x40, 1234).unwrap();
+                src.write_parcel(p << 12 | 0x102, 0xbeef).unwrap();
+            }
+            dst.copy_from(&src);
+            let expect = src.clone();
+            assert_eq!(dst.dirty, expect.dirty, "{dst_pages:?} <- {src_pages:?}");
+            assert_eq!(dst.bytes, expect.bytes, "{dst_pages:?} <- {src_pages:?}");
+        }
+        // A size mismatch reallocates to the source's shape.
+        let mut dst = Memory::new(64);
+        let mut src = Memory::new(0x4_0004);
+        src.write_word(0x4_0000, 9).unwrap();
+        dst.copy_from(&src);
+        assert_eq!(dst.page_shift, src.page_shift);
+        assert_eq!(dst.bytes, src.bytes);
+        assert_eq!(dst, src);
     }
 
     #[test]

@@ -37,7 +37,7 @@ const MAX_ENTRY_PARCELS: u32 = 8;
 /// with insufficient lookahead to decide whether the following branch
 /// folds (the decoder waits for the queue instead), so the cache entry
 /// for an address is the same no matter when it was decoded.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pdu {
     policy: FoldPolicy,
     mem_latency: u32,

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use crate::predecode::PredecodedImage;
 use crate::predictor::HwPredictorState;
-use crate::soft_error::{FaultTarget, ParityMode};
+use crate::soft_error::{FaultPlan, FaultTarget, ParityMode};
 use crate::stats::resolve_stage;
 use crate::{CacheLookup, CycleStats, DecodedCache, HaltReason, Machine, Pdu, SimConfig, SimError};
 
@@ -353,6 +353,51 @@ impl<O: PipeObserver> CycleSim<O> {
             if stop(self) {
                 return Ok(RunEnd::Stopped);
             }
+        }
+    }
+
+    /// Fork a faulted run off this fault-free one: a simulator in this
+    /// one's exact state (machine, decoded cache, PDU, front end,
+    /// predictor, counters and observer) whose configuration adds
+    /// `plan`. The machine is copied into `buf`, a recycled buffer
+    /// ([`Machine::copy_from`]).
+    ///
+    /// Running the fork is exactly running a fresh simulator with
+    /// `plan` from cycle 0: the engine consults a plan only from cycle
+    /// `plan.cycle` on, so before the strike a faulted run is
+    /// cycle-for-cycle the fault-free one. [`crate::classify_batch`]
+    /// steps one fault-free run to each case's strike cycle in turn and
+    /// simulates only the cycles after it.
+    ///
+    /// # Panics
+    ///
+    /// If this run has a fault plan of its own, has halted, or is past
+    /// `plan.cycle`.
+    pub fn fork(&self, mut buf: Machine, plan: FaultPlan) -> CycleSim<O>
+    where
+        O: Clone,
+    {
+        assert!(self.cfg.fault_plan.is_none(), "fork from a fault-free run");
+        assert!(!self.machine.halted, "fork before halt");
+        assert!(
+            self.stats.cycles <= plan.cycle,
+            "fork at cycle {} is past the strike at {}",
+            self.stats.cycles,
+            plan.cycle
+        );
+        buf.copy_from(&self.machine);
+        CycleSim {
+            machine: buf,
+            cfg: SimConfig {
+                fault_plan: Some(plan),
+                ..self.cfg
+            },
+            cache: self.cache.clone(),
+            pdu: self.pdu.clone(),
+            front: self.front.clone(),
+            predictor: self.predictor.clone(),
+            obs: self.obs.clone(),
+            stats: self.stats.clone(),
         }
     }
 
@@ -1144,6 +1189,98 @@ mod tests {
         assert_eq!(sim.run_until(|_| false), Ok(RunEnd::Watchdog));
         assert_eq!(sim.stats.cycles, 7);
         assert!(sim.stats.watchdog);
+    }
+
+    #[test]
+    fn fork_runs_like_a_fresh_faulted_run() {
+        use crate::config::HwPredictor;
+        use crate::observe::EventRing;
+        use crate::soft_error::FaultField;
+        let src = "
+            mov 0(sp),$0
+        top:
+            add 0(sp),$1
+            mov 8(sp),0(sp)
+            cmp.s< 0(sp),$40
+            ifjmpy.t top
+            halt
+        ";
+        let img = assemble_text(src).unwrap();
+        let strikes = [
+            (0, 0, FaultTarget::Cache, FaultField::NextPc(7)),
+            (37, 2, FaultTarget::Cache, FaultField::Opcode(1)),
+            (38, 1, FaultTarget::Cache, FaultField::Valid),
+            (2, 0, FaultTarget::Pdu, FaultField::AltPc(3)),
+            (45, 0, FaultTarget::Predictor, FaultField::BtbCounter(0)),
+            (90, 3, FaultTarget::Predictor, FaultField::BtbTag(2)),
+        ];
+        let mut injected = 0;
+        for parity in [ParityMode::Off, ParityMode::DetectInvalidate] {
+            let base = SimConfig {
+                parity,
+                predictor: HwPredictor::parse("btb16x2").unwrap(),
+                ..SimConfig::default()
+            };
+            for (cycle, slot, target, field) in strikes {
+                let plan = FaultPlan {
+                    cycle,
+                    slot,
+                    field,
+                    target,
+                };
+                let fresh = CycleSim::with_observer(
+                    Machine::load(&img).unwrap(),
+                    SimConfig {
+                        fault_plan: Some(plan),
+                        ..base
+                    },
+                    EventRing::new(1 << 16),
+                )
+                .run_observed()
+                .unwrap();
+                let mut golden = CycleSim::with_observer(
+                    Machine::load(&img).unwrap(),
+                    base,
+                    EventRing::new(1 << 16),
+                );
+                while golden.stats.cycles < cycle {
+                    golden.step().unwrap();
+                }
+                // A recycled buffer holding another run's state, with a
+                // page the golden never writes.
+                let mut buf = Machine::load(&assemble_text("halt").unwrap()).unwrap();
+                buf.mem.write_word(0x2_0000, -1).unwrap();
+                buf.accum = 99;
+                let forked = golden.fork(buf, plan).run_observed().unwrap();
+                let what = format!("{parity:?} {plan:?}");
+                assert_eq!(forked.0.machine, fresh.0.machine, "{what}");
+                assert_eq!(forked.0.stats, fresh.0.stats, "{what}");
+                assert!(
+                    forked.1.events().eq(fresh.1.events()),
+                    "{what}: event streams differ"
+                );
+                injected += fresh.0.stats.faults_injected;
+            }
+        }
+        assert!(injected >= 8, "most strikes must land ({injected})");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the strike")]
+    fn fork_refuses_a_run_past_the_strike() {
+        let img = assemble_text("top: add 0(sp),$1\n jmp top").unwrap();
+        let mut sim = CycleSim::new(Machine::load(&img).unwrap(), SimConfig::default());
+        sim.run_until(|s| s.stats.cycles >= 10).unwrap();
+        let buf = Machine::load(&img).unwrap();
+        let _ = sim.fork(
+            buf,
+            FaultPlan {
+                cycle: 9,
+                slot: 0,
+                field: crate::soft_error::FaultField::Valid,
+                target: FaultTarget::Cache,
+            },
+        );
     }
 
     #[test]

@@ -626,9 +626,9 @@ fn classify_pair(reference: &CommitRecord, faulted: &CommitRecord) -> FaultOutco
 /// # Errors
 ///
 /// Only harness-level failures are `Err`: the image does not load, or
-/// the *fault-free* reference itself fails to halt within
-/// `cfg.max_cycles` steps (campaign drivers pre-screen programs so this
-/// does not happen).
+/// the *fault-free* run fails to halt within `cfg.max_cycles` — the
+/// functional reference in steps, or the cycle engine in cycles (see
+/// [`classify_batch`]).
 pub fn classify_fault(image: &Image, cfg: SimConfig) -> Result<FaultOutcome, SimError> {
     let mut pool = MachinePool::default();
     let reference = fault_reference(image, cfg, None, None, &mut pool)?;
@@ -750,12 +750,27 @@ pub fn fault_reference(
 /// pushed it past the watchdog budget classifies as the masked fault it
 /// provably is rather than a spurious `Hang`.
 ///
+/// No case simulates its fault-free prefix. The configs are grouped by
+/// their configuration without the fault plan, and each group runs one
+/// fault-free *golden* simulator. The golden steps to each case's
+/// strike cycle in ascending order and the case is forked off it
+/// ([`CycleSim::fork`]), which is exact because the engine consults a
+/// plan only from its strike cycle on. A case that strikes at or after
+/// the golden's halt would halt unstruck, so it takes the golden's own
+/// verdict and simulates nothing.
+///
 /// `_lanes` is ignored: cases run one at a time, as no measured batch
 /// width beat that. It stays so existing callers keep compiling.
 ///
 /// # Errors
 ///
-/// Image-load failures only (`reference` already validated the run).
+/// * Image-load failures (`reference` already validated the run).
+/// * [`SimError::StepLimit`] when a group's fault-free cycle-engine run
+///   does not halt within its `max_cycles`. The reference is screened
+///   on its functional *step* count, and the cycle engine needs more
+///   cycles than steps, so a tight budget can starve the pipelined run
+///   of a program the reference accepted. No case of such a block
+///   could tell a fault from the budget, so the block has no verdicts.
 ///
 /// # Panics
 ///
@@ -769,22 +784,68 @@ pub fn classify_batch(
     _lanes: usize,
     pool: &mut MachinePool,
 ) -> Result<Vec<FaultOutcome>, SimError> {
-    cfgs.iter()
-        .map(|&cfg| {
-            let mut sim = CycleSim::with_observer(
-                pool.take(image)?,
-                cfg,
-                PrefixCheck::new(Arc::clone(&reference.log)),
-            );
-            if let Some(t) = predecoded {
-                sim.set_predecoded(Arc::clone(t));
+    // `None` until classified; a case left `None` takes its golden's
+    // verdict.
+    let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; cfgs.len()];
+    let mut groups: Vec<(SimConfig, Vec<usize>)> = Vec::new();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let golden = SimConfig {
+            fault_plan: None,
+            ..*cfg
+        };
+        match groups.iter_mut().find(|(g, _)| *g == golden) {
+            Some((_, cases)) => cases.push(i),
+            None => groups.push((golden, vec![i])),
+        }
+    }
+    for (golden_cfg, mut cases) in groups {
+        cases.sort_by_key(|&i| cfgs[i].fault_plan.map_or(u64::MAX, |p| p.cycle));
+        let mut golden = CycleSim::with_observer(
+            pool.take(image)?,
+            golden_cfg,
+            PrefixCheck::new(Arc::clone(&reference.log)),
+        );
+        if let Some(t) = predecoded {
+            golden.set_predecoded(Arc::clone(t));
+        }
+        // How the golden ended, once it has.
+        let mut golden_end = None;
+        for &i in &cases {
+            let Some(plan) = cfgs[i].fault_plan else {
+                continue;
+            };
+            if golden_end.is_none() && golden.stats.cycles < plan.cycle {
+                let end =
+                    golden.run_until(|s| s.observer().decided() || s.stats.cycles >= plan.cycle);
+                if end != Ok(RunEnd::Stopped) || golden.observer().decided() {
+                    golden_end = Some(end);
+                }
             }
-            let end = sim.run_until(|s| s.observer().decided() || s.parity_settled());
-            let outcome = case_outcome(reference, &sim, end);
-            pool.put(sim.into_machine());
-            Ok(outcome)
-        })
-        .collect()
+            if golden_end.is_some() {
+                continue;
+            }
+            let mut case = golden.fork(pool.take_buffer(image)?, plan);
+            let end = case.run_until(|s| s.observer().decided() || s.parity_settled());
+            outcomes[i] = Some(case_outcome(reference, &case, end));
+            pool.put(case.into_machine());
+        }
+        let end = golden_end.unwrap_or_else(|| golden.run_until(|s| s.observer().decided()));
+        if end == Ok(RunEnd::Watchdog) {
+            pool.put(golden.into_machine());
+            return Err(SimError::StepLimit {
+                limit: golden_cfg.max_cycles,
+            });
+        }
+        let verdict = case_outcome(reference, &golden, end);
+        pool.put(golden.into_machine());
+        for &i in &cases {
+            outcomes[i].get_or_insert(verdict);
+        }
+    }
+    Ok(outcomes
+        .into_iter()
+        .map(|o| o.expect("every case classified"))
+        .collect())
 }
 
 /// The full-run verdict order applied to one stopped case.

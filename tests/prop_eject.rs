@@ -9,14 +9,17 @@
 //!
 //! 1. `classify_batch` matches a full-run classifier
 //!    (`crisp_bench::classify_full_run`): the faulted
-//!    `CycleSim<CommitLog>` runs to halt, watchdog or error, and its
-//!    whole commit stream and final state are compared after the fact
-//!    with a full `FunctionalSim` reference. This holds across
-//!    decoded-cache, predictor and PDU targets, parity on and off, and
+//!    `CycleSim<CommitLog>` runs from cycle 0 to halt, watchdog or
+//!    error, and its whole commit stream and final state are compared
+//!    after the fact with a full `FunctionalSim` reference. This holds
+//!    for blocks of up to eight plans forked off one fault-free run,
+//!    across decoded-cache, predictor and PDU targets, parity on and
+//!    off, strike cycles at 0, tied, and past the fault-free halt, and
 //!    watchdog budgets both roomy and tight. The one allowed
 //!    difference is the one `classify_batch` documents: a protected run
 //!    whose caught fault would have pushed it past the watchdog is
-//!    `Masked`, not `Hang`.
+//!    `Masked`, not `Hang`. A block whose fault-free cycle run does not
+//!    fit the budget is `Err(StepLimit)`, and no other block is.
 //! 2. `run_lockstep_batched` returns the same outcome as the
 //!    co-stepped `run_lockstep_pooled` oracle on every sweep
 //!    configuration.
@@ -24,9 +27,9 @@
 use crisp::asm::rand_prog::GenProgram;
 use crisp::sim::{
     classify_batch, diff_reference, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
-    predictor_fault_space, run_lockstep_batched, run_lockstep_pooled, sweep_configs, FaultOutcome,
-    FaultPlan, FaultTarget, HwPredictor, LockstepBuffers, LockstepOutcome, MachinePool, ParityMode,
-    SimConfig, FAULT_SPACE, PDU_FAULT_SPACE,
+    predictor_fault_space, run_lockstep_batched, run_lockstep_pooled, sweep_configs, CycleSim,
+    FaultOutcome, FaultPlan, FaultTarget, HwPredictor, LockstepBuffers, LockstepOutcome, Machine,
+    MachinePool, ParityMode, SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use crisp_bench::classify_full_run;
 use proptest::prelude::*;
@@ -78,27 +81,48 @@ const PREDICTORS: [HwPredictor; 3] = [
     HwPredictor::JumpTrace { entries: 8 },
 ];
 
+/// Whether a plain fault-free `CycleSim` run under `cfg` (its fault
+/// plan dropped) hits the watchdog before halting.
+fn fault_free_run_hits_watchdog(image: &crisp::asm::Image, cfg: SimConfig) -> bool {
+    let cfg = SimConfig {
+        fault_plan: None,
+        ..cfg
+    };
+    let run = CycleSim::new(Machine::load(image).unwrap(), cfg)
+        .run()
+        .expect("fault-free run");
+    !run.halted
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Claim 1: stopping at the first divergent commit or at parity
-    /// settle classifies every case as a full run does, except a
-    /// protected watchdog `Hang` that eject settles as `Masked`.
+    /// settle, and forking every case off one fault-free run at its
+    /// strike cycle, classifies every case of a block as a full run
+    /// does, except a protected watchdog `Hang` that eject settles as
+    /// `Masked`. A block is 1–8 plans, each classified protected then
+    /// unprotected as `crisp-fault` orders them, with strike cycles at
+    /// 0, tied with the previous plan's, past the fault-free halt, or
+    /// anywhere in the first 400 cycles. Under a budget too tight for
+    /// the fault-free cycle run itself the block is `Err`, and only
+    /// then.
     #[test]
     fn eject_classifies_like_a_full_run(
         seed in 0u64..5000,
-        target_idx in 0usize..3,
         p_idx in 0usize..3,
-        cycle in 0u64..400,
-        slot in any::<u32>(),
-        site in any::<u64>(),
+        strikes in prop::collection::vec(
+            (0usize..3, 0u8..6, 0u64..400, any::<u32>(), any::<u64>()),
+            1..=8,
+        ),
         tight in any::<bool>(),
     ) {
         let image = GenProgram::generate(seed, 8).image().unwrap();
         let predictor = PREDICTORS[p_idx];
         let base = SimConfig { predictor, max_cycles: ROOMY_BUDGET, ..SimConfig::default() };
         // A tight budget sits near the fault-free run's own length, so
-        // a fault that costs cycles can push the run into the watchdog.
+        // a fault that costs cycles can push the run into the watchdog,
+        // and the fault-free cycle run itself may not fit.
         let mut pool = MachinePool::default();
         let max_cycles = if tight {
             let reference = fault_reference(&image, base, None, None, &mut pool).unwrap();
@@ -106,19 +130,46 @@ proptest! {
         } else {
             ROOMY_BUDGET
         };
-        let target = FaultTarget::ALL[target_idx];
-        let plan = plan(target, predictor, cycle, slot, site);
-        let cfgs: Vec<SimConfig> = [ParityMode::DetectInvalidate, ParityMode::Off]
-            .into_iter()
-            .map(|parity| SimConfig {
-                parity,
-                fault_plan: Some(plan),
-                max_cycles,
-                ..base
+        let halt_cycle = CycleSim::new(Machine::load(&image).unwrap(), base)
+            .run()
+            .unwrap()
+            .stats
+            .cycles;
+        let mut plans: Vec<FaultPlan> = Vec::new();
+        for (target_idx, kind, cycle, slot, site) in strikes {
+            let cycle = match kind {
+                0 => 0,
+                1 => plans.last().map_or(0, |p| p.cycle),
+                2 => halt_cycle + cycle % 8,
+                _ => cycle,
+            };
+            plans.push(plan(FaultTarget::ALL[target_idx], predictor, cycle, slot, site));
+        }
+        let cfgs: Vec<SimConfig> = plans
+            .iter()
+            .flat_map(|&plan| {
+                [ParityMode::DetectInvalidate, ParityMode::Off].map(|parity| SimConfig {
+                    parity,
+                    fault_plan: Some(plan),
+                    max_cycles,
+                    ..base
+                })
             })
             .collect();
         let reference = fault_reference(&image, cfgs[0], None, None, &mut pool).unwrap();
-        let ejected = classify_batch(&image, &cfgs, None, &reference, 1, &mut pool).unwrap();
+        let ejected = classify_batch(&image, &cfgs, None, &reference, 1, &mut pool);
+        let starved = cfgs.iter().any(|&cfg| fault_free_run_hits_watchdog(&image, cfg));
+        let ejected = match ejected {
+            Err(e) => {
+                prop_assert!(starved, "seed {} budget {}: unexpected {:?}", seed, max_cycles, e);
+                prop_assert_eq!(e, SimError::StepLimit { limit: max_cycles });
+                return Ok(());
+            }
+            Ok(outcomes) => {
+                prop_assert!(!starved, "seed {} budget {}: starved block classified", seed, max_cycles);
+                outcomes
+            }
+        };
         for (cfg, eject) in cfgs.iter().zip(ejected) {
             let full = classify_full_run(&image, *cfg, None, &mut pool);
             let allowed = cfg.parity == ParityMode::DetectInvalidate
@@ -127,7 +178,7 @@ proptest! {
             prop_assert!(
                 eject == full || allowed,
                 "seed {} {:?} {:?}: eject {:?} vs full run {:?}",
-                seed, cfg.parity, plan, eject, full
+                seed, cfg.parity, cfg.fault_plan, eject, full
             );
         }
     }
