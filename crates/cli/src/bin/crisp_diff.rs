@@ -54,13 +54,13 @@ use crisp_asm::rand_prog::{shrink, GenProgram};
 use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
-    extract_flag, parse_engine, parse_heartbeat, parse_num, parse_predictor, parse_switch,
-    resume_checkpoint,
+    extract_flag, parse_engine, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
+    parse_predictor, parse_switch, resume_checkpoint,
 };
 use crisp_sim::{
     diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, verify_threaded_pooled,
     Divergence, Engine, FaultInjection, LockstepBuffers, LockstepOutcome, MachinePool,
-    PipelineGeometry, PredecodedImage, SimConfig, TranslatedImage, MAX_DEPTH, MIN_DEPTH,
+    PipelineGeometry, PredecodedImage, SimConfig, TranslatedImage,
 };
 
 fn main() -> ExitCode {
@@ -166,24 +166,8 @@ fn run() -> Result<ExitCode, String> {
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
-    let max_cycles: Option<u64> = extract_flag(&mut raw, "--max-cycles")
-        .map_err(|e| e.to_string())?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--max-cycles: bad value `{v}`"))
-        })
-        .transpose()?;
-    let eu_depth: Option<usize> = extract_flag(&mut raw, "--eu-depth")
-        .map_err(|e| e.to_string())?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|n| (MIN_DEPTH..=MAX_DEPTH).contains(n))
-                .ok_or_else(|| {
-                    format!("--eu-depth: bad value `{v}` (want {MIN_DEPTH}..={MAX_DEPTH})")
-                })
-        })
-        .transpose()?;
+    let max_cycles = parse_max_cycles(&mut raw)?;
+    let geometry = parse_eu_depth(&mut raw)?;
     let predictor = parse_predictor(&mut raw)?;
     // Campaigns default to the threaded tier: every program then also
     // cross-checks threaded-vs-interpreter bit-identity per fold policy.
@@ -196,10 +180,6 @@ fn run() -> Result<ExitCode, String> {
     if jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
-    if max_cycles == Some(0) {
-        return Err("--max-cycles must be at least 1".into());
-    }
-    let geometry = eu_depth.map(PipelineGeometry::new);
 
     if inject {
         return demonstrate_injection(seed, max_blocks, geometry);

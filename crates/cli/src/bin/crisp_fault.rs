@@ -67,14 +67,13 @@ use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult, CLAIM_BLOCK};
 use crisp_cli::{
-    extract_flag, parse_engine, parse_heartbeat, parse_num, parse_predictor, parse_switch,
-    resume_checkpoint, Checkpoint,
+    extract_flag, parse_engine, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
+    parse_predictor, parse_switch, resume_checkpoint, target_space, Checkpoint,
 };
 use crisp_sim::{
-    classify_batch, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
-    predictor_fault_space, Engine, FaultOutcome, FaultPlan, FaultReference, FaultTarget,
-    HwPredictor, MachinePool, ParityMode, PipelineGeometry, PredecodedImage, SimConfig,
-    TranslatedImage, FAULT_SPACE, MAX_DEPTH, MIN_DEPTH, PDU_FAULT_SPACE,
+    classify_batch, fault_reference, report_rows, Engine, FaultOutcome, FaultPlan, FaultReference,
+    FaultSpace, FaultTarget, HwPredictor, MachinePool, ParityMode, PipelineGeometry,
+    PredecodedImage, SimConfig, TranslatedImage,
 };
 
 fn main() -> ExitCode {
@@ -164,36 +163,31 @@ fn plan_for(
     // Bias strike cycles toward the start of the run so most faults
     // land before the program halts.
     let cycle = rng.below(400);
-    match target {
-        FaultTarget::Cache => FaultPlan {
-            cycle,
-            slot: rng.below(icache_entries) as u32,
-            field: nth_field(rng.below(FAULT_SPACE)),
-            target,
-        },
-        FaultTarget::Predictor => {
-            // `targets` only includes Predictor when the configured
-            // predictor has state, so the space is nonzero here.
-            let space = predictor_fault_space(predictor).max(1);
-            let field = nth_predictor_field(predictor, rng.below(space))
-                .expect("stateful predictor has a nonzero fault space");
-            FaultPlan {
-                cycle,
-                // The corrupter indexes resident entries modulo
-                // occupancy; any slot number is a valid strike point.
-                slot: rng.below(1 << 10) as u32,
-                field,
-                target,
-            }
-        }
-        FaultTarget::Pdu => FaultPlan {
-            cycle,
-            // Taken modulo the in-flight queue length at fire time;
-            // 8 covers the deepest PIR pipeline.
-            slot: rng.below(8) as u32,
-            field: nth_pdu_field(rng.below(PDU_FAULT_SPACE)),
-            target,
-        },
+    // `targets` only holds targets with state under `predictor`.
+    let space = FaultSpace::of(target, predictor).expect("parse_targets keeps stateful targets");
+    let slots = match target {
+        FaultTarget::Cache => icache_entries,
+        // The corrupter indexes resident entries modulo occupancy; any
+        // slot number is a valid strike point.
+        FaultTarget::Predictor => 1 << 10,
+        // Taken modulo the in-flight queue length at fire time; 8
+        // covers the deepest PIR pipeline.
+        FaultTarget::Pdu => 8,
+    };
+    // The predictor target draws its site before its slot. The draw
+    // order is part of the campaign definition: keep it per target.
+    let (slot, site) = if target == FaultTarget::Predictor {
+        let site = rng.below(space.size());
+        (rng.below(slots), site)
+    } else {
+        let slot = rng.below(slots);
+        (slot, rng.below(space.size()))
+    };
+    FaultPlan {
+        cycle,
+        slot: slot as u32,
+        field: space.nth(site),
+        target,
     }
 }
 
@@ -239,34 +233,19 @@ fn case_verdict(
     )))
 }
 
-/// Parse `--target` into the set of structures this campaign strikes.
+/// Parse `--target` into the set of structures this campaign strikes:
+/// one target, or `all` targets with state under `predictor`.
 fn parse_targets(spec: &str, predictor: HwPredictor) -> Result<Vec<FaultTarget>, String> {
-    let has_predictor_state = predictor_fault_space(predictor) > 0;
-    match spec {
-        "cache" => Ok(vec![FaultTarget::Cache]),
-        "pdu" => Ok(vec![FaultTarget::Pdu]),
-        "btb" => {
-            if !has_predictor_state {
-                return Err(
-                    "--target btb needs a dynamic --predictor (the static bit has no \
-                     hardware state to strike)"
-                        .into(),
-                );
-            }
-            Ok(vec![FaultTarget::Predictor])
-        }
-        "all" => {
-            let mut targets = vec![FaultTarget::Cache];
-            if has_predictor_state {
-                targets.push(FaultTarget::Predictor);
-            }
-            targets.push(FaultTarget::Pdu);
-            Ok(targets)
-        }
-        other => Err(format!(
-            "--target: bad value `{other}` (want cache | btb | pdu | all)"
-        )),
+    if spec == "all" {
+        return Ok(FaultTarget::ALL
+            .into_iter()
+            .filter(|&t| FaultSpace::of(t, predictor).is_some())
+            .collect());
     }
+    let target = FaultTarget::parse(spec)
+        .ok_or_else(|| format!("--target: bad value `{spec}` (want cache | btb | pdu | all)"))?;
+    target_space("--target", target, predictor)?;
+    Ok(vec![target])
 }
 
 /// The flags that define a campaign's work list or its verdicts:
@@ -280,7 +259,7 @@ struct Campaign {
     faults: u64,
     max_blocks: usize,
     max_cycles: u64,
-    eu_depth: usize,
+    geometry: PipelineGeometry,
     predictor: HwPredictor,
     target_spec: String,
 }
@@ -296,8 +275,8 @@ impl Campaign {
             programs: parse_num(raw, "--programs", default_programs)?,
             faults: parse_num(raw, "--faults", default_faults)?,
             max_blocks: parse_num(raw, "--max-blocks", 10)?,
-            max_cycles: parse_num(raw, "--max-cycles", 200_000)?,
-            eu_depth: parse_num(raw, "--eu-depth", SimConfig::default().geometry.depth())?,
+            max_cycles: parse_max_cycles(raw)?.unwrap_or(200_000),
+            geometry: parse_eu_depth(raw)?.unwrap_or_default(),
             predictor: parse_predictor(raw)?.unwrap_or(SimConfig::default().predictor),
             target_spec: extract_flag(raw, "--target")
                 .map_err(|e| e.to_string())?
@@ -315,7 +294,7 @@ impl Campaign {
             self.faults,
             self.max_blocks,
             self.max_cycles,
-            self.eu_depth,
+            self.geometry.depth(),
             self.predictor.label(),
             self.target_spec
         )
@@ -340,7 +319,7 @@ fn run() -> Result<ExitCode, String> {
         faults,
         max_blocks,
         max_cycles,
-        eu_depth,
+        geometry,
         predictor,
         ..
     } = campaign;
@@ -369,15 +348,6 @@ fn run() -> Result<ExitCode, String> {
     let total = programs.checked_mul(faults).ok_or_else(|| {
         format!("--programs {programs} x --faults {faults} is more cases than fit in 64 bits")
     })?;
-    if max_cycles == 0 {
-        return Err("--max-cycles must be at least 1".into());
-    }
-    if !(MIN_DEPTH..=MAX_DEPTH).contains(&eu_depth) {
-        return Err(format!(
-            "--eu-depth: bad value `{eu_depth}` (want {MIN_DEPTH}..={MAX_DEPTH})"
-        ));
-    }
-    let geometry = PipelineGeometry::new(eu_depth);
 
     // The work list is deterministic in (seed, programs, faults,
     // max_blocks, targets), which is what makes --resume sound: case i
@@ -567,24 +537,6 @@ fn run() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Every AVF-report row key: the seven decoded-cache entry fields
-/// (also the PDU fold-slot fields, which alias `next-pc`/`alt-pc`),
-/// then the predictor-state field groups.
-const REPORT_FIELDS: [&str; 12] = [
-    "next-pc",
-    "alt-pc",
-    "predict",
-    "valid",
-    "opcode",
-    "operand",
-    "tag",
-    "btb-tag",
-    "btb-counter",
-    "btb-valid",
-    "counter-bit",
-    "jump-trace",
-];
-
 /// Per-field outcome counts pulled back out of the checkpoint tallies.
 struct FieldRow {
     field: &'static str,
@@ -594,8 +546,8 @@ struct FieldRow {
 }
 
 fn field_rows(cp: &Checkpoint) -> Vec<FieldRow> {
-    REPORT_FIELDS
-        .iter()
+    report_rows()
+        .into_iter()
         .map(|field| {
             let mut counts = [0u64; 4];
             for (slot, outcome) in FaultOutcome::ALL.iter().enumerate() {

@@ -46,6 +46,7 @@
 //!                                              gracefully with halt
 //!                                              reason `watchdog`)
 //!   --parity MODE                front-end parity: off | detect
+//!                                (needs --cycles)
 //!   --degrade N                  disable a cache slot / BTB way after
 //!                                N detected parity errors (degraded
 //!                                runs report `degraded_ways` in the
@@ -56,6 +57,7 @@
 //!                                S, bit-site B — the knob behind
 //!                                crisp-fault, exposed for one-off
 //!                                what-does-this-strike-cost runs
+//!                                (needs --cycles)
 //!   --no-spread --predict MODE                 compiler configuration
 //! ```
 //!
@@ -76,7 +78,7 @@ use crisp_cli::{extract_flag, parse_common, parse_engine, parse_switch, read_inp
 use crisp_sim::{
     mispredict_cycles, render_timeline_for, write_chrome_trace_for, write_jsonl,
     write_trace_footer, BranchProfiler, CycleSim, Engine, EventRing, FunctionalSim, Machine,
-    PipeEvent, PipelineGeometry, ThreadedSim, TraceFooter,
+    ParityMode, PipeEvent, PipelineGeometry, ThreadedSim, TraceFooter,
 };
 
 /// Event-ring capacity for `--trace`/`--chrome-trace`/`--timeline`:
@@ -137,14 +139,18 @@ fn run() -> Result<(), String> {
     if let Some(flag) = args.rest.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
-    if !cycles && chrome_path.is_some() {
-        return Err("--chrome-trace needs --cycles".into());
-    }
-    if !cycles && timeline {
-        return Err("--timeline needs --cycles".into());
-    }
-    if !cycles && cpi_breakdown {
-        return Err("--cpi-breakdown needs --cycles".into());
+    // Cycle-engine features. The functional engine has no front end to
+    // strike or protect.
+    let cycle_only = [
+        ("--chrome-trace", chrome_path.is_some()),
+        ("--timeline", timeline),
+        ("--cpi-breakdown", cpi_breakdown),
+        ("--inject", args.sim.fault_plan.is_some()),
+        ("--parity", args.sim.parity != ParityMode::Off),
+        ("--degrade", args.sim.degrade.is_some()),
+    ];
+    if let Some((flag, _)) = cycle_only.iter().find(|&&(_, given)| given && !cycles) {
+        return Err(format!("{flag} needs --cycles"));
     }
     if cycles && engine == Engine::Threaded {
         return Err("--engine threaded applies to the functional engine (drop --cycles)".into());

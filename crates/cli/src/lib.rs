@@ -16,9 +16,8 @@ use std::sync::Mutex;
 use crisp_cc::{CompileOptions, PredictionMode};
 use crisp_isa::FoldPolicy;
 use crisp_sim::{
-    nth_field, nth_pdu_field, nth_predictor_field, predictor_fault_space, DegradePolicy, Engine,
-    FaultPlan, FaultTarget, HwPredictor, ParityMode, PipelineGeometry, SimConfig, FAULT_SPACE,
-    MAX_DEPTH, MIN_DEPTH, PDU_FAULT_SPACE,
+    DegradePolicy, Engine, FaultPlan, FaultSpace, FaultTarget, HwPredictor, ParityMode,
+    PipelineGeometry, SimConfig, MAX_DEPTH, MIN_DEPTH,
 };
 
 /// Parsed common command-line options.
@@ -87,7 +86,14 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, Us
     // and `--predictor` may appear later on the line — resolve after
     // the loop.
     let mut inject_spec: Option<String> = None;
-    let mut args = args.peekable();
+    let mut raw: Vec<String> = args.collect();
+    out.sim.geometry = parse_eu_depth(&mut raw)
+        .map_err(UsageError)?
+        .unwrap_or_default();
+    out.sim.max_cycles = parse_max_cycles(&mut raw)
+        .map_err(UsageError)?
+        .unwrap_or(out.sim.max_cycles);
+    let mut args = raw.into_iter().peekable();
     while let Some(arg) = args.next() {
         let value_for = |flag: &str, args: &mut std::iter::Peekable<_>| match args.next() {
             Some(v) => Ok(v),
@@ -127,29 +133,11 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, Us
                     Err(_) => return err(format!("bad --icache value `{v}`")),
                 };
             }
-            "--eu-depth" => {
-                let v: String = value_for("--eu-depth", &mut args)?;
-                out.sim.geometry = match v.parse() {
-                    Ok(n) if (MIN_DEPTH..=MAX_DEPTH).contains(&n) => PipelineGeometry::new(n),
-                    _ => {
-                        return err(format!(
-                            "bad --eu-depth value `{v}` (want {MIN_DEPTH}..={MAX_DEPTH})"
-                        ))
-                    }
-                };
-            }
             "--mem-latency" => {
                 let v: String = value_for("--mem-latency", &mut args)?;
                 out.sim.mem_latency = match v.parse() {
                     Ok(n) => n,
                     Err(_) => return err(format!("bad --mem-latency value `{v}`")),
-                };
-            }
-            "--max-cycles" => {
-                let v: String = value_for("--max-cycles", &mut args)?;
-                out.sim.max_cycles = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => return err(format!("bad --max-cycles value `{v}`")),
                 };
             }
             "--max-insns" => {
@@ -201,36 +189,39 @@ fn parse_fault_spec(spec: &str, predictor: HwPredictor) -> Result<FaultPlan, Usa
     let [target, cycle, slot, site] = parts.as_slice() else {
         return err(bad());
     };
-    let target = match *target {
-        "cache" => FaultTarget::Cache,
-        "btb" => FaultTarget::Predictor,
-        "pdu" => FaultTarget::Pdu,
-        other => return err(format!("unknown --inject target `{other}`")),
-    };
+    let target = FaultTarget::parse(target)
+        .ok_or_else(|| UsageError(format!("unknown --inject target `{target}`")))?;
+    let space = target_space("--inject", target, predictor).map_err(UsageError)?;
     let cycle: u64 = cycle.parse().map_err(|_| UsageError(bad()))?;
     let slot: u32 = slot.parse().map_err(|_| UsageError(bad()))?;
     let site: u64 = site.parse().map_err(|_| UsageError(bad()))?;
-    let space = match target {
-        FaultTarget::Cache => FAULT_SPACE,
-        FaultTarget::Predictor => predictor_fault_space(predictor),
-        FaultTarget::Pdu => PDU_FAULT_SPACE,
-    };
-    if site >= space {
+    if site >= space.size() {
         return err(format!(
-            "--inject bit-site {site} out of range (this target has {space} fault sites)"
+            "--inject bit-site {site} out of range (this target has {} fault sites)",
+            space.size()
         ));
     }
-    let field = match target {
-        FaultTarget::Cache => nth_field(site),
-        FaultTarget::Predictor => nth_predictor_field(predictor, site)
-            .expect("site is in range, so the predictor has state"),
-        FaultTarget::Pdu => nth_pdu_field(site),
-    };
     Ok(FaultPlan {
         cycle,
         slot,
-        field,
+        field: space.nth(site),
         target,
+    })
+}
+
+/// The fault space target `t` offers under predictor `p`, or the error
+/// `flag` reports when the target has no state to strike.
+///
+/// # Errors
+///
+/// The predictor target under the static-bit predictor.
+pub fn target_space(flag: &str, t: FaultTarget, p: HwPredictor) -> Result<FaultSpace, String> {
+    FaultSpace::of(t, p).ok_or_else(|| {
+        format!(
+            "{flag} {} needs a dynamic --predictor (the static bit has no hardware state \
+             to strike)",
+            t.name()
+        )
     })
 }
 
@@ -329,6 +320,50 @@ pub fn parse_predictor(raw: &mut Vec<String>) -> Result<Option<HwPredictor>, Str
         .transpose()
 }
 
+/// Remove `--name N` from an argument vector and parse it, `None` when
+/// the flag is absent. A value that does not parse, or fails `valid`,
+/// is an error that names what the flag wants.
+fn parse_valid<T: std::str::FromStr>(
+    raw: &mut Vec<String>,
+    name: &str,
+    want: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    extract_flag(raw, name)
+        .map_err(|e| e.to_string())?
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|n| valid(n))
+                .ok_or_else(|| format!("{name}: bad value `{v}` (want {want})"))
+        })
+        .transpose()
+}
+
+/// Remove `--eu-depth N` from an argument vector: the execution-unit
+/// geometry, `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A message when the value is missing or not a depth in
+/// `MIN_DEPTH..=MAX_DEPTH`.
+pub fn parse_eu_depth(raw: &mut Vec<String>) -> Result<Option<PipelineGeometry>, String> {
+    let depths = MIN_DEPTH..=MAX_DEPTH;
+    let want = format!("{MIN_DEPTH}..={MAX_DEPTH}");
+    let depth = parse_valid(raw, "--eu-depth", &want, |n| depths.contains(n))?;
+    Ok(depth.map(PipelineGeometry::new))
+}
+
+/// Remove `--max-cycles N` from an argument vector: the watchdog
+/// budget, `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A message when the value is missing or not a count `>= 1`.
+pub fn parse_max_cycles(raw: &mut Vec<String>) -> Result<Option<u64>, String> {
+    parse_valid(raw, "--max-cycles", "a count >= 1", |&n| n > 0)
+}
+
 /// Remove `--heartbeat SECS` from an argument vector: the campaign
 /// heartbeat period, `None` when the flag is absent.
 ///
@@ -337,15 +372,7 @@ pub fn parse_predictor(raw: &mut Vec<String>) -> Result<Option<HwPredictor>, Str
 /// A message when the value is missing or not a whole number of
 /// seconds `>= 1`.
 pub fn parse_heartbeat(raw: &mut Vec<String>) -> Result<Option<u64>, String> {
-    extract_flag(raw, "--heartbeat")
-        .map_err(|e| e.to_string())?
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--heartbeat: bad value `{v}` (want seconds >= 1)"))
-        })
-        .transpose()
+    parse_valid(raw, "--heartbeat", "seconds >= 1", |&n| n > 0)
 }
 
 /// The starting checkpoint of a campaign of `total` `unit`s: the one
@@ -656,6 +683,7 @@ pub fn read_input(input: &Option<String>) -> Result<String, UsageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crisp_sim::{nth_field, nth_pdu_field, nth_predictor_field};
 
     fn parse(args: &[&str]) -> Result<CommonArgs, UsageError> {
         parse_common(args.iter().map(|s| s.to_string()))
@@ -764,7 +792,11 @@ mod tests {
         assert!(parse(&["--inject", "dram:60:7:0"]).is_err());
         assert!(parse(&["--inject", "cache:60:7:999"]).is_err());
         // The static-bit predictor has no strikable state.
-        assert!(parse(&["--inject", "btb:60:0:0", "x.c"]).is_err());
+        let e = parse(&["--inject", "btb:60:0:0", "x.c"]).unwrap_err();
+        assert!(
+            e.0.contains("--inject btb needs a dynamic --predictor"),
+            "{e}"
+        );
         let e = parse(&["--inject", "pdu:10:3:999"]).unwrap_err();
         assert!(e.0.contains("fault sites"), "{e}");
     }

@@ -170,6 +170,29 @@ fn crisp_run_chrome_trace_and_timeline() {
 }
 
 #[test]
+fn crisp_run_rejects_fault_flags_without_cycles() {
+    // The functional engine has no front end: a requested strike,
+    // parity mode or degrade policy used to be dropped with exit 0.
+    let cases: [(&[&str], &str); 3] = [
+        (&["--inject", "cache:10:0:5"], "--inject needs --cycles"),
+        (&["--parity", "detect"], "--parity needs --cycles"),
+        (&["--degrade", "1"], "--degrade needs --cycles"),
+    ];
+    for (args, message) in cases {
+        let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), args, PROGRAM);
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let mut args = vec!["--cycles", "--stats-json", "-"];
+    for (flags, _) in cases {
+        args.extend(flags);
+    }
+    let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), &args, PROGRAM);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(r#""faults_injected":1"#), "{stdout}");
+}
+
+#[test]
 fn crisp_run_cpi_breakdown_conserves_cycles() {
     let (stdout, stderr, ok) = run_tool(
         env!("CARGO_BIN_EXE_crisp-run"),
@@ -427,6 +450,29 @@ fn repeated_flags_fail_with_a_clear_error() {
             "{args:?}: {stderr}"
         );
         assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+    // One parser per shared flag: every tool rejects a bad value with
+    // the same text.
+    let bad_values: [(&[&str], &str); 2] = [
+        (
+            &["--eu-depth", "9"],
+            "--eu-depth: bad value `9` (want 2..=8)",
+        ),
+        (
+            &["--max-cycles", "0"],
+            "--max-cycles: bad value `0` (want a count >= 1)",
+        ),
+    ];
+    for exe in [
+        env!("CARGO_BIN_EXE_crisp-run"),
+        env!("CARGO_BIN_EXE_crisp-diff"),
+        env!("CARGO_BIN_EXE_crisp-fault"),
+    ] {
+        for (args, message) in bad_values {
+            let (stdout, stderr, ok) = run_tool(exe, args, PROGRAM);
+            assert!(!ok, "{exe} {args:?}: {stdout}");
+            assert!(stderr.contains(message), "{exe} {args:?}: {stderr}");
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 use crisp_isa::Decoded;
 
-use crate::soft_error::{apply_fault, entry_bits, parity32, FaultField, ParityMode};
+use crate::soft_error::{entry_bits, parity32, strike, FaultField, ParityMode};
 
 /// One resident cache line: the decoded entry plus its parity state.
 ///
@@ -262,9 +262,9 @@ impl DecodedCache {
     /// PC of the corrupted entry, or `None` when the slot held nothing
     /// (the fault lands in invalid state and has no effect).
     ///
-    /// A [`FaultField::Valid`] fault clears the slot (a live valid bit
-    /// can only flip to invalid). Any other fault re-encodes the entry,
-    /// flips the mapped bit, and stores the total re-decode; the slot's
+    /// A `valid` fault clears the slot (a live valid bit can only flip
+    /// to invalid). Any other fault re-encodes the entry, flips the
+    /// mapped bit, and stores the total re-decode; the slot's
     /// `live_parity` is updated to the parity of the flipped bits, so a
     /// later [`DecodedCache::lookup_verified`] sees exactly what a
     /// hardware parity check would.
@@ -272,13 +272,9 @@ impl DecodedCache {
         let idx = slot % self.entries.len();
         let line = self.entries[idx].as_mut()?;
         let pc = line.d.pc;
-        match apply_fault(&line.d, field) {
+        match strike(&mut line.d, field) {
+            Some(delta) => line.live_parity ^= delta,
             None => self.entries[idx] = None,
-            Some(corrupted) => {
-                let (_, bit) = field.bit().expect("non-valid faults map to a bit");
-                line.d = corrupted;
-                line.live_parity ^= 1 << (bit % 32);
-            }
         }
         Some(pc)
     }
@@ -292,6 +288,7 @@ impl DecodedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soft_error::nth_field;
     use crisp_isa::{ExecOp, FoldClass, NextPc};
 
     fn entry(pc: u32) -> Decoded {
@@ -374,7 +371,8 @@ mod tests {
         let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
         c.insert(entry(0x10));
         let slot = c.slot_of(0x10);
-        assert_eq!(c.corrupt(slot, FaultField::NextPc(2)), Some(0x10));
+        // Next-PC payload bit 0.
+        assert_eq!(c.corrupt(slot, nth_field(2)), Some(0x10));
         // The stored entry changed but the tag still matches ...
         assert_eq!(c.lookup(0x10).unwrap().next_pc, NextPc::Known(0x12 ^ 1));
         // ... and the verified lookup detects, invalidates, counts.
@@ -393,8 +391,8 @@ mod tests {
         let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
         c.insert(entry(0x10));
         let slot = c.slot_of(0x10);
-        // Flip a high tag bit: the entry now claims a different PC.
-        assert_eq!(c.corrupt(slot, FaultField::Tag(31)), Some(0x10));
+        // Flip tag bit 31: the entry now claims a different PC.
+        assert_eq!(c.corrupt(slot, nth_field(180)), Some(0x10));
         // The probe at the original PC still reaches the slot, and the
         // parity check fires before the (now wrong) tag can turn the
         // access into a silent miss that leaves the corpse resident.
@@ -406,17 +404,18 @@ mod tests {
     fn corrupt_valid_bit_clears_slot() {
         let mut c = DecodedCache::new(4);
         c.insert(entry(0));
-        assert_eq!(c.corrupt(c.slot_of(0), FaultField::Valid), Some(0));
+        // Site 70 is the valid bit.
+        assert_eq!(c.corrupt(c.slot_of(0), nth_field(70)), Some(0));
         assert!(c.is_empty());
         // Faulting an empty slot corrupts nothing.
-        assert_eq!(c.corrupt(0, FaultField::Predict), None);
+        assert_eq!(c.corrupt(0, nth_field(69)), None);
     }
 
     #[test]
     fn unprotected_cache_serves_corrupted_entries() {
         let mut c = DecodedCache::new(32);
         c.insert(entry(0x10));
-        c.corrupt(c.slot_of(0x10), FaultField::NextPc(2));
+        c.corrupt(c.slot_of(0x10), nth_field(2));
         // ParityMode::Off: the corrupted entry hits as if nothing
         // happened — the SDC path the fault campaign measures.
         let looked = c.lookup_verified(0x10);

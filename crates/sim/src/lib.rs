@@ -89,9 +89,9 @@ pub use predecode::{PredecodedImage, DECODE_WINDOW};
 pub use predictor::{BtbTable, CounterTable, HwPredictorState, JumpTraceTable, Predictor};
 pub use profile::{BranchProfiler, SiteStats};
 pub use soft_error::{
-    apply_fault, classify_batch, classify_fault, decode_entry, entry_bits, fault_reference,
-    nth_field, nth_pdu_field, nth_predictor_field, parity32, predictor_fault_space, FaultField,
-    FaultOutcome, FaultPlan, FaultReference, FaultTarget, ParityMode, FAULT_SPACE, FIELD_NAMES,
+    classify_batch, classify_fault, decode_entry, entry_bits, fault_reference, nth_field,
+    nth_pdu_field, nth_predictor_field, parity32, predictor_fault_space, report_rows, FaultField,
+    FaultOutcome, FaultPlan, FaultReference, FaultSpace, FaultTarget, ParityMode, FAULT_SPACE,
     PDU_FAULT_SPACE,
 };
 pub use stats::{resolve_stage, CycleStats, OpcodeCounts, RunStats, STATS_SCHEMA_VERSION};

@@ -5,7 +5,7 @@ use crisp_isa::{decode_and_fold, encoding, fold_failure, Decoded, FoldPolicy, Is
 
 use crate::observe::{NullObserver, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
-use crate::soft_error::{apply_fault, FaultField, ParityMode};
+use crate::soft_error::{strike, FaultField, ParityMode};
 use crate::{DecodedCache, Memory};
 
 /// Parcels fetched from memory per access (the paper's Figure 2 shows
@@ -151,9 +151,9 @@ impl Pdu {
     /// Flip one bit of an in-flight PIR entry (transient-fault
     /// injection). `slot` indexes the pipeline oldest-first, modulo
     /// occupancy; returns the struck entry's PC, or `None` when the
-    /// pipeline is empty. A [`FaultField::Valid`]-style fault (one with
-    /// no bit position) drops the entry outright — a lost latch is an
-    /// entry that never reaches the cache, which is trivially safe.
+    /// pipeline is empty. A `valid`-style fault (one with no image
+    /// position) drops the entry outright — a lost latch is an entry
+    /// that never reaches the cache, which is trivially safe.
     /// Bit-carrying faults corrupt the latched entry and record the
     /// flipped parity column so the fill-port check can catch it.
     pub fn corrupt(&mut self, slot: u32, field: FaultField) -> Option<u32> {
@@ -163,14 +163,10 @@ impl Pdu {
         let i = slot as usize % self.inflight.len();
         let (_, d, delta) = &mut self.inflight[i];
         let pc = d.pc;
-        match apply_fault(d, field) {
+        match strike(d, field) {
+            Some(flipped) => *delta ^= flipped,
             None => {
                 self.inflight.remove(i);
-            }
-            Some(corrupted) => {
-                let (_, bit) = field.bit().expect("non-valid faults map to a bit");
-                *d = corrupted;
-                *delta ^= 1 << (bit % 32);
             }
         }
         Some(pc)

@@ -1195,7 +1195,7 @@ mod tests {
     fn fork_runs_like_a_fresh_faulted_run() {
         use crate::config::HwPredictor;
         use crate::observe::EventRing;
-        use crate::soft_error::FaultField;
+        use crate::soft_error::{nth_field, nth_pdu_field, nth_predictor_field};
         let src = "
             mov 0(sp),$0
         top:
@@ -1206,19 +1206,32 @@ mod tests {
             halt
         ";
         let img = assemble_text(src).unwrap();
+        let btb = HwPredictor::parse("btb16x2").unwrap();
+        // Next-PC payload bit 5, opcode bit 1, the valid bit, an
+        // Alternate Next-PC payload bit, BTB counter bit 0, BTB tag bit 2.
         let strikes = [
-            (0, 0, FaultTarget::Cache, FaultField::NextPc(7)),
-            (37, 2, FaultTarget::Cache, FaultField::Opcode(1)),
-            (38, 1, FaultTarget::Cache, FaultField::Valid),
-            (2, 0, FaultTarget::Pdu, FaultField::AltPc(3)),
-            (45, 0, FaultTarget::Predictor, FaultField::BtbCounter(0)),
-            (90, 3, FaultTarget::Predictor, FaultField::BtbTag(2)),
+            (0, 0, FaultTarget::Cache, nth_field(7)),
+            (37, 2, FaultTarget::Cache, nth_field(72)),
+            (38, 1, FaultTarget::Cache, nth_field(70)),
+            (2, 0, FaultTarget::Pdu, nth_pdu_field(37)),
+            (
+                45,
+                0,
+                FaultTarget::Predictor,
+                nth_predictor_field(btb, 32).unwrap(),
+            ),
+            (
+                90,
+                3,
+                FaultTarget::Predictor,
+                nth_predictor_field(btb, 2).unwrap(),
+            ),
         ];
         let mut injected = 0;
         for parity in [ParityMode::Off, ParityMode::DetectInvalidate] {
             let base = SimConfig {
                 parity,
-                predictor: HwPredictor::parse("btb16x2").unwrap(),
+                predictor: btb,
                 ..SimConfig::default()
             };
             for (cycle, slot, target, field) in strikes {
@@ -1277,7 +1290,7 @@ mod tests {
             FaultPlan {
                 cycle: 9,
                 slot: 0,
-                field: crate::soft_error::FaultField::Valid,
+                field: crate::soft_error::nth_field(70), // the valid bit
                 target: FaultTarget::Cache,
             },
         );
@@ -1940,7 +1953,7 @@ mod tests {
 
     #[test]
     fn injected_fault_detected_and_recovered_under_parity() {
-        use crate::soft_error::{FaultField, FaultPlan, FaultTarget, ParityMode};
+        use crate::soft_error::{nth_field, FaultPlan, FaultTarget, ParityMode};
         let src = "
             mov 0(sp),$0
         top:
@@ -1960,7 +1973,7 @@ mod tests {
                 fault_plan: Some(FaultPlan {
                     cycle: 60,
                     slot,
-                    field: FaultField::NextPc(7),
+                    field: nth_field(7),
                     target: FaultTarget::Cache,
                 }),
                 ..SimConfig::default()
@@ -2368,7 +2381,7 @@ mod tests {
 
     #[test]
     fn parity_invalidate_refills_accounted_separately() {
-        use crate::soft_error::{FaultField, FaultPlan, FaultTarget, ParityMode};
+        use crate::soft_error::{nth_field, FaultPlan, FaultTarget, ParityMode};
         let src = "
             mov 0(sp),$0
         top:
@@ -2385,7 +2398,7 @@ mod tests {
                 fault_plan: Some(FaultPlan {
                     cycle: 60,
                     slot,
-                    field: FaultField::NextPc(7),
+                    field: nth_field(7),
                     target: FaultTarget::Cache,
                 }),
                 ..SimConfig::default()

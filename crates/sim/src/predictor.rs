@@ -39,7 +39,7 @@
 //! target is stale.
 
 use crate::config::{DegradePolicy, HwPredictor};
-use crate::soft_error::{FaultField, ParityMode};
+use crate::soft_error::{FaultField, Layout, ParityMode, BTB_COUNTER, BTB_TAG};
 
 /// A per-branch direction predictor consulted before each conditional
 /// branch and trained afterwards.
@@ -291,7 +291,7 @@ impl BtbTable {
     /// detectable.
     pub fn corrupt(&mut self, slot: u32, field: FaultField) -> Option<u32> {
         let total: usize = self.sets.iter().map(Vec::len).sum();
-        if total == 0 {
+        if total == 0 || field.layout != Layout::BtbSlot {
             return None;
         }
         let mut n = slot as usize % total;
@@ -308,15 +308,14 @@ impl BtbTable {
             })
             .expect("total counted above");
         let pc = set[n].pc;
-        match field {
-            FaultField::BtbTag(b) => set[n].pc ^= 1 << (b % 32),
-            FaultField::BtbCounter(b) => set[n].counter ^= 1 << (b % 2),
-            FaultField::BtbValid => {
-                // A dropped valid bit is indistinguishable from an
-                // eviction: undetectable, and trivially safe.
+        match *field.row() {
+            BTB_TAG => set[n].pc ^= 1 << field.bit,
+            BTB_COUNTER => set[n].counter ^= 1 << field.bit,
+            // A dropped valid bit is indistinguishable from an
+            // eviction: undetectable, and trivially safe.
+            _ => {
                 set.remove(n);
             }
-            _ => return None,
         }
         Some(pc)
     }
@@ -563,12 +562,10 @@ impl HwPredictorState {
     /// struck entry's branch address, or `None` when the field does not
     /// belong to this table kind or the table holds nothing to corrupt.
     pub fn corrupt(&mut self, slot: u32, field: FaultField) -> Option<u32> {
-        match (self, field) {
-            (HwPredictorState::Counters(t), FaultField::CounterBit(b)) => t.corrupt(slot, b),
-            (HwPredictorState::Btb(t), FaultField::BtbTag(_))
-            | (HwPredictorState::Btb(t), FaultField::BtbCounter(_))
-            | (HwPredictorState::Btb(t), FaultField::BtbValid) => t.corrupt(slot, field),
-            (HwPredictorState::JumpTrace(t), FaultField::JumpTraceBit(b)) => t.corrupt(slot, b),
+        match (self, field.layout) {
+            (HwPredictorState::Counters(t), Layout::Counter) => t.corrupt(slot, field.bit),
+            (HwPredictorState::Btb(t), Layout::BtbSlot) => t.corrupt(slot, field),
+            (HwPredictorState::JumpTrace(t), Layout::JumpTrace) => t.corrupt(slot, field.bit),
             _ => None,
         }
     }

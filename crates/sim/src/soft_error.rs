@@ -33,9 +33,13 @@
 //!    words) standing in for the hardware's 192-bit entry. The decoder
 //!    is *total* — every bit pattern decodes to some entry, modelling a
 //!    hardware decoder's don't-care handling of illegal encodings — so a
-//!    single-bit flip always yields a well-formed (if wrong) entry.
+//!    single-bit flip always yields a well-formed (if wrong) entry. The
+//!    image layout, like each predictor structure's, is stated once in
+//!    a `const` row table (`ENTRY`, `BTB_SLOT`, `COUNTER`,
+//!    `JUMP_TRACE`) that the encoding and the fault sites derive from.
 //! 2. **A fault plan** ([`FaultPlan`] / [`FaultField`]): which bit of
-//!    which cache slot flips on which cycle. Set via
+//!    which cache slot flips on which cycle, a site of the target's
+//!    [`FaultSpace`]. Set via
 //!    [`SimConfig::fault_plan`]; the cycle engine applies it once.
 //! 3. **Parity protection** ([`ParityMode`]): 32-bit column parity over
 //!    the entry image, checked when the EU reads the slot. On mismatch
@@ -77,10 +81,9 @@ pub enum ParityMode {
 ///
 /// [`FaultPlan::slot`] and [`FaultPlan::field`] are interpreted in the
 /// coordinate system of the target: cache slots with cache entry
-/// fields, resident predictor entries with predictor fields
-/// (enumerated per variant by [`nth_predictor_field`]), or PIR fold
-/// slots with the Next-PC / Alternate Next-PC fields of the in-flight
-/// entry ([`nth_pdu_field`]).
+/// fields, resident predictor entries with predictor fields, or PIR
+/// fold slots with the Next-PC / Alternate Next-PC rows of the
+/// in-flight entry. [`FaultSpace::of`] enumerates each target's sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultTarget {
     /// A Decoded Instruction Cache slot (the original PR 3 model).
@@ -109,196 +112,313 @@ impl FaultTarget {
             FaultTarget::Pdu => "pdu",
         }
     }
+
+    /// The target a [`FaultTarget::name`] spells, if any.
+    pub fn parse(name: &str) -> Option<FaultTarget> {
+        FaultTarget::ALL.into_iter().find(|t| t.name() == name)
+    }
 }
 
-/// Which architectural field of a front-end structure a fault hits.
+// --- Layout tables --------------------------------------------------------
+
+/// One row of a faultable structure's layout: `width` bits starting at
+/// bit `offset` of word `word` of the structure's bit image.
 ///
-/// The first seven variants are the decoded-cache entry fields; the
-/// payload is the bit index *within* the field and [`FaultField::bit`]
-/// maps it to a position in the [`entry_bits`] image. Their widths sum
-/// to [`FAULT_SPACE`], so [`nth_field`] enumerates every single-bit
-/// cache fault the model can inject. The remaining variants name
-/// predictor-state bits ([`FaultTarget::Predictor`]); they live outside
-/// the entry image, so [`FaultField::bit`] returns `None` for them.
+/// Each structure states its layout once, as a `const` table of rows
+/// ([`ENTRY`], [`BTB_SLOT`], [`COUNTER`], [`JUMP_TRACE`]). Everything
+/// bit-level derives from the tables: the [`entry_bits`] /
+/// [`decode_entry`] shifts, each target's [`FaultSpace`],
+/// [`FaultField::name`] / [`FaultField::bit`], and the AVF report rows
+/// ([`report_rows`]). The tables are `const`, so encoding compiles to
+/// fixed shifts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultField {
-    /// The Next-PC field: 2 tag bits plus a 32-bit payload.
-    NextPc(u8),
-    /// The Alternate Next-PC field: presence bit, 2 tag bits, 32-bit
-    /// payload.
-    AltPc(u8),
-    /// The static branch-prediction direction bit.
-    Predict,
-    /// The slot's valid bit. Faulting it drops the entry (a live entry
-    /// can only flip valid→invalid, which is architecturally safe: the
-    /// fetch just misses and redecodes).
-    Valid,
-    /// The 8 opcode bits: execution kind plus sub-operation.
-    Opcode(u8),
-    /// The operand fields: two 3-bit addressing-mode tags plus two
-    /// 32-bit payloads.
-    Operand(u8),
-    /// The 32-bit cache tag (the entry's PC).
-    Tag(u8),
-    /// A resident BTB entry's 32-bit branch-address tag.
-    BtbTag(u8),
-    /// A resident BTB entry's 2-bit direction counter.
-    BtbCounter(u8),
-    /// A resident BTB entry's valid bit; flipping it drops the entry
-    /// (a live valid bit can only flip to invalid).
-    BtbValid,
-    /// One bit of a saturating direction counter (width = the
-    /// configured counter bits, index taken modulo it).
-    CounterBit(u8),
-    /// One bit of a jump-trace FIFO entry (a 32-bit taken-branch
-    /// address).
-    JumpTraceBit(u8),
+pub(crate) struct Field {
+    /// Stable kebab-case name. For a fault-site row it is the AVF report
+    /// row key, so rows of one report row share it (`next-pc` is a tag
+    /// row plus a payload row).
+    pub name: &'static str,
+    /// The image word holding the row.
+    pub word: usize,
+    /// Bit position of the row's least-significant bit in the word.
+    pub offset: u32,
+    /// Width in bits (at most 32).
+    pub width: u32,
 }
 
-/// Width in bits of each [`FaultField`] group, in [`nth_field`] order.
-const FIELD_WIDTHS: [(u8, &str); 7] = [
-    (34, "next-pc"),
-    (35, "alt-pc"),
-    (1, "predict"),
-    (1, "valid"),
-    (8, "opcode"),
-    (70, "operand"),
-    (32, "tag"),
-];
-
-/// Total number of distinct single-bit faults [`nth_field`] enumerates.
-pub const FAULT_SPACE: u64 = 181;
-
-/// The stable kebab-case names of the seven fault-field groups, in
-/// [`nth_field`] order — the row keys of a `crisp-fault` AVF report.
-pub const FIELD_NAMES: [&str; 7] = [
-    "next-pc", "alt-pc", "predict", "valid", "opcode", "operand", "tag",
-];
-
-impl FaultField {
-    /// Enumerate the fault space: `nth_field(i)` for `i` in
-    /// `0..FAULT_SPACE` visits every injectable single-bit fault once.
-    /// Indices are taken modulo [`FAULT_SPACE`].
-    pub fn nth(i: u64) -> FaultField {
-        let mut i = (i % FAULT_SPACE) as u8;
-        for (group, &(width, _)) in FIELD_WIDTHS.iter().enumerate() {
-            if i < width {
-                return match group {
-                    0 => FaultField::NextPc(i),
-                    1 => FaultField::AltPc(i),
-                    2 => FaultField::Predict,
-                    3 => FaultField::Valid,
-                    4 => FaultField::Opcode(i),
-                    5 => FaultField::Operand(i),
-                    _ => FaultField::Tag(i),
-                };
-            }
-            i -= width;
-        }
-        unreachable!("FIELD_WIDTHS sums to FAULT_SPACE");
+impl Field {
+    const fn mask(self) -> u64 {
+        (1 << self.width) - 1
     }
 
-    /// Stable kebab-case group name (the AVF-report row key).
+    /// Store `v`, truncated to the row width, into an image whose row
+    /// bits are still zero.
+    pub(crate) fn put<const N: usize>(self, w: &mut [u64; N], v: u64) {
+        w[self.word] |= (v & self.mask()) << self.offset;
+    }
+
+    /// The row's value in an image.
+    pub(crate) fn get<const N: usize>(self, w: &[u64; N]) -> u64 {
+        (w[self.word] >> self.offset) & self.mask()
+    }
+}
+
+/// Declare layout tables: one crate-visible `const` per row (what the
+/// encoders name) and, per table, the list of its rows in order.
+macro_rules! layout {
+    ($($(#[$doc:meta])* $table:ident {
+        $($row:ident = ($name:literal, $word:literal, $offset:literal, $width:literal),)*
+    })*) => {
+        $(
+            $(
+                #[allow(dead_code)]
+                pub(crate) const $row: Field =
+                    Field { name: $name, word: $word, offset: $offset, width: $width };
+            )*
+            $(#[$doc])*
+            pub(crate) const $table: &[Field] = &[$($row),*];
+        )*
+    };
+}
+
+layout! {
+    /// The decoded-entry image: the software stand-in for the hardware's
+    /// 192-bit entry, four `u64` words that parity is computed over and
+    /// faults are injected into. Rows are in fault-site order: the first
+    /// 14 are a cache slot's fault sites ([`FaultSpace::CACHE`]) and the
+    /// first 5 of those a PDU fold slot's ([`FaultSpace::PDU`]). The
+    /// rest are parity-covered but are not fault sites. `valid` is the
+    /// slot's valid bit, kept beside the image (word 4), so it has no
+    /// parity column; the other rows tile all 256 image bits. `spare`
+    /// rows are always zero, and `Enter`/`Leave`/`CallPush` keep their
+    /// immediate in `operand` A's payload.
+    ENTRY {
+        // A PDU fold slot's sites: the Next-PC and Alternate Next-PC
+        // latches.
+        NEXT_TAG = ("next-pc", 0, 57, 2),
+        NEXT_PC = ("next-pc", 1, 0, 32),
+        ALT_PRESENT = ("alt-pc", 0, 56, 1),
+        ALT_TAG = ("alt-pc", 0, 59, 2),
+        ALT_PC = ("alt-pc", 1, 32, 32),
+        // The rest of a cache slot's sites.
+        PREDICT = ("predict", 0, 54, 1),
+        VALID = ("valid", 4, 0, 1),
+        EXEC_KIND = ("opcode", 0, 40, 4),
+        EXEC_SUB = ("opcode", 0, 44, 4),
+        A_TAG = ("operand", 2, 32, 3),
+        B_TAG = ("operand", 2, 35, 3),
+        A_PAY = ("operand", 3, 0, 32),
+        B_PAY = ("operand", 3, 32, 32),
+        PC = ("tag", 0, 0, 32),
+        // Parity-covered only.
+        LEN_BYTES = ("len-bytes", 0, 32, 8),
+        MODIFIES_CC = ("modifies-cc", 0, 48, 1),
+        MODIFIES_SP = ("modifies-sp", 0, 49, 1),
+        FOLDED = ("folded", 0, 50, 1),
+        FOLD_CLASS = ("fold-class", 0, 51, 2),
+        ON_TRUE = ("on-true", 0, 53, 1),
+        BRANCH_PRESENT = ("branch-pc", 0, 55, 1),
+        BRANCH_PC = ("branch-pc", 2, 0, 32),
+        SPARE_0 = ("spare", 0, 61, 3),
+        SPARE_2 = ("spare", 2, 38, 26),
+    }
+
+    /// A resident BTB slot: the branch-address tag, the 2-bit direction
+    /// counter and the valid bit.
+    BTB_SLOT {
+        BTB_TAG = ("btb-tag", 0, 0, 32),
+        BTB_COUNTER = ("btb-counter", 0, 32, 2),
+        BTB_VALID = ("btb-valid", 0, 34, 1),
+    }
+
+    /// A saturating direction counter, as wide as the widest counter a
+    /// table may configure. A table of `bits`-wide counters exposes the
+    /// low `bits` of the row.
+    COUNTER {
+        COUNTER_BITS = ("counter-bit", 0, 0, 7),
+    }
+
+    /// A jump-trace FIFO entry: one taken-branch address.
+    JUMP_TRACE {
+        JUMP_TRACE_PC = ("jump-trace", 0, 0, 32),
+    }
+}
+
+/// Words in the [`ENTRY`] image.
+const ENTRY_WORDS: usize = 4;
+
+/// The structure a [`FaultField`]'s row belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Layout {
+    /// A decoded entry ([`ENTRY`]) in a cache slot or a PDU fold slot.
+    Entry,
+    /// A resident BTB slot ([`BTB_SLOT`]).
+    BtbSlot,
+    /// A saturating direction counter ([`COUNTER`]).
+    Counter,
+    /// A jump-trace entry ([`JUMP_TRACE`]).
+    JumpTrace,
+}
+
+impl Layout {
+    /// The structure's layout table.
+    const fn rows(self) -> &'static [Field] {
+        // Indexed by discriminant, in declaration order.
+        [ENTRY, BTB_SLOT, COUNTER, JUMP_TRACE][self as usize]
+    }
+}
+
+/// One injectable single-bit fault: bit `bit` of a site row of a
+/// structure's layout. [`FaultSpace::nth`] enumerates them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FaultField {
+    pub(crate) layout: Layout,
+    /// Index of the row in `layout`'s table.
+    row: u8,
+    pub(crate) bit: u8,
+}
+
+impl FaultField {
+    /// The struck row.
+    pub(crate) fn row(self) -> &'static Field {
+        &self.layout.rows()[usize::from(self.row)]
+    }
+
+    /// Stable kebab-case row name (the AVF-report row key).
     pub fn name(self) -> &'static str {
-        match self {
-            FaultField::NextPc(_) => "next-pc",
-            FaultField::AltPc(_) => "alt-pc",
-            FaultField::Predict => "predict",
-            FaultField::Valid => "valid",
-            FaultField::Opcode(_) => "opcode",
-            FaultField::Operand(_) => "operand",
-            FaultField::Tag(_) => "tag",
-            FaultField::BtbTag(_) => "btb-tag",
-            FaultField::BtbCounter(_) => "btb-counter",
-            FaultField::BtbValid => "btb-valid",
-            FaultField::CounterBit(_) => "counter-bit",
-            FaultField::JumpTraceBit(_) => "jump-trace",
-        }
+        self.row().name
     }
 
     /// The `(word, bit)` position of this fault in the [`entry_bits`]
-    /// image, or `None` for the valid bit (which lives in the slot, not
-    /// the entry image) and for predictor-state fields (which live
-    /// outside the cache entirely).
+    /// image, or `None` for the slot's valid bit and for predictor
+    /// state, which live outside the image.
     pub fn bit(self) -> Option<(usize, u32)> {
-        match self {
-            FaultField::NextPc(i) if i < 2 => Some((0, 57 + u32::from(i))),
-            FaultField::NextPc(i) => Some((1, u32::from(i) - 2)),
-            FaultField::AltPc(0) => Some((0, 56)),
-            FaultField::AltPc(i) if i < 3 => Some((0, 59 + u32::from(i) - 1)),
-            FaultField::AltPc(i) => Some((1, 32 + u32::from(i) - 3)),
-            FaultField::Predict => Some((0, 54)),
-            FaultField::Valid => None,
-            FaultField::Opcode(i) => Some((0, 40 + u32::from(i))),
-            FaultField::Operand(i) if i < 6 => Some((2, 32 + u32::from(i))),
-            FaultField::Operand(i) => Some((3, u32::from(i) - 6)),
-            FaultField::Tag(i) => Some((0, u32::from(i))),
-            FaultField::BtbTag(_)
-            | FaultField::BtbCounter(_)
-            | FaultField::BtbValid
-            | FaultField::CounterBit(_)
-            | FaultField::JumpTraceBit(_) => None,
-        }
+        let row = self.row();
+        (self.layout == Layout::Entry && row.word < ENTRY_WORDS)
+            .then(|| (row.word, row.offset + u32::from(self.bit)))
+    }
+
+    /// Flip this fault's bit in an image of its structure.
+    pub(crate) fn flip<const N: usize>(self, w: &mut [u64; N]) {
+        let row = self.row();
+        w[row.word] ^= 1 << (row.offset + u32::from(self.bit));
     }
 }
 
-/// Enumerate the fault space (free-function form of [`FaultField::nth`]).
+/// The enumerable fault space of one target: every bit of the leading
+/// rows of its layout table, row by row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultSpace {
+    layout: Layout,
+    rows: usize,
+    size: u64,
+}
+
+impl FaultSpace {
+    /// The space of the first `rows` rows of `layout`.
+    const fn new(layout: Layout, rows: usize) -> FaultSpace {
+        let mut size = 0;
+        let mut i = 0;
+        while i < rows {
+            size += layout.rows()[i].width as u64;
+            i += 1;
+        }
+        FaultSpace { layout, rows, size }
+    }
+
+    /// A decoded-cache slot's sites: the first 14 `ENTRY` rows.
+    pub const CACHE: FaultSpace = FaultSpace::new(Layout::Entry, 14);
+
+    /// A PDU fold slot's sites: the in-flight entry's Next-PC and
+    /// Alternate Next-PC latches, the first 5 `ENTRY` rows.
+    pub const PDU: FaultSpace = FaultSpace::new(Layout::Entry, 5);
+
+    /// The sites `target` offers under predictor `p`; `None` for the
+    /// predictor target of [`HwPredictor::StaticBit`], which has no
+    /// hardware state to strike.
+    pub fn of(target: FaultTarget, p: HwPredictor) -> Option<FaultSpace> {
+        let layout = match (target, p) {
+            (FaultTarget::Cache, _) => return Some(FaultSpace::CACHE),
+            (FaultTarget::Pdu, _) => return Some(FaultSpace::PDU),
+            (_, HwPredictor::StaticBit) => return None,
+            (_, HwPredictor::Dynamic { bits, .. }) => {
+                let counter = FaultSpace::new(Layout::Counter, 1);
+                return Some(FaultSpace {
+                    size: u64::from(bits),
+                    ..counter
+                });
+            }
+            (_, HwPredictor::Btb { .. }) => Layout::BtbSlot,
+            (_, HwPredictor::JumpTrace { .. }) => Layout::JumpTrace,
+        };
+        Some(FaultSpace::new(layout, layout.rows().len()))
+    }
+
+    /// Number of distinct single-bit faults in the space.
+    pub fn size(self) -> u64 {
+        self.size
+    }
+
+    /// The `i`-th site: `nth(i)` for `i` in `0..size()` visits every
+    /// site once. Indices are taken modulo the size.
+    pub fn nth(self, i: u64) -> FaultField {
+        let mut i = i % self.size;
+        for (row, field) in self.layout.rows()[..self.rows].iter().enumerate() {
+            if i < u64::from(field.width) {
+                return FaultField {
+                    layout: self.layout,
+                    row: row as u8,
+                    bit: i as u8,
+                };
+            }
+            i -= u64::from(field.width);
+        }
+        unreachable!("the rows hold `size` bits");
+    }
+}
+
+/// Total number of distinct single-bit faults [`nth_field`] enumerates.
+pub const FAULT_SPACE: u64 = FaultSpace::CACHE.size;
+
+/// Number of distinct single-bit faults injectable into one PDU fold
+/// slot.
+pub const PDU_FAULT_SPACE: u64 = FaultSpace::PDU.size;
+
+/// Enumerate the decoded-cache fault space ([`FaultSpace::CACHE`]).
 pub fn nth_field(i: u64) -> FaultField {
-    FaultField::nth(i)
+    FaultSpace::CACHE.nth(i)
+}
+
+/// Enumerate the PDU fold-slot fault space ([`FaultSpace::PDU`]).
+pub fn nth_pdu_field(i: u64) -> FaultField {
+    FaultSpace::PDU.nth(i)
 }
 
 /// Number of distinct single-bit predictor-state faults injectable into
-/// the given predictor variant. The static bit has no hardware state,
-/// so its space is zero; a BTB entry is a 32-bit tag, a 2-bit counter
-/// and a valid bit; a counter table exposes its counter width; a jump
-/// trace holds 32-bit branch addresses.
+/// the given predictor variant (zero for the static bit).
 pub fn predictor_fault_space(p: HwPredictor) -> u64 {
-    match p {
-        HwPredictor::StaticBit => 0,
-        HwPredictor::Dynamic { bits, .. } => u64::from(bits),
-        HwPredictor::Btb { .. } => 35,
-        HwPredictor::JumpTrace { .. } => 32,
-    }
+    FaultSpace::of(FaultTarget::Predictor, p).map_or(0, FaultSpace::size)
 }
 
-/// Enumerate the predictor fault space for the given variant:
-/// `nth_predictor_field(p, i)` for `i` in `0..predictor_fault_space(p)`
-/// visits every injectable predictor-state bit once (indices wrap).
-/// `None` for [`HwPredictor::StaticBit`], which has no state to strike.
+/// Enumerate the predictor fault space of the given variant; `None` for
+/// [`HwPredictor::StaticBit`], which has no state to strike.
 pub fn nth_predictor_field(p: HwPredictor, i: u64) -> Option<FaultField> {
-    let space = predictor_fault_space(p);
-    if space == 0 {
-        return None;
-    }
-    let i = (i % space) as u8;
-    Some(match p {
-        HwPredictor::Dynamic { .. } => FaultField::CounterBit(i),
-        HwPredictor::Btb { .. } => match i {
-            0..=31 => FaultField::BtbTag(i),
-            32..=33 => FaultField::BtbCounter(i - 32),
-            _ => FaultField::BtbValid,
-        },
-        HwPredictor::JumpTrace { .. } => FaultField::JumpTraceBit(i),
-        HwPredictor::StaticBit => unreachable!("space == 0 returned above"),
-    })
+    FaultSpace::of(FaultTarget::Predictor, p).map(|s| s.nth(i))
 }
 
-/// Number of distinct single-bit faults injectable into one PDU fold
-/// slot: the folded Next-PC (34 bits) and Alternate Next-PC (35 bits)
-/// latches of the in-flight entry — the same sub-fields the cache image
-/// carries, so the same parity word covers them.
-pub const PDU_FAULT_SPACE: u64 = 69;
-
-/// Enumerate the PDU fold-slot fault space: `nth_pdu_field(i)` for `i`
-/// in `0..PDU_FAULT_SPACE` visits every injectable bit of the two
-/// next-PC latches once (indices wrap).
-pub fn nth_pdu_field(i: u64) -> FaultField {
-    let i = (i % PDU_FAULT_SPACE) as u8;
-    if i < 34 {
-        FaultField::NextPc(i)
-    } else {
-        FaultField::AltPc(i - 34)
-    }
+/// Every AVF-report row key, in report order: the distinct site-row
+/// names of the cache slot, then of each predictor structure. PDU
+/// sites report under the cache's `next-pc` / `alt-pc` rows.
+pub fn report_rows() -> Vec<&'static str> {
+    let sites = [
+        &ENTRY[..FaultSpace::CACHE.rows],
+        BTB_SLOT,
+        COUNTER,
+        JUMP_TRACE,
+    ];
+    let mut names: Vec<&str> = sites.concat().iter().map(|r| r.name).collect();
+    // Rows sharing a name are adjacent in their table.
+    names.dedup();
+    names
 }
 
 /// One planned transient fault: flip `field` of cache slot `slot`
@@ -366,7 +486,7 @@ fn next_pc_bits(n: NextPc) -> (u64, u64) {
 }
 
 fn decode_next_pc(tag: u64, pay: u32) -> NextPc {
-    match tag & 3 {
+    match tag {
         0 => NextPc::Known(pay),
         1 => NextPc::IndAbs(pay),
         2 => NextPc::IndSp(pay as i32),
@@ -374,32 +494,14 @@ fn decode_next_pc(tag: u64, pay: u32) -> NextPc {
     }
 }
 
-/// The canonical bit image of a decoded-cache entry: the software stand-in
-/// for the hardware's 192-bit word, the domain parity is computed over and
-/// faults are injected into.
+/// The canonical `ENTRY` image of a decoded-cache entry.
 ///
-/// Layout (word:bit, little-endian within each `u64`):
-///
-/// ```text
-/// w0:  0..32  pc (the cache tag)        w0: 51..53  fold-class tag
-/// w0: 32..40  len_bytes                 w0: 53      Cond on_true
-/// w0: 40..44  exec kind                 w0: 54      Cond predict_taken
-/// w0: 44..48  exec sub-op               w0: 55      branch_pc present
-/// w0: 48      modifies_cc               w0: 56      alt_pc present
-/// w0: 49      modifies_sp               w0: 57..59  next_pc tag
-/// w0: 50      folded                    w0: 59..61  alt_pc tag
-/// w1:  0..32  next_pc payload           w1: 32..64  alt_pc payload
-/// w2:  0..32  branch_pc                 w2: 32..38  operand A/B tags
-/// w3:  0..32  operand A payload         w3: 32..64  operand B payload
-/// ```
-///
-/// `Enter`/`Leave`/`CallPush` store their immediate in the operand-A
-/// payload. [`decode_entry`] inverts this encoding exactly on canonical
-/// images and totally (via don't-care reduction) on all others.
+/// [`decode_entry`] inverts this encoding exactly on canonical images
+/// and totally (via don't-care reduction) on all others.
 pub fn entry_bits(d: &Decoded) -> [u64; 4] {
-    let mut w = [0u64; 4];
-    w[0] |= u64::from(d.pc);
-    w[0] |= (u64::from(d.len_bytes) & 0xFF) << 32;
+    let mut w = [0u64; ENTRY_WORDS];
+    PC.put(&mut w, u64::from(d.pc));
+    LEN_BYTES.put(&mut w, u64::from(d.len_bytes));
     let (kind, sub): (u64, u64) = match d.exec {
         ExecOp::Nop => (0, 0),
         ExecOp::Halt => (1, 0),
@@ -411,11 +513,11 @@ pub fn entry_bits(d: &Decoded) -> [u64; 4] {
         ExecOp::CallPush { .. } => (7, 0),
         ExecOp::RetPop => (8, 0),
     };
-    w[0] |= kind << 40;
-    w[0] |= sub << 44;
-    w[0] |= u64::from(d.modifies_cc) << 48;
-    w[0] |= u64::from(d.modifies_sp) << 49;
-    w[0] |= u64::from(d.folded) << 50;
+    EXEC_KIND.put(&mut w, kind);
+    EXEC_SUB.put(&mut w, sub);
+    MODIFIES_CC.put(&mut w, u64::from(d.modifies_cc));
+    MODIFIES_SP.put(&mut w, u64::from(d.modifies_sp));
+    FOLDED.put(&mut w, u64::from(d.folded));
     let (ftag, on_true, predict) = match d.fold {
         FoldClass::Sequential => (0u64, false, false),
         FoldClass::Uncond => (1, false, false),
@@ -424,45 +526,42 @@ pub fn entry_bits(d: &Decoded) -> [u64; 4] {
             predict_taken,
         } => (2, on_true, predict_taken),
     };
-    w[0] |= ftag << 51;
-    w[0] |= u64::from(on_true) << 53;
-    w[0] |= u64::from(predict) << 54;
-    w[0] |= u64::from(d.branch_pc.is_some()) << 55;
-    w[0] |= u64::from(d.alt_pc.is_some()) << 56;
+    FOLD_CLASS.put(&mut w, ftag);
+    ON_TRUE.put(&mut w, u64::from(on_true));
+    PREDICT.put(&mut w, u64::from(predict));
+    BRANCH_PRESENT.put(&mut w, u64::from(d.branch_pc.is_some()));
+    BRANCH_PC.put(&mut w, u64::from(d.branch_pc.unwrap_or(0)));
     let (ntag, npay) = next_pc_bits(d.next_pc);
-    w[0] |= ntag << 57;
-    w[1] |= npay;
+    NEXT_TAG.put(&mut w, ntag);
+    NEXT_PC.put(&mut w, npay);
     if let Some(alt) = d.alt_pc {
         let (atag, apay) = next_pc_bits(alt);
-        w[0] |= atag << 59;
-        w[1] |= apay << 32;
+        ALT_PRESENT.put(&mut w, 1);
+        ALT_TAG.put(&mut w, atag);
+        ALT_PC.put(&mut w, apay);
     }
-    w[2] |= u64::from(d.branch_pc.unwrap_or(0));
-    match d.exec {
-        ExecOp::Op2 { dst, src, .. } => {
-            let (at, ap) = operand_bits(dst);
-            let (bt, bp) = operand_bits(src);
-            w[2] |= at << 32;
-            w[2] |= bt << 35;
-            w[3] |= ap;
-            w[3] |= bp << 32;
-        }
-        ExecOp::Op3 { a, b, .. } | ExecOp::Cmp { a, b, .. } => {
-            let (at, ap) = operand_bits(a);
-            let (bt, bp) = operand_bits(b);
-            w[2] |= at << 32;
-            w[2] |= bt << 35;
-            w[3] |= ap;
-            w[3] |= bp << 32;
-        }
-        ExecOp::Enter { bytes } | ExecOp::Leave { bytes } => w[3] |= u64::from(bytes),
-        ExecOp::CallPush { ret } => w[3] |= u64::from(ret),
-        ExecOp::Nop | ExecOp::Halt | ExecOp::RetPop => {}
+    // Operand-less entries encode as two `Accum` operands: all zeros.
+    let (a, b) = match d.exec {
+        ExecOp::Op2 { dst, src, .. } => (dst, src),
+        ExecOp::Op3 { a, b, .. } | ExecOp::Cmp { a, b, .. } => (a, b),
+        _ => (Operand::Accum, Operand::Accum),
+    };
+    let (at, ap) = operand_bits(a);
+    let (bt, bp) = operand_bits(b);
+    A_TAG.put(&mut w, at);
+    B_TAG.put(&mut w, bt);
+    A_PAY.put(&mut w, ap);
+    B_PAY.put(&mut w, bp);
+    if let ExecOp::Enter { bytes: imm }
+    | ExecOp::Leave { bytes: imm }
+    | ExecOp::CallPush { ret: imm } = d.exec
+    {
+        A_PAY.put(&mut w, u64::from(imm));
     }
     w
 }
 
-/// Decode a 256-bit entry image back into a [`Decoded`] entry.
+/// Decode a 256-bit `ENTRY` image back into a [`Decoded`] entry.
 ///
 /// Total: every bit pattern decodes. Out-of-range discriminants reduce
 /// modulo their variant count (a hardware decoder's don't-care
@@ -471,57 +570,53 @@ pub fn entry_bits(d: &Decoded) -> [u64; 4] {
 /// Inverse of [`entry_bits`] on canonical images:
 /// `decode_entry(entry_bits(d)) == d`.
 pub fn decode_entry(w: [u64; 4]) -> Decoded {
-    let pc = w[0] as u32;
-    let len_bytes = ((w[0] >> 32) & 0xFF) as u32;
-    let kind = ((w[0] >> 40) & 0xF) % 9;
-    let sub = (w[0] >> 44) & 0xF;
-    let a_tag = (w[2] >> 32) & 0x7;
-    let b_tag = (w[2] >> 35) & 0x7;
-    let a_pay = w[3] as u32;
-    let b_pay = (w[3] >> 32) as u32;
-    let exec = match kind {
+    let sub = EXEC_SUB.get(&w);
+    let a = || decode_operand(A_TAG.get(&w), A_PAY.get(&w) as u32);
+    let b = || decode_operand(B_TAG.get(&w), B_PAY.get(&w) as u32);
+    let imm = A_PAY.get(&w) as u32;
+    let exec = match EXEC_KIND.get(&w) % 9 {
         0 => ExecOp::Nop,
         1 => ExecOp::Halt,
         2 => ExecOp::Op2 {
             op: BinOp::ALL[(sub % 12) as usize],
-            dst: decode_operand(a_tag, a_pay),
-            src: decode_operand(b_tag, b_pay),
+            dst: a(),
+            src: b(),
         },
         3 => ExecOp::Op3 {
             op: BinOp::ALL[(sub % 12) as usize],
-            a: decode_operand(a_tag, a_pay),
-            b: decode_operand(b_tag, b_pay),
+            a: a(),
+            b: b(),
         },
         4 => ExecOp::Cmp {
             cond: Cond::ALL[(sub % 10) as usize],
-            a: decode_operand(a_tag, a_pay),
-            b: decode_operand(b_tag, b_pay),
+            a: a(),
+            b: b(),
         },
-        5 => ExecOp::Enter { bytes: a_pay },
-        6 => ExecOp::Leave { bytes: a_pay },
-        7 => ExecOp::CallPush { ret: a_pay },
+        5 => ExecOp::Enter { bytes: imm },
+        6 => ExecOp::Leave { bytes: imm },
+        7 => ExecOp::CallPush { ret: imm },
         _ => ExecOp::RetPop,
     };
-    let fold = match ((w[0] >> 51) & 3) % 3 {
+    let fold = match FOLD_CLASS.get(&w) % 3 {
         0 => FoldClass::Sequential,
         1 => FoldClass::Uncond,
         _ => FoldClass::Cond {
-            on_true: (w[0] >> 53) & 1 != 0,
-            predict_taken: (w[0] >> 54) & 1 != 0,
+            on_true: ON_TRUE.get(&w) != 0,
+            predict_taken: PREDICT.get(&w) != 0,
         },
     };
     Decoded {
-        pc,
-        len_bytes,
+        pc: PC.get(&w) as u32,
+        len_bytes: LEN_BYTES.get(&w) as u32,
         exec,
-        modifies_cc: (w[0] >> 48) & 1 != 0,
-        modifies_sp: (w[0] >> 49) & 1 != 0,
+        modifies_cc: MODIFIES_CC.get(&w) != 0,
+        modifies_sp: MODIFIES_SP.get(&w) != 0,
         fold,
-        folded: (w[0] >> 50) & 1 != 0,
-        branch_pc: ((w[0] >> 55) & 1 != 0).then_some(w[2] as u32),
-        next_pc: decode_next_pc((w[0] >> 57) & 3, w[1] as u32),
-        alt_pc: ((w[0] >> 56) & 1 != 0)
-            .then(|| decode_next_pc((w[0] >> 59) & 3, (w[1] >> 32) as u32)),
+        folded: FOLDED.get(&w) != 0,
+        branch_pc: (BRANCH_PRESENT.get(&w) != 0).then_some(BRANCH_PC.get(&w) as u32),
+        next_pc: decode_next_pc(NEXT_TAG.get(&w), NEXT_PC.get(&w) as u32),
+        alt_pc: (ALT_PRESENT.get(&w) != 0)
+            .then(|| decode_next_pc(ALT_TAG.get(&w), ALT_PC.get(&w) as u32)),
     }
 }
 
@@ -535,15 +630,16 @@ pub fn parity32(w: &[u64; 4]) -> u32 {
         .fold(0u32, |p, &x| p ^ (x as u32) ^ ((x >> 32) as u32))
 }
 
-/// Apply a single-bit fault to a decoded entry: re-encode, flip the
-/// mapped bit, decode totally. Returns `None` for [`FaultField::Valid`],
-/// which lives in the slot rather than the entry image (the caller
-/// clears the slot instead).
-pub fn apply_fault(d: &Decoded, field: FaultField) -> Option<Decoded> {
-    let (word, bit) = field.bit()?;
-    let mut bits = entry_bits(d);
-    bits[word] ^= 1u64 << bit;
-    Some(decode_entry(bits))
+/// Apply a single-bit fault to a decoded entry in place: re-encode,
+/// flip the mapped bit, decode totally. Returns the flipped parity
+/// column (the entry's parity delta), or `None` for the slot's valid
+/// bit, which is not in the image: the caller drops the entry instead.
+pub(crate) fn strike(d: &mut Decoded, field: FaultField) -> Option<u32> {
+    let (_, bit) = field.bit()?;
+    let mut w = entry_bits(d);
+    field.flip(&mut w);
+    *d = decode_entry(w);
+    Some(1 << (bit % 32))
 }
 
 // --- Fault-outcome classification ---------------------------------------
@@ -1060,97 +1156,192 @@ mod tests {
         }
     }
 
+    /// Runs of consecutive fault sites, pinned from the enumeration as
+    /// it stood before the layout tables: (row name, image position of
+    /// the run's first site or `None` outside the image, run length).
+    /// The in-row bits of a `None` run count up from 0.
+    type Run = (&'static str, Option<(usize, u32)>, u32);
+    type Runs = &'static [Run];
+
+    const PINNED_CACHE: Runs = &[
+        ("next-pc", Some((0, 57)), 2),
+        ("next-pc", Some((1, 0)), 32),
+        ("alt-pc", Some((0, 56)), 1),
+        ("alt-pc", Some((0, 59)), 2),
+        ("alt-pc", Some((1, 32)), 32),
+        ("predict", Some((0, 54)), 1),
+        ("valid", None, 1),
+        ("opcode", Some((0, 40)), 8),
+        ("operand", Some((2, 32)), 6),
+        ("operand", Some((3, 0)), 64),
+        ("tag", Some((0, 0)), 32),
+    ];
+
+    const PINNED_PDU: Runs = &[
+        ("next-pc", Some((0, 57)), 2),
+        ("next-pc", Some((1, 0)), 32),
+        ("alt-pc", Some((0, 56)), 1),
+        ("alt-pc", Some((0, 59)), 2),
+        ("alt-pc", Some((1, 32)), 32),
+    ];
+
+    const PINNED_BTB: Runs = &[
+        ("btb-tag", None, 32),
+        ("btb-counter", None, 2),
+        ("btb-valid", None, 1),
+    ];
+
+    const PINNED_JUMP_TRACE: Runs = &[("jump-trace", None, 32)];
+
+    /// A site as the pinned runs describe it: name, image position, and
+    /// the in-row bit of a site outside the image.
+    type Site = (&'static str, Option<(usize, u32)>, Option<u8>);
+
+    fn expand(runs: &[Run]) -> Vec<Site> {
+        runs.iter()
+            .flat_map(|&(name, pos, len)| {
+                (0..len).map(move |k| match pos {
+                    Some((w, b)) => (name, Some((w, b + k)), None),
+                    None => (name, None, Some(k as u8)),
+                })
+            })
+            .collect()
+    }
+
+    fn sites(space: Option<FaultSpace>) -> Vec<Site> {
+        let Some(space) = space else {
+            return Vec::new();
+        };
+        (0..space.size())
+            .map(|i| {
+                let f = space.nth(i);
+                (f.name(), f.bit(), f.bit().is_none().then_some(f.bit))
+            })
+            .collect()
+    }
+
+    /// Every predictor variant with a distinct fault space.
+    fn predictors() -> Vec<HwPredictor> {
+        let mut ps: Vec<HwPredictor> = ["static", "btb", "btb16x2", "jumptrace8", "jumptrace16"]
+            .iter()
+            .map(|p| HwPredictor::parse(p).unwrap())
+            .collect();
+        ps.extend((1..=7).map(|bits| HwPredictor::Dynamic { bits, entries: 8 }));
+        ps
+    }
+
     #[test]
-    fn fault_space_enumeration_is_exhaustive_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        let mut valid = 0;
-        for i in 0..FAULT_SPACE {
-            let f = nth_field(i);
-            assert!(seen.insert(f), "{f:?} enumerated twice");
-            match f.bit() {
-                Some((w, b)) => {
-                    assert!(w < 4 && b < 64);
+    fn enumeration_matches_the_pinned_site_lists() {
+        for p in predictors() {
+            let of = |t| sites(FaultSpace::of(t, p));
+            assert_eq!(of(FaultTarget::Cache), expand(PINNED_CACHE));
+            assert_eq!(of(FaultTarget::Pdu), expand(PINNED_PDU));
+            let predictor = match p {
+                HwPredictor::StaticBit => Vec::new(),
+                HwPredictor::Dynamic { bits, .. } => {
+                    expand(&[("counter-bit", None, u32::from(bits))])
                 }
-                None => valid += 1,
-            }
+                HwPredictor::Btb { .. } => expand(PINNED_BTB),
+                HwPredictor::JumpTrace { .. } => expand(PINNED_JUMP_TRACE),
+            };
+            assert_eq!(of(FaultTarget::Predictor), predictor, "{p:?}");
         }
-        assert_eq!(valid, 1, "exactly one valid-bit fault");
-        // Bit positions are distinct too.
-        let bits: std::collections::HashSet<_> = seen.iter().filter_map(|f| f.bit()).collect();
-        assert_eq!(bits.len(), FAULT_SPACE as usize - 1);
-        // Wraps modulo the space.
-        assert_eq!(nth_field(FAULT_SPACE), nth_field(0));
-        // Names stay in sync with the width table.
-        for (i, (_, name)) in FIELD_WIDTHS.iter().enumerate() {
-            assert_eq!(FIELD_NAMES[i], *name);
-        }
+        assert_eq!((FAULT_SPACE, PDU_FAULT_SPACE), (181, 69));
         assert_eq!(
-            FIELD_WIDTHS.iter().map(|(w, _)| u64::from(*w)).sum::<u64>(),
-            FAULT_SPACE
+            FaultSpace::of(FaultTarget::Predictor, HwPredictor::StaticBit),
+            None
+        );
+        assert_eq!(
+            report_rows(),
+            [
+                "next-pc",
+                "alt-pc",
+                "predict",
+                "valid",
+                "opcode",
+                "operand",
+                "tag",
+                "btb-tag",
+                "btb-counter",
+                "btb-valid",
+                "counter-bit",
+                "jump-trace",
+            ]
         );
     }
 
     #[test]
-    fn predictor_fault_space_enumeration_is_distinct_per_variant() {
-        let variants = [
-            HwPredictor::StaticBit,
-            HwPredictor::Dynamic {
-                bits: 2,
-                entries: 64,
-            },
-            HwPredictor::Btb {
-                entries: 128,
-                ways: 4,
-            },
-            HwPredictor::JumpTrace { entries: 16 },
-        ];
-        for p in variants {
-            let space = predictor_fault_space(p);
-            if space == 0 {
-                assert_eq!(p, HwPredictor::StaticBit);
-                assert_eq!(nth_predictor_field(p, 0), None);
-                continue;
+    fn every_site_is_distinct_round_trips_and_flips_one_parity_column() {
+        let patterns = [[0; 4], [!0; 4], [0x0123_4567_89AB_CDEF; 4]];
+        for p in predictors() {
+            for t in FaultTarget::ALL {
+                let Some(space) = FaultSpace::of(t, p) else {
+                    continue;
+                };
+                let mut seen = std::collections::HashSet::new();
+                for i in 0..space.size() {
+                    let f = space.nth(i);
+                    assert!(seen.insert(f), "{f:?} enumerated twice");
+                    assert_eq!(space.nth(i + space.size()), f, "indices wrap");
+                    if f.row().word >= ENTRY_WORDS {
+                        // The valid bit: the only site beside the image.
+                        assert_eq!((f.name(), f.bit()), ("valid", None));
+                        continue;
+                    }
+                    // The flip lands in its own row and no other.
+                    for w in patterns {
+                        let mut flipped = w;
+                        f.flip(&mut flipped);
+                        for row in f.layout.rows().iter().filter(|r| r.word < ENTRY_WORDS) {
+                            let delta = if row == f.row() { 1 << f.bit } else { 0 };
+                            assert_eq!(row.get(&flipped), row.get(&w) ^ delta, "{f:?}");
+                        }
+                    }
+                    if f.layout != Layout::Entry {
+                        continue;
+                    }
+                    // Image sites: the flip survives decode and
+                    // re-encode, and strikes one parity column.
+                    for d in sample_entries() {
+                        let clean = entry_bits(&d);
+                        let mut flipped = clean;
+                        f.flip(&mut flipped);
+                        let (word, bit) = f.bit().unwrap();
+                        assert_eq!(flipped[word], clean[word] ^ (1 << bit));
+                        let struck = decode_entry(flipped);
+                        assert_eq!(decode_entry(entry_bits(&struck)), struck);
+                        let mut d2 = d;
+                        let column = strike(&mut d2, f).unwrap();
+                        assert_eq!(d2, struck);
+                        assert_eq!(column.count_ones(), 1);
+                        assert_eq!(parity32(&flipped), parity32(&clean) ^ column);
+                    }
+                }
             }
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..space {
-                let f = nth_predictor_field(p, i).expect("in-range index enumerates");
-                assert!(seen.insert(f), "{f:?} enumerated twice for {p:?}");
-                assert_eq!(f.bit(), None, "predictor fields live outside the image");
-            }
-            // Wraps modulo the space.
-            assert_eq!(nth_predictor_field(p, space), nth_predictor_field(p, 0));
         }
-        // Counter space tracks the configured width.
-        assert_eq!(
-            predictor_fault_space(HwPredictor::Dynamic {
-                bits: 3,
-                entries: 8
-            }),
-            3
-        );
-        // BTB space = 32 tag + 2 counter + 1 valid.
-        assert_eq!(
-            predictor_fault_space(HwPredictor::Btb {
-                entries: 16,
-                ways: 2
-            }),
-            35
-        );
     }
 
     #[test]
-    fn pdu_fault_space_covers_both_next_pc_latches() {
-        assert_eq!(PDU_FAULT_SPACE, 34 + 35);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..PDU_FAULT_SPACE {
-            let f = nth_pdu_field(i);
-            assert!(seen.insert(f), "{f:?} enumerated twice");
-            // Every PDU site maps into the canonical image, so cache
-            // parity covers it.
-            assert!(f.bit().is_some(), "{f:?} must be parity-visible");
-            assert!(matches!(f, FaultField::NextPc(_) | FaultField::AltPc(_)));
+    fn entry_rows_tile_the_image() {
+        // Every row but the slot's valid bit lies in the image, and
+        // together they cover each image bit exactly once.
+        let (image, beside): (Vec<&Field>, _) = ENTRY.iter().partition(|r| r.word < ENTRY_WORDS);
+        assert_eq!(beside.iter().map(|r| r.name).collect::<Vec<_>>(), ["valid"]);
+        let mut covered = [0u64; ENTRY_WORDS];
+        for row in image {
+            assert!(row.offset + row.width <= 64, "{row:?}");
+            let bits = row.mask() << row.offset;
+            assert_eq!(covered[row.word] & bits, 0, "{row:?} overlaps");
+            covered[row.word] |= bits;
         }
-        assert_eq!(nth_pdu_field(PDU_FAULT_SPACE), nth_pdu_field(0));
+        assert_eq!(covered, [!0; ENTRY_WORDS]);
+        // The parity-covered rows that are not fault sites.
+        let unsited: u32 = ENTRY[FaultSpace::CACHE.rows..]
+            .iter()
+            .filter(|r| r.name != "spare")
+            .map(|r| r.width)
+            .sum();
+        assert_eq!(unsited, 47);
     }
 
     #[test]
@@ -1158,15 +1349,22 @@ mod tests {
         assert_eq!(FaultTarget::ALL.len(), 3);
         let names: Vec<_> = FaultTarget::ALL.iter().map(|t| t.name()).collect();
         assert_eq!(names, ["cache", "btb", "pdu"]);
+        for t in FaultTarget::ALL {
+            assert_eq!(FaultTarget::parse(t.name()), Some(t));
+        }
+        assert_eq!(FaultTarget::parse("all"), None);
         assert_eq!(FaultTarget::default(), FaultTarget::Cache);
     }
 
     #[test]
-    fn apply_fault_changes_targeted_field() {
+    fn strike_changes_targeted_field() {
         let d = sample_entries()[2]; // folded conditional Op2
-                                     // Predict bit: flips the predicted direction.
-        let f = apply_fault(&d, FaultField::Predict).unwrap();
-        match (d.fold, f.fold) {
+        let struck = |i| {
+            let mut d = d;
+            strike(&mut d, nth_field(i)).map(|_| d)
+        };
+        // Predict bit: flips the predicted direction.
+        match (d.fold, struck(69).unwrap().fold) {
             (
                 FoldClass::Cond {
                     predict_taken: a, ..
@@ -1178,14 +1376,12 @@ mod tests {
             other => panic!("fold class changed: {other:?}"),
         }
         // Tag bit 0: moves the entry's PC by one.
-        let f = apply_fault(&d, FaultField::Tag(0)).unwrap();
-        assert_eq!(f.pc, d.pc ^ 1);
-        // Next-PC payload bit: redirects the next address.
-        let f = apply_fault(&d, FaultField::NextPc(2)).unwrap();
-        assert_eq!(f.next_pc, NextPc::Known(0x30C ^ 1));
+        assert_eq!(struck(149).unwrap().pc, d.pc ^ 1);
+        // Next-PC payload bit 0: redirects the next address.
+        assert_eq!(struck(2).unwrap().next_pc, NextPc::Known(0x30C ^ 1));
         // Valid faults have no image bit.
-        assert_eq!(apply_fault(&d, FaultField::Valid), None);
-        assert_eq!(FaultField::Valid.name(), "valid");
+        assert_eq!(struck(70), None);
+        assert_eq!(nth_field(70).name(), "valid");
     }
 
     #[test]
@@ -1221,11 +1417,8 @@ mod tests {
             let mut cfgs = Vec::new();
             for cycle in [2u64, 5, 9] {
                 for slot in [0u32, 3] {
-                    for field in [
-                        FaultField::Valid,
-                        FaultField::NextPc(0),
-                        FaultField::Opcode(2),
-                    ] {
+                    // The valid bit, next-pc tag bit 0 and opcode bit 2.
+                    for field in [nth_field(70), nth_field(0), nth_field(73)] {
                         cfgs.push(SimConfig {
                             fold_policy: policy,
                             fault_plan: Some(FaultPlan {
@@ -1264,7 +1457,7 @@ mod tests {
         let plan = FaultPlan {
             cycle: 152,
             slot: 21,
-            field: FaultField::Opcode(0),
+            field: nth_field(71), // opcode bit 0
             target: FaultTarget::Cache,
         };
         let protected = SimConfig {

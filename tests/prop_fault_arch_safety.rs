@@ -23,8 +23,8 @@ use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::{assemble, Item, Module};
 use crisp::isa::{BinOp, Cond, FoldPolicy, Instr, Operand};
 use crisp::sim::{
-    classify_fault, nth_predictor_field, predictor_fault_space, CycleSim, DegradePolicy, EventRing,
-    FaultField, FaultOutcome, FaultPlan, FaultTarget, HwPredictor, Machine, ParityMode, PipeEvent,
+    classify_fault, nth_field, nth_predictor_field, predictor_fault_space, CycleSim, DegradePolicy,
+    EventRing, FaultOutcome, FaultPlan, FaultTarget, HwPredictor, Machine, ParityMode, PipeEvent,
     PipelineGeometry, SimConfig,
 };
 use proptest::prelude::*;
@@ -210,7 +210,7 @@ fn one_strike_policy_disables_the_struck_cache_slot() {
             fault_plan: Some(FaultPlan {
                 cycle: 60,
                 slot,
-                field: FaultField::NextPc(7),
+                field: nth_field(7), // a Next-PC payload bit
                 target: FaultTarget::Cache,
             }),
             ..base_cfg
@@ -275,7 +275,7 @@ fn one_strike_policy_disables_the_struck_btb_way() {
             fault_plan: Some(FaultPlan {
                 cycle,
                 slot: 0,
-                field: FaultField::BtbTag(5),
+                field: nth_predictor_field(base_cfg.predictor, 5).unwrap(), // BTB tag bit 5
                 target: FaultTarget::Predictor,
             }),
             ..base_cfg

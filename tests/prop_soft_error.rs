@@ -22,8 +22,8 @@ use crisp::asm::{assemble, Item, Module};
 use crisp::isa::{BinOp, Cond, Instr, Operand};
 use crisp::sim::{
     classify_fault, decode_entry, entry_bits, nth_field, nth_pdu_field, parity32, CycleSim,
-    EventRing, FaultField, FaultOutcome, FaultPlan, FaultTarget, Machine, ParityMode, PipeEvent,
-    SimConfig, FAULT_SPACE, PDU_FAULT_SPACE,
+    EventRing, FaultOutcome, FaultPlan, FaultTarget, Machine, ParityMode, PipeEvent, SimConfig,
+    FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use proptest::prelude::*;
 
@@ -58,7 +58,7 @@ proptest! {
             let Some((word, bit)) = field.bit() else {
                 // The valid bit lives outside the entry image; its
                 // "flip" is modelled as slot invalidation instead.
-                prop_assert!(matches!(field, FaultField::Valid));
+                prop_assert_eq!(field.name(), "valid");
                 continue;
             };
             let mut flipped = bits;
@@ -191,7 +191,7 @@ fn recovery_costs_one_invalidate_and_one_refill() {
             fault_plan: Some(FaultPlan {
                 cycle: 60,
                 slot,
-                field: FaultField::NextPc(7),
+                field: nth_field(7), // a Next-PC payload bit
                 target: FaultTarget::Cache,
             }),
             ..base_cfg
