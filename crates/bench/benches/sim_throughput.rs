@@ -57,7 +57,7 @@ fn bench_engines(c: &mut Criterion) {
 /// `cycle_figure3_256` above since its `ENABLED`/`PIPELINE` guards
 /// compile away.
 /// `cycle_ring_profiler` measures the real cost of full tracing plus
-/// branch-site profiling, for calibrating `--trace`/`--profile` runs.
+/// branch-site profiling: what a `--trace`/`--profile` run costs.
 fn bench_observer_overhead(c: &mut Criterion) {
     let src = figure3_with_count(256);
     let image = compile_crisp(&src, &CompileOptions::default()).expect("compiles");

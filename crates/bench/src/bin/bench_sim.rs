@@ -1,56 +1,43 @@
-//! Machine-readable simulator-throughput measurement with a regression
-//! gate.
+//! Machine-readable simulator-throughput measurement, and a regression
+//! gate that compares this build against another build of this binary
+//! in the same host window.
 //!
 //! Runs the hot-path simulation kernels (fresh-load vs the
 //! pooled-machine + shared-predecode variants the campaign drivers
-//! use) on the Figure 3 workload, and writes the minima to a JSON
-//! report — the committed copy at the repo root (`BENCH_sim.json`) is
-//! the throughput baseline CI guards against.
+//! use) on the Figure 3 workload, the dispatch workload and a
+//! fault-campaign block, and prints the minima.
 //!
 //! ```text
-//! bench_sim [--out FILE] [--reduced] [--passes N] [--check BASELINE] [--tolerance PCT]
+//! bench_sim [--out FILE] [--reduced] [--against PARENT_BIN]
 //! ```
 //!
-//! * `--out FILE`      write the JSON report there (default `BENCH_sim.json`)
-//! * `--reduced`       fewer samples; the CI smoke mode
-//! * `--passes N`      run the whole suite N times spread over time and
-//!   keep per-benchmark minima — use `--passes 4` when regenerating the
-//!   committed baseline so it records fast-window numbers
-//! * `--check FILE`    after measuring, compare each benchmark against
-//!   the named baseline report and exit non-zero if any is more than
-//!   `--tolerance` percent slower (default 15)
+//! * `--out FILE`      write the JSON report there
+//! * `--reduced`       fewer samples; the CI mode
+//! * `--against BIN`   A/B gate: spawn `BIN` (a parent build of this
+//!   binary) and this executable in [`PAIRS`] alternating pairs, keep
+//!   each row's minimum over each side's spawns, and exit non-zero if
+//!   any row of this build is more than [`TOLERANCE`] slower than the
+//!   parent's, or the campaign kernel falls below 3x the per-case
+//!   shape
 //!
 //! Timings are the *minimum* wall-clock time over repeated
 //! whole-program runs: interference only ever adds time, so the
 //! minimum is the stable estimator of the true cost on a shared
-//! machine — medians were observed to swing by tens of percent between
-//! invocations on busy hosts.
-//!
-//! Two further defences make `--check` reliable on virtualised hosts,
-//! where the effective core speed was observed to flip between a fast
-//! and a ~35%-slower state for seconds at a time (hypervisor/neighbour
-//! effects invisible to the guest — thread CPU time tracked wall time
-//! to 0.1%, so this is not preemption, and no in-process calibration
-//! kernel tracked it):
-//!
-//! * a fixed calibration kernel is timed into every report, and
-//!   `--check` scales the baseline by the calibration ratio — this
-//!   normalises *hardware* differences (a permanently slower CI
-//!   runner) where kernel and simulator scale together;
-//! * a failed check re-measures with sleeps in between, folding each
-//!   pass into the running minima, until it passes or the attempt
-//!   budget is exhausted — this rides out *transient* slow windows.
-//!   The gate can only false-fail, never false-pass: a real >tolerance
-//!   code regression stays over tolerance in every window, fast or
-//!   slow, so no amount of retrying launders it.
+//! machine. On virtualised hosts the effective core speed also drifts
+//! between whole processes, far beyond any tolerance, so no absolute
+//! timing is a usable baseline; only a ratio against the parent build,
+//! measured in the same window, is. A spawn that ran in a slow window
+//! only raises one sample of its side, which the minimum discards.
 
-use std::process::ExitCode;
+use std::path::Path;
+use std::process::{Command, ExitCode, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crisp_asm::Image;
 use crisp_bench::classify_full_run;
 use crisp_cc::{compile_crisp, CompileOptions};
+use crisp_cli::{extract_flag, parse_switch};
 use crisp_sim::{
     classify_batch, fault_reference, nth_field, CycleSim, FaultPlan, FaultTarget, FunctionalSim,
     Machine, MachinePool, ParityMode, PredecodedImage, SimConfig, ThreadedSim, TranslatedImage,
@@ -60,20 +47,22 @@ use crisp_workloads::{
     campaign_workloads, dispatch_workload, figure3_large, figure3_with_count, FIGURE3_LARGE_ITERS,
 };
 
-/// Seed-commit medians (ns per run, `cargo bench` on the reference
-/// host) for the benchmarks that existed before the pooled kernels.
-/// `speedup_vs_seed` in the report is computed against these.
-const SEED_FUNCTIONAL_256_NS: u64 = 153_135;
-const SEED_CYCLE_256_NS: u64 = 91_896;
+/// Parent/change spawn pairs in an A/B run. Even, so each side runs
+/// first in half the pairs and an order effect cancels. On a shared
+/// 2-core VM 38% of a spawn's rows read 30% or more over that row's
+/// best spawn; ten pairs give each side several fast spawns to take
+/// its minimum from.
+const PAIRS: usize = 10;
 
-/// Attempt budget for `--check`: total measurement passes before an
-/// over-tolerance result is declared a real regression. Slow host
-/// windows observed on shared VMs last seconds to a few tens of
-/// seconds; ten passes spaced [`RETRY_SLEEP_MS`] apart span about a
-/// minute, comfortably past the windows observed in practice. The
-/// typical (quiet-host) cost is one pass.
-const CHECK_ATTEMPTS: u32 = 10;
-const RETRY_SLEEP_MS: u64 = 4_000;
+/// Largest tolerated slowdown of a row against the parent build, as a
+/// fraction of the parent's minimum. Two builds of the same source
+/// from different directories differed by up to 9% on a row (code
+/// layout), so the tolerance sits above that.
+const TOLERANCE: f64 = 0.15;
+
+/// The campaign kernel must run the fault block at least this many
+/// times faster than the per-case shape.
+const KERNEL_BAR: f64 = 3.0;
 
 struct Measured {
     name: &'static str,
@@ -88,40 +77,6 @@ impl Measured {
         }
         self.elements as f64 * 1e3 / self.ns_per_run as f64
     }
-}
-
-/// Host-speed probe: a fixed deterministic integer/memory kernel of
-/// the same character as the simulator hot loops (xorshift arithmetic,
-/// data-dependent branches, loads and stores over a 64 KiB working
-/// set). Its minimum wall-clock time tracks how fast this host runs
-/// *this kind of code* right now; `--check` uses the ratio against the
-/// baseline's recorded value to compare like with like across hosts
-/// and across frequency-scaling states.
-fn calibrate() -> u64 {
-    const WORDS: usize = 16 * 1024;
-    let mut arr = vec![0u32; WORDS];
-    let mut sink = 0u32;
-    let mut best = u64::MAX;
-    for _ in 0..9 {
-        let t0 = Instant::now();
-        let mut x = 0x1234_5678u32;
-        for _ in 0..400_000u32 {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            let idx = (x as usize) % WORDS;
-            let v = arr[idx].wrapping_add(x);
-            arr[idx] = v;
-            if v & 1 == 0 {
-                sink = sink.wrapping_add(v);
-            } else {
-                sink ^= v.rotate_left(7);
-            }
-        }
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    std::hint::black_box(sink);
-    best
 }
 
 /// Minimum wall-clock ns over `samples` single runs of `body` (which
@@ -360,9 +315,7 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
     // its strike cycle and stops it at its first divergent commit or
     // once parity has caught its fault, exactly as `crisp-fault` does.
     // The ratio between the two is the report's campaign speedup
-    // headline. The second arm once stepped cases through an 8-lane
-    // batch; it keeps the `campaign_fault_batched8` row name so the
-    // committed `BENCH_sim.json` baseline still matches it.
+    // headline, and the A/B gate holds it to `KERNEL_BAR`.
     let base = SimConfig {
         max_cycles: 400_000,
         ..SimConfig::default()
@@ -390,7 +343,7 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
         n
     }));
     let mut pool = MachinePool::default();
-    out.push(measure("campaign_fault_batched8", cwarm, csamples, || {
+    out.push(measure("campaign_fault_kernel", cwarm, csamples, || {
         let mut n = 0;
         for (image, table, cfgs) in &campaign {
             let reference = fault_reference(image, base, Some(table), None, &mut pool)
@@ -450,54 +403,30 @@ fn campaign_fault_cases(image: &Image, base: SimConfig) -> Vec<SimConfig> {
     cfgs
 }
 
-/// One deterministic instrumented run of the large workload: the
-/// top-down cycle accounting the throughput numbers decompose into.
-/// Recorded alongside the timings so a throughput regression can be
-/// read against where the simulated cycles actually went. The leading
-/// key is deliberately not `name` — [`parse_results`] scans for
-/// `{"name":"` and must not pick this object up as a benchmark.
-fn cpi_breakdown() -> String {
-    let large =
-        compile_crisp(&figure3_large(), &CompileOptions::default()).expect("figure 3 compiles");
-    let run = CycleSim::new(Machine::load(&large).unwrap(), SimConfig::default())
-        .run()
-        .expect("figure 3 runs");
-    format!(
-        "{{\"workload\":\"cycle_figure3_large\",\"cycles\":{},\"program_instrs\":{},\"accounts\":{}}}",
-        run.stats.cycles,
-        run.stats.program_instrs,
-        run.stats.accounts.json()
-    )
+/// `(name, ns_per_run)` rows: one report's results, or one side's
+/// minima over its spawns.
+type Rows = Vec<(String, u64)>;
+
+fn ns(rows: &[(String, u64)], name: &str) -> Option<u64> {
+    rows.iter().find(|(n, _)| n == name).map(|&(_, ns)| ns)
 }
 
-fn ns_of<'a>(results: &'a [Measured], name: &str) -> Option<&'a Measured> {
-    results.iter().find(|m| m.name == name)
-}
-
-/// Fold a fresh suite pass into running per-benchmark minima.
-fn merge_minima(results: &mut [Measured], fresh: &[Measured]) {
-    for m in results {
-        if let Some(f) = fresh.iter().find(|f| f.name == m.name) {
-            m.ns_per_run = m.ns_per_run.min(f.ns_per_run);
-        }
+/// How many times faster row `fast` ran than row `slow`.
+fn speedup(rows: &[(String, u64)], slow: &str, fast: &str) -> Option<f64> {
+    match (ns(rows, slow), ns(rows, fast)) {
+        (Some(s), Some(f)) if f > 0 => Some(s as f64 / f as f64),
+        _ => None,
     }
 }
 
-fn render_report(
-    results: &[Measured],
-    reduced: bool,
-    calibration_ns: u64,
-    cpi_breakdown: &str,
-) -> String {
+fn render_report(results: &[Measured], reduced: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"crisp-bench-sim/1\",\n");
+    s.push_str("  \"schema\": \"crisp-bench-sim/2\",\n");
     s.push_str(&format!("  \"reduced\": {reduced},\n"));
-    s.push_str(&format!("  \"calibration_ns\": {calibration_ns},\n"));
     s.push_str(&format!(
         "  \"workloads\": {{\"small_iters\": 256, \"large_iters\": {FIGURE3_LARGE_ITERS}}},\n"
     ));
-    s.push_str(&format!("  \"cpi_breakdown\": {cpi_breakdown},\n"));
     s.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
@@ -510,68 +439,35 @@ fn render_report(
         ));
     }
     s.push_str("  ],\n");
+    let rows: Rows = results
+        .iter()
+        .map(|m| (m.name.to_string(), m.ns_per_run))
+        .collect();
+    // The in-window ratios: interpreter vs threaded tier on the same
+    // workload, and the fault-campaign block in the per-case shape vs
+    // the shared-reference, early-stop kernel.
+    let t = speedup(
+        &rows,
+        "functional_figure3_large_pooled",
+        "functional_threaded_figure3_large_pooled",
+    );
+    let k = speedup(&rows, "campaign_fault_percase", "campaign_fault_kernel");
     s.push_str(&format!(
-        "  \"seed_baseline_ns\": {{\"functional_figure3_256\": {SEED_FUNCTIONAL_256_NS}, \"cycle_figure3_256\": {SEED_CYCLE_256_NS}}},\n"
+        "  \"functional_threaded\": {{\"figure3_large_speedup_vs_interp\": {:.2}}},\n",
+        t.unwrap_or(0.0)
     ));
-    let f = ns_of(results, "functional_figure3_256_pooled")
-        .map(|m| SEED_FUNCTIONAL_256_NS as f64 / m.ns_per_run as f64)
-        .unwrap_or(0.0);
-    let c = ns_of(results, "cycle_figure3_256_pooled")
-        .map(|m| SEED_CYCLE_256_NS as f64 / m.ns_per_run as f64)
-        .unwrap_or(0.0);
     s.push_str(&format!(
-        "  \"speedup_vs_seed\": {{\"functional\": {f:.2}, \"cycle\": {c:.2}}},\n"
-    ));
-    // The headline tentpole ratio: interpreter vs threaded tier on the
-    // same workload, same host window, same calibration.
-    let t = match (
-        ns_of(results, "functional_figure3_large_pooled"),
-        ns_of(results, "functional_threaded_figure3_large_pooled"),
-    ) {
-        (Some(interp), Some(thr)) if thr.ns_per_run > 0 => {
-            interp.ns_per_run as f64 / thr.ns_per_run as f64
-        }
-        _ => 0.0,
-    };
-    s.push_str(&format!(
-        "  \"functional_threaded\": {{\"figure3_large_speedup_vs_interp\": {t:.2}}},\n"
-    ));
-    // The campaign-kernel ratio: the fault-campaign classification
-    // block in the per-case shape vs the shared-reference, early-stop
-    // kernel, same cases, same host window.
-    let b = match (
-        ns_of(results, "campaign_fault_percase"),
-        ns_of(results, "campaign_fault_batched8"),
-    ) {
-        (Some(percase), Some(batched)) if batched.ns_per_run > 0 => {
-            percase.ns_per_run as f64 / batched.ns_per_run as f64
-        }
-        _ => 0.0,
-    };
-    s.push_str(&format!(
-        "  \"campaign\": {{\"fault_batched8_speedup_vs_percase\": {b:.2}}}\n"
+        "  \"campaign\": {{\"fault_kernel_speedup_vs_percase\": {:.2}}}\n",
+        k.unwrap_or(0.0)
     ));
     s.push_str("}\n");
     s
 }
 
-/// Pull the `calibration_ns` value back out of a report written by
-/// [`render_report`]. `None` for reports predating the field.
-fn parse_calibration(report: &str) -> Option<u64> {
-    let key = "\"calibration_ns\":";
-    let i = report.find(key)?;
-    let digits: String = report[i + key.len()..]
-        .chars()
-        .skip_while(char::is_ascii_whitespace)
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Pull `(name, ns_per_run)` pairs back out of a report written by
 /// [`render_report`] (one result object per line, fixed key order — a
 /// full JSON parser would be overkill for our own format).
-fn parse_results(report: &str) -> Vec<(String, u64)> {
+fn parse_results(report: &str) -> Rows {
     let mut out = Vec::new();
     let mut rest = report;
     while let Some(i) = rest.find("{\"name\":\"") {
@@ -593,218 +489,172 @@ fn parse_results(report: &str) -> Vec<(String, u64)> {
     out
 }
 
-fn check_against(
-    results: &[Measured],
-    baseline_path: &str,
-    tolerance_pct: f64,
-    calibration_ns: u64,
-) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench_sim: cannot read baseline {baseline_path}: {e}");
-            return false;
+/// Fold one spawn's rows into a side's running per-row minima.
+fn fold_minima(side: &mut Rows, run: Rows) {
+    for (name, ns) in run {
+        match side.iter_mut().find(|(n, _)| *n == name) {
+            Some(row) => row.1 = row.1.min(ns),
+            None => side.push((name, ns)),
         }
-    };
-    // Normalise out host-speed differences: the baseline was taken at
-    // some calibration-kernel speed; scale its numbers to the speed
-    // this run observed. Reports without the field compare unscaled.
-    let scale = match parse_calibration(&baseline) {
-        Some(base_calib) if base_calib > 0 && calibration_ns > 0 => {
-            let s = calibration_ns as f64 / base_calib as f64;
-            println!(
-                "bench_sim: calibration {calibration_ns} ns vs baseline {base_calib} ns \
-                 (host speed scale {s:.3})"
-            );
-            s
-        }
-        _ => 1.0,
-    };
-    let baseline = parse_results(&baseline);
-    if baseline.is_empty() {
-        eprintln!("bench_sim: no results found in baseline {baseline_path}");
-        return false;
     }
+}
+
+/// Run `bin --out out` once and read back its report's rows.
+fn spawn(bin: &Path, reduced: bool, out: &Path) -> Result<Rows, String> {
+    let mut cmd = Command::new(bin);
+    if reduced {
+        cmd.arg("--reduced");
+    }
+    let status = cmd
+        .arg("--out")
+        .arg(out)
+        .stdout(Stdio::null())
+        .status()
+        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
+    if !status.success() {
+        return Err(format!("{} exited with {status}", bin.display()));
+    }
+    let report =
+        std::fs::read_to_string(out).map_err(|e| format!("cannot read {}: {e}", out.display()))?;
+    let rows = parse_results(&report);
+    if rows.is_empty() {
+        return Err(format!("no results in {}", out.display()));
+    }
+    Ok(rows)
+}
+
+/// Spawn `parent` and this executable in [`PAIRS`] alternating pairs;
+/// returns each side's per-row minima, parent first.
+fn run_pairs(parent: &Path, reduced: bool) -> Result<(Rows, Rows), String> {
+    let me = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
+    let tmp = std::env::temp_dir();
+    let pid = std::process::id();
+    let (mut a, mut b) = (Rows::new(), Rows::new());
+    for pair in 0..PAIRS {
+        let mut sides = [(parent, &mut a, "parent"), (me.as_path(), &mut b, "change")];
+        if pair % 2 == 1 {
+            sides.swap(0, 1);
+        }
+        for (bin, side, label) in sides {
+            let out = tmp.join(format!("bench_sim_{pid}_{label}.json"));
+            let run = spawn(bin, reduced, &out);
+            let _ = std::fs::remove_file(&out);
+            fold_minima(side, run?);
+        }
+        println!("bench_sim: pair {}/{PAIRS} measured", pair + 1);
+    }
+    Ok((a, b))
+}
+
+/// The A/B verdict on both sides' minima, one line per row: every row
+/// the two reports share must be within [`TOLERANCE`] of the parent,
+/// and the change's campaign kernel must hold [`KERNEL_BAR`]. A row in
+/// only one report (a new or renamed benchmark) is not compared.
+fn verdict(parent: &[(String, u64)], change: &[(String, u64)]) -> bool {
     let mut ok = true;
-    for (name, base_ns) in &baseline {
-        let Some(m) = ns_of(results, name) else {
-            eprintln!("bench_sim: FAIL {name}: in baseline but not measured");
-            ok = false;
+    for (name, b) in change {
+        let Some(a) = ns(parent, name) else {
+            println!("bench_sim: --   {name}: not in the parent's report, not compared");
             continue;
         };
-        // The per-case arm replays the original classifier shape as
-        // the denominator of the campaign speedup ratio. Its ~1 s
-        // samples leave the minimum-of-N too noisy to gate on absolute
-        // time, and that time getting slower would not be a regression
-        // in anything the suite defends — it is gated below through
-        // the kernel-vs-percase ratio, which is measured in the same
-        // host window and so is robust where the absolute time is not.
-        if name == "campaign_fault_percase" {
-            println!("bench_sim: skip {name}: gated via the campaign speedup ratio");
-            continue;
-        }
-        let scaled = *base_ns as f64 * scale;
-        let limit = scaled * (1.0 + tolerance_pct / 100.0);
-        let ratio = m.ns_per_run as f64 / scaled;
-        if (m.ns_per_run as f64) > limit {
-            eprintln!(
-                "bench_sim: FAIL {name}: {} ns vs scaled baseline {scaled:.0} ns ({:+.1}% > +{tolerance_pct}%)",
-                m.ns_per_run,
-                (ratio - 1.0) * 100.0
-            );
-            ok = false;
-        } else {
-            println!(
-                "bench_sim: ok   {name}: {} ns vs scaled baseline {scaled:.0} ns ({:+.1}%)",
-                m.ns_per_run,
-                (ratio - 1.0) * 100.0
-            );
+        let ratio = *b as f64 / a as f64;
+        let pass = ratio <= 1.0 + TOLERANCE;
+        ok &= pass;
+        println!(
+            "bench_sim: {} {name:<40} {b:>12} ns vs parent {a:>12} ns ({:+.1}%)",
+            if pass { "ok  " } else { "FAIL" },
+            (ratio - 1.0) * 100.0
+        );
+    }
+    for (name, _) in parent {
+        if ns(change, name).is_none() {
+            println!("bench_sim: --   {name}: not in this build's report, not compared");
         }
     }
-    // The campaign acceptance bar: the campaign kernel must hold >= 3x
-    // over the per-case shape. Both arms run back to back in this
-    // process, so the ratio self-calibrates against host speed.
-    if let (Some(p), Some(b)) = (
-        ns_of(results, "campaign_fault_percase"),
-        ns_of(results, "campaign_fault_batched8"),
-    ) {
-        if b.ns_per_run > 0 {
-            let ratio = p.ns_per_run as f64 / b.ns_per_run as f64;
-            if ratio < 3.0 {
-                eprintln!(
-                    "bench_sim: FAIL campaign speedup: batched8 is {ratio:.2}x percase (< 3x)"
-                );
-                ok = false;
-            } else {
-                println!(
-                    "bench_sim: ok   campaign speedup: batched8 is {ratio:.2}x percase (>= 3x)"
-                );
-            }
+    match speedup(change, "campaign_fault_percase", "campaign_fault_kernel") {
+        Some(r) if r >= KERNEL_BAR => {
+            println!("bench_sim: ok   campaign kernel is {r:.2}x percase (>= {KERNEL_BAR}x)");
+        }
+        Some(r) => {
+            println!("bench_sim: FAIL campaign kernel is {r:.2}x percase (< {KERNEL_BAR}x)");
+            ok = false;
+        }
+        None => {
+            println!("bench_sim: FAIL campaign rows missing from this build's report");
+            ok = false;
         }
     }
     ok
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = String::from("BENCH_sim.json");
-    let mut reduced = false;
-    let mut check: Option<String> = None;
-    let mut tolerance = 15.0;
-    let mut passes = 1u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" if i + 1 < args.len() => {
-                out_path = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" if i + 1 < args.len() => {
-                check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--tolerance" if i + 1 < args.len() => {
-                tolerance = match args[i + 1].parse() {
-                    Ok(t) => t,
-                    Err(_) => {
-                        eprintln!("bench_sim: bad --tolerance {}", args[i + 1]);
-                        return ExitCode::FAILURE;
-                    }
-                };
-                i += 2;
-            }
-            "--passes" if i + 1 < args.len() => {
-                passes = match args[i + 1].parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("bench_sim: bad --passes {}", args[i + 1]);
-                        return ExitCode::FAILURE;
-                    }
-                };
-                i += 2;
-            }
-            "--reduced" => {
-                reduced = true;
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "bench_sim: unknown argument {other}\n\
-                     usage: bench_sim [--out FILE] [--reduced] [--passes N] \
-                     [--check BASELINE] [--tolerance PCT]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+const USAGE: &str = "usage: bench_sim [--out FILE] [--reduced] [--against PARENT_BIN]";
 
-    let mut calibration_ns = calibrate();
-    // Deterministic (same simulation every pass), so computed once.
-    let cpi = cpi_breakdown();
-    let mut results = run_suite(reduced);
-    for _ in 1..passes {
-        std::thread::sleep(std::time::Duration::from_millis(RETRY_SLEEP_MS));
-        calibration_ns = calibration_ns.min(calibrate());
-        merge_minima(&mut results, &run_suite(reduced));
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    out: Option<String>,
+    reduced: bool,
+    against: Option<String>,
+}
+
+fn parse_args(mut raw: Vec<String>) -> Result<Args, String> {
+    let out = extract_flag(&mut raw, "--out").map_err(|e| e.to_string())?;
+    let against = extract_flag(&mut raw, "--against").map_err(|e| e.to_string())?;
+    let reduced = parse_switch(&mut raw, "--reduced")?;
+    if let Some(flag) = raw.first() {
+        return Err(format!("unknown flag `{flag}`"));
     }
+    if out.is_some() && against.is_some() {
+        return Err(
+            "`--against` measures in child processes and writes no report; drop `--out`".into(),
+        );
+    }
+    Ok(Args {
+        out,
+        reduced,
+        against,
+    })
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1).collect()) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("bench_sim: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(parent) = &args.against {
+        return match run_pairs(Path::new(parent), args.reduced) {
+            Ok((a, b)) if verdict(&a, &b) => {
+                println!(
+                    "bench_sim: within {:.0}% of {parent} on every shared row",
+                    TOLERANCE * 100.0
+                );
+                ExitCode::SUCCESS
+            }
+            Ok(_) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("bench_sim: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    let results = run_suite(args.reduced);
     for m in &results {
         println!(
-            "bench_sim: {:<34} {:>12} ns/run  {:>8.2} Melem/s",
+            "bench_sim: {:<40} {:>12} ns/run  {:>8.2} Melem/s",
             m.name,
             m.ns_per_run,
             m.melems_per_s()
         );
     }
-    let write_report = |results: &[Measured], calibration_ns: u64| -> bool {
-        match std::fs::write(
-            &out_path,
-            render_report(results, reduced, calibration_ns, &cpi),
-        ) {
-            Ok(()) => {
-                println!("bench_sim: wrote {out_path}");
-                true
-            }
-            Err(e) => {
-                eprintln!("bench_sim: cannot write {out_path}: {e}");
-                false
-            }
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, render_report(&results, args.reduced)) {
+            eprintln!("bench_sim: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
         }
-    };
-    if !write_report(&results, calibration_ns) {
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check {
-        // Retry-until-fast-window (see the doc header): a pass that is
-        // over tolerance usually just measured a slow host window, so
-        // re-measure with sleeps in between, folding each pass into the
-        // running minima, until the check passes or the attempt budget
-        // runs out. A real code regression stays over tolerance in
-        // every window, so retries can rescue noise but never a
-        // regression.
-        let mut attempts = 1u32;
-        while !check_against(&results, &path, tolerance, calibration_ns) {
-            if attempts >= CHECK_ATTEMPTS {
-                write_report(&results, calibration_ns);
-                eprintln!(
-                    "bench_sim: still over tolerance after {attempts} attempts; \
-                     treating as a real regression (if the host is known to be \
-                     under sustained load, re-run; if its hardware changed, \
-                     re-baseline with --passes 4)"
-                );
-                return ExitCode::FAILURE;
-            }
-            attempts += 1;
-            eprintln!(
-                "bench_sim: over tolerance; re-measuring (attempt {attempts}/{CHECK_ATTEMPTS}) \
-                 to rule out a slow host window"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(RETRY_SLEEP_MS));
-            calibration_ns = calibration_ns.min(calibrate());
-            merge_minima(&mut results, &run_suite(reduced));
-        }
-        write_report(&results, calibration_ns);
-        println!("bench_sim: within {tolerance}% of {path} (attempt {attempts}/{CHECK_ATTEMPTS})");
+        println!("bench_sim: wrote {path}");
     }
     ExitCode::SUCCESS
 }
@@ -812,6 +662,14 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rows(r: &[(&str, u64)]) -> Rows {
+        r.iter().map(|&(n, ns)| (n.to_string(), ns)).collect()
+    }
+
+    fn args(a: &str) -> Result<Args, String> {
+        parse_args(a.split_whitespace().map(String::from).collect())
+    }
 
     #[test]
     fn report_round_trips_through_parser() {
@@ -827,25 +685,64 @@ mod tests {
                 elements: 9737,
             },
         ];
-        let cpi = "{\"workload\":\"cycle_figure3_large\",\"cycles\":10,\
-                   \"program_instrs\":10,\"accounts\":{\"useful\":10}}";
-        let report = render_report(&results, true, 1_234_567, cpi);
-        let parsed = parse_results(&report);
+        let report = render_report(&results, true);
         assert_eq!(
-            parsed,
-            vec![
-                ("functional_figure3_256_pooled".to_string(), 61_000),
-                ("cycle_figure3_256_pooled".to_string(), 65_000),
-            ]
+            parse_results(&report),
+            rows(&[
+                ("functional_figure3_256_pooled", 61_000),
+                ("cycle_figure3_256_pooled", 65_000),
+            ])
         );
-        assert_eq!(parse_calibration(&report), Some(1_234_567));
     }
 
     #[test]
-    fn calibration_absent_from_legacy_reports() {
+    fn flags_parse_like_the_other_tools() {
         assert_eq!(
-            parse_calibration("{\"results\": [{\"name\":\"x\",\"ns_per_run\":1}]}"),
-            None
+            args("--reduced --against ../p/bench_sim"),
+            Ok(Args {
+                out: None,
+                reduced: true,
+                against: Some("../p/bench_sim".into()),
+            })
         );
+        assert_eq!(args("--out").unwrap_err(), "--out requires a value");
+        assert_eq!(
+            args("--out a.json --out b.json").unwrap_err(),
+            "`--out` given more than once"
+        );
+        assert_eq!(
+            args("--reduced --reduced").unwrap_err(),
+            "`--reduced` given more than once"
+        );
+        assert_eq!(
+            args("--check BENCH_sim.json").unwrap_err(),
+            "unknown flag `--check`"
+        );
+        assert!(args("--out a.json --against p").is_err());
+    }
+
+    #[test]
+    fn minima_fold_per_row_over_spawns() {
+        let mut side = Rows::new();
+        fold_minima(&mut side, rows(&[("x", 10), ("y", 5)]));
+        fold_minima(&mut side, rows(&[("x", 7), ("y", 9), ("z", 1)]));
+        assert_eq!(side, rows(&[("x", 7), ("y", 5), ("z", 1)]));
+    }
+
+    #[test]
+    fn verdict_gates_shared_rows_and_the_kernel_bar() {
+        let campaign = [
+            ("campaign_fault_percase", 400),
+            ("campaign_fault_kernel", 100),
+        ];
+        let limit = (1000.0 * (1.0 + TOLERANCE)) as u64;
+        let parent = rows(&[("x", 1000), ("old_name", 1), campaign[0], campaign[1]]);
+        let within = rows(&[("x", limit - 1), ("new_name", 9), campaign[0], campaign[1]]);
+        assert!(verdict(&parent, &within), "renamed rows are not compared");
+        let slower = rows(&[("x", limit + 2), campaign[0], campaign[1]]);
+        assert!(!verdict(&parent, &slower));
+        let weak_kernel = rows(&[("campaign_fault_percase", 290), campaign[1]]);
+        assert!(!verdict(&parent, &weak_kernel));
+        assert!(!verdict(&parent, &rows(&[("x", 1000)])));
     }
 }

@@ -510,7 +510,7 @@ fn run() -> Result<ExitCode, String> {
         println!("crisp-fault: FAILURE");
         println!("  program seed : {}", f.program_seed);
         println!(
-            "  fault plan   : target {} cycle {} slot {} field {:?}",
+            "  fault plan   : target {} cycle {} slot {} field {}",
             f.plan.target.name(),
             f.plan.cycle,
             f.plan.slot,
@@ -603,7 +603,7 @@ fn print_report(
     }
     for q in quarantined {
         println!(
-            "  quarantined  : case {} (seed {}, target {} cycle {} slot {} field {:?}): {}",
+            "  quarantined  : case {} (seed {}, target {} cycle {} slot {} field {}): {}",
             q.case,
             q.program_seed,
             q.plan.target.name(),

@@ -126,7 +126,7 @@ fn run() -> Result<(), String> {
     let is_asm = parse_switch(&mut raw, "--asm")?;
     let cycles = parse_switch(&mut raw, "--cycles")?;
     // One-shot runs default to the reference interpreter; campaign
-    // drivers (crisp-diff, crisp-fault, bench_sim) default to threaded.
+    // drivers (crisp-diff, crisp-fault) default to threaded.
     let engine = parse_engine(&mut raw, Engine::Interp)?;
     let trace_path = extract_flag(&mut raw, "--trace").map_err(|e| e.to_string())?;
     let chrome_path = extract_flag(&mut raw, "--chrome-trace").map_err(|e| e.to_string())?;

@@ -691,9 +691,10 @@ impl PipeFront {
     /// cycle body whose stage loops unroll at compile time — the
     /// parameterized engine then costs nothing over the original
     /// fixed-latch IR/OR/RR implementation at the default depth (the
-    /// `bench_sim` throughput gate guards this). Every other depth
-    /// shares the one dynamic copy. The per-cycle dispatch branch is
-    /// perfectly predicted: `depth` never changes during a run.
+    /// `bench_sim --against` A/B with the parent build guards this).
+    /// Every other depth shares the one dynamic copy. The per-cycle
+    /// dispatch branch is perfectly predicted: `depth` never changes
+    /// during a run.
     pub(crate) fn cycle_once<O: PipeObserver>(
         &mut self,
         lane: &mut LaneMut<'_, O>,

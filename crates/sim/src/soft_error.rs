@@ -53,6 +53,7 @@
 
 use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, NextPc, Operand};
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::config::HwPredictor;
@@ -301,6 +302,21 @@ impl FaultField {
     pub(crate) fn flip<const N: usize>(self, w: &mut [u64; N]) {
         let row = self.row();
         w[row.word] ^= 1 << (row.offset + u32::from(self.bit));
+    }
+}
+
+/// `next-pc bit 15`: the report-row name and the bit's index within
+/// that report row, counting its table rows in order (`next-pc` bits
+/// 0–1 are the tag, 2–33 the payload).
+impl fmt::Display for FaultField {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name();
+        let before: u32 = self.layout.rows()[..usize::from(self.row)]
+            .iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.width)
+            .sum();
+        write!(f, "{name} bit {}", before + u32::from(self.bit))
     }
 }
 
@@ -1342,6 +1358,44 @@ mod tests {
             .map(|r| r.width)
             .sum();
         assert_eq!(unsited, 47);
+    }
+
+    #[test]
+    fn fault_fields_display_their_report_row_and_bit() {
+        let btb = HwPredictor::parse("btb").unwrap();
+        let shown = [
+            nth_field(0),
+            nth_field(15),
+            nth_field(34),
+            nth_field(70),
+            nth_field(75),
+            nth_field(180),
+            nth_pdu_field(40),
+            nth_predictor_field(btb, 33).unwrap(),
+            nth_predictor_field(
+                HwPredictor::Dynamic {
+                    bits: 2,
+                    entries: 8,
+                },
+                1,
+            )
+            .unwrap(),
+        ]
+        .map(|f| f.to_string());
+        assert_eq!(
+            shown,
+            [
+                "next-pc bit 0",
+                "next-pc bit 15",
+                "alt-pc bit 0",
+                "valid bit 0",
+                "opcode bit 4",
+                "tag bit 31",
+                "alt-pc bit 6",
+                "btb-counter bit 1",
+                "counter-bit bit 1",
+            ]
+        );
     }
 
     #[test]

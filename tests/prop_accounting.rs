@@ -13,8 +13,10 @@
 
 use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::{assemble, Item, Module};
+use crisp::cc::{compile_crisp, CompileOptions};
 use crisp::isa::{BinOp, Cond, FoldPolicy, Instr, Operand};
 use crisp::sim::{CycleRun, CycleSim, HwPredictor, Machine, PipelineGeometry, SimConfig};
+use crisp::workloads::figure3_large;
 use proptest::prelude::*;
 
 /// The accounting invariants every run must satisfy, independent of
@@ -260,4 +262,24 @@ proptest! {
             assert_accounts(&run, &cfg)?;
         }
     }
+}
+
+/// One deterministic run pinned exactly: the large Figure 3 workload
+/// under the default configuration. The throughput benchmarks time
+/// this run, so a change that moves where its simulated cycles go
+/// shows here rather than as an unexplained timing shift.
+#[test]
+fn figure3_large_default_accounts_are_pinned() {
+    let image =
+        compile_crisp(&figure3_large(), &CompileOptions::default()).expect("figure 3 compiles");
+    let run = CycleSim::new(Machine::load(&image).unwrap(), SimConfig::default())
+        .run()
+        .expect("figure 3 runs");
+    assert_eq!(run.stats.cycles, 28701);
+    assert_eq!(run.stats.program_instrs, 38921);
+    assert_eq!(
+        run.stats.accounts.json(),
+        r#"{"useful":28681,"branch_penalty":[0,0,0,3],"miss_refill":12,"parity_recovery":0,"indirect_stall":2,"btb_miss":0,"startup":3}"#
+    );
+    assert_eq!(run.stats.accounts.total(), run.stats.cycles);
 }
