@@ -23,12 +23,6 @@
 //!                     hardware predictor (static | counterN[xM] |
 //!                     btb[SxW] | jumptrace[N]) instead of sweeping
 //!                     all four
-//!   --engine ENGINE   functional tier cross-check: threaded (default)
-//!                     additionally proves the threaded-code tier
-//!                     bit-identical to the interpreter on every
-//!                     program (commit streams, final state, traces,
-//!                     stats) once per fold policy; interp skips that
-//!                     pass
 //!   --smoke           bounded CI run (64 asm + 8 C programs)
 //!   --resume FILE     checkpoint campaign progress in FILE
 //!   --heartbeat SECS  emit a campaign-telemetry JSONL snapshot to
@@ -48,19 +42,17 @@
 //! 1 otherwise.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use crisp_asm::rand_prog::{shrink, GenProgram};
 use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
-    extract_flag, parse_engine, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
-    parse_predictor, parse_switch, resume_checkpoint,
+    extract_flag, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num, parse_predictor,
+    parse_switch, resume_checkpoint,
 };
 use crisp_sim::{
-    diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, verify_threaded_pooled,
-    Divergence, Engine, FaultInjection, LockstepBuffers, LockstepOutcome, MachinePool,
-    PipelineGeometry, PredecodedImage, SimConfig, TranslatedImage,
+    diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, Divergence, FaultInjection,
+    LockstepBuffers, LockstepOutcome, MachinePool, PipelineGeometry, PredecodedImage, SimConfig,
 };
 
 fn main() -> ExitCode {
@@ -73,19 +65,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// One failing (program, configuration) pair from the campaign.
+/// One failing (program, configuration) pair from the campaign: the
+/// functional and cycle engines diverged in lockstep.
 struct Failure {
     program: Program,
     cfg: SimConfig,
-    divergence: FailureKind,
-}
-
-/// What kind of disagreement ended the campaign.
-enum FailureKind {
-    /// The functional and cycle engines diverged in lockstep.
-    Lockstep(Divergence),
-    /// The threaded tier broke bit-identity with the interpreter.
-    Threaded(String),
+    divergence: Divergence,
 }
 
 /// A campaign work item: either a generated assembly program or a
@@ -148,7 +133,7 @@ fn run() -> Result<ExitCode, String> {
         println!(
             "usage: crisp-diff [--seed N] [--programs N] [--c-programs N] \
              [--max-blocks N] [--jobs N] [--max-cycles N] [--eu-depth N] \
-             [--predictor HW] [--engine interp|threaded] [--smoke] \
+             [--predictor HW] [--smoke] \
              [--resume FILE] [--heartbeat SECS] [--inject]"
         );
         return Ok(ExitCode::SUCCESS);
@@ -169,9 +154,6 @@ fn run() -> Result<ExitCode, String> {
     let max_cycles = parse_max_cycles(&mut raw)?;
     let geometry = parse_eu_depth(&mut raw)?;
     let predictor = parse_predictor(&mut raw)?;
-    // Campaigns default to the threaded tier: every program then also
-    // cross-checks threaded-vs-interpreter bit-identity per fold policy.
-    let engine = parse_engine(&mut raw, Engine::default())?;
     let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
     let heartbeat_secs = parse_heartbeat(&mut raw)?;
     if let Some(flag) = raw.first() {
@@ -183,6 +165,9 @@ fn run() -> Result<ExitCode, String> {
 
     if inject {
         return demonstrate_injection(seed, max_blocks, geometry);
+    }
+    if programs == 0 && c_programs == 0 {
+        return Err("--programs and --c-programs are both 0: the campaign has no programs".into());
     }
 
     // Build the work list up front: sharing `GenProgram`s across
@@ -243,7 +228,7 @@ fn run() -> Result<ExitCode, String> {
             .iter()
             .map(|&i| {
                 let program = &work[i as usize];
-                let result = match check_program(program, &configs, engine, bufs, pool) {
+                let result = match check_program(program, &configs, bufs, pool) {
                     Ok(commits) => CaseResult::Done(commits),
                     Err(CheckFail::Load(msg)) => {
                         CaseResult::Abort(format!("campaign aborted: {msg}"))
@@ -251,11 +236,6 @@ fn run() -> Result<ExitCode, String> {
                     Err(CheckFail::Diverge(cfg, d)) => {
                         CaseResult::Fail(shrink_failure(program, cfg, *d))
                     }
-                    Err(CheckFail::Threaded(cfg, detail)) => CaseResult::Fail(Failure {
-                        program: clone_program(program),
-                        cfg,
-                        divergence: FailureKind::Threaded(detail),
-                    }),
                 };
                 (i, result)
             })
@@ -318,9 +298,6 @@ enum CheckFail {
     /// The engines disagreed under this configuration. Boxed: the
     /// divergence record is large and the happy path returns `Ok(())`.
     Diverge(SimConfig, Box<Divergence>),
-    /// The threaded tier and the interpreter disagreed under this
-    /// configuration's fold policy.
-    Threaded(SimConfig, String),
 }
 
 /// Run one program across every sweep configuration, returning the
@@ -335,7 +312,6 @@ enum CheckFail {
 fn check_program(
     program: &Program,
     configs: &[SimConfig],
-    engine: Engine,
     bufs: &mut LockstepBuffers,
     pool: &mut MachinePool,
 ) -> Result<u64, CheckFail> {
@@ -343,9 +319,6 @@ fn check_program(
         .image()
         .map_err(|e| CheckFail::Load(format!("{}: {e}", program.describe())))?;
     let mut commits = 0u64;
-    // Translated superinstruction tables are verified once per image x
-    // policy, not once per configuration.
-    let mut verified: Vec<Arc<TranslatedImage>> = Vec::with_capacity(4);
     // The sweep orders configurations policy-major; one contiguous
     // group shares a predecode table and a functional reference.
     for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
@@ -374,39 +347,8 @@ fn check_program(
                 LockstepOutcome::Diverge(d) => return Err(CheckFail::Diverge(*cfg, d)),
             }
         }
-        // Lockstep co-steps the two engines entry by entry, so the
-        // threaded tier (which retires whole blocks) cannot replace the
-        // functional side there; instead prove it bit-identical to the
-        // interpreter once per fold policy, on pooled machines.
-        if engine == Engine::Threaded && !verified.iter().any(|t| t.policy() == policy) {
-            let t = Arc::new(TranslatedImage::from_predecoded(table));
-            verified.push(Arc::clone(&t));
-            match verify_threaded_pooled(&image, &t, group[0].max_cycles, bufs) {
-                Ok(None) => {}
-                Ok(Some(detail)) => return Err(CheckFail::Threaded(group[0], detail)),
-                Err(e) => {
-                    return Err(CheckFail::Load(format!(
-                        "{}: threaded verify failed under {:?}: {e}",
-                        program.describe(),
-                        group[0]
-                    )))
-                }
-            }
-        }
     }
     Ok(commits)
-}
-
-/// Clone a work item for failure reporting.
-fn clone_program(program: &Program) -> Program {
-    match program {
-        Program::Asm(p) => Program::Asm(p.clone()),
-        Program::C { seed, source, opts } => Program::C {
-            seed: *seed,
-            source: source.clone(),
-            opts: *opts,
-        },
-    }
 }
 
 /// Shrink a failing assembly program (mini-C failures are reported
@@ -433,7 +375,7 @@ fn shrink_failure(program: &Program, cfg: SimConfig, divergence: Divergence) -> 
             Failure {
                 program: Program::Asm(min),
                 cfg,
-                divergence: FailureKind::Lockstep(divergence),
+                divergence,
             }
         }
         Program::C { seed, source, opts } => Failure {
@@ -443,7 +385,7 @@ fn shrink_failure(program: &Program, cfg: SimConfig, divergence: Divergence) -> 
                 opts: *opts,
             },
             cfg,
-            divergence: FailureKind::Lockstep(divergence),
+            divergence,
         },
     }
 }
@@ -457,12 +399,7 @@ fn print_failure(f: &Failure) {
         println!("    {line}");
     }
     println!();
-    match &f.divergence {
-        FailureKind::Lockstep(d) => println!("{d}"),
-        FailureKind::Threaded(detail) => {
-            println!("threaded tier diverged from the interpreter: {detail}")
-        }
-    }
+    println!("{}", f.divergence);
 }
 
 /// `--inject`: plant the skip-OR-squash pipeline bug and prove the
@@ -498,7 +435,7 @@ fn demonstrate_injection(
         print_failure(&Failure {
             program: Program::Asm(min),
             cfg,
-            divergence: FailureKind::Lockstep(divergence),
+            divergence,
         });
         return Ok(ExitCode::SUCCESS);
     }

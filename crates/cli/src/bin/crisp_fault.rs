@@ -35,10 +35,6 @@
 //!   --target T        front-end structure to strike: cache | btb |
 //!                     pdu | all (default cache; btb needs a dynamic
 //!                     --predictor)
-//!   --engine ENGINE   functional tier for the fault-free reference
-//!                     run: threaded (default) or interp. Faulted runs
-//!                     always use the cycle engine — the struck state
-//!                     only exists there
 //!   --smoke           bounded CI run (2 programs x 32 faults)
 //!   --resume FILE     checkpoint campaign progress in FILE
 //!   --report FILE     write the JSON AVF report to FILE
@@ -67,13 +63,13 @@ use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_asm::Image;
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult, CLAIM_BLOCK};
 use crisp_cli::{
-    extract_flag, parse_engine, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
-    parse_predictor, parse_switch, resume_checkpoint, target_space, Checkpoint,
+    extract_flag, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num, parse_predictor,
+    parse_switch, resume_checkpoint, target_space, Checkpoint,
 };
 use crisp_sim::{
-    classify_batch, fault_reference, report_rows, Engine, FaultOutcome, FaultPlan, FaultReference,
+    classify_batch, fault_reference, report_rows, FaultOutcome, FaultPlan, FaultReference,
     FaultSpace, FaultTarget, HwPredictor, MachinePool, ParityMode, PipelineGeometry,
-    PredecodedImage, SimConfig, TranslatedImage,
+    PredecodedImage, SimConfig,
 };
 
 fn main() -> ExitCode {
@@ -250,7 +246,7 @@ fn parse_targets(spec: &str, predictor: HwPredictor) -> Result<Vec<FaultTarget>,
 
 /// The flags that define a campaign's work list or its verdicts:
 /// equal `Campaign`s run the same cases and judge them the same way.
-/// Worker count, engine, checkpoint, report and heartbeat flags change
+/// Worker count, checkpoint, report and heartbeat flags change
 /// neither.
 #[derive(Debug, Clone, PartialEq)]
 struct Campaign {
@@ -307,7 +303,7 @@ fn run() -> Result<ExitCode, String> {
         println!(
             "usage: crisp-fault [--seed N] [--programs N] [--faults N] [--max-blocks N] \
              [--jobs N] [--max-cycles N] [--eu-depth N] [--predictor HW] \
-             [--target cache|btb|pdu|all] [--engine interp|threaded] [--smoke] \
+             [--target cache|btb|pdu|all] [--smoke] \
              [--resume FILE] [--report FILE] [--heartbeat SECS]"
         );
         return Ok(ExitCode::SUCCESS);
@@ -330,9 +326,6 @@ fn run() -> Result<ExitCode, String> {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
     let targets = parse_targets(target_spec, predictor)?;
-    // Campaigns default to the threaded tier for the fault-free
-    // reference phase; --engine interp keeps the one-entry interpreter.
-    let engine = parse_engine(&mut raw, Engine::default())?;
     let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
     let report_path = extract_flag(&mut raw, "--report").map_err(|e| e.to_string())?;
     let heartbeat_secs = parse_heartbeat(&mut raw)?;
@@ -355,15 +348,7 @@ fn run() -> Result<ExitCode, String> {
     // decoded once here; every fault case (and both phases within a
     // case) shares the predecoded table.
     let fold_policy = SimConfig::default().fold_policy;
-    // Translation (when the threaded engine is selected) is likewise
-    // hoisted: one superinstruction table per program, shared by every
-    // fault case's reference run.
-    type CampaignImage = (
-        u64,
-        Image,
-        Arc<PredecodedImage>,
-        Option<Arc<TranslatedImage>>,
-    );
+    type CampaignImage = (u64, Image, Arc<PredecodedImage>);
     let mut images: Vec<CampaignImage> = Vec::with_capacity(programs as usize);
     for p in 0..programs {
         let pseed = seed.wrapping_add(p);
@@ -373,9 +358,7 @@ fn run() -> Result<ExitCode, String> {
             .map_err(|e| format!("assembling program seed {pseed}: {e}"))?;
         let table = PredecodedImage::shared(&image, fold_policy)
             .map_err(|e| format!("predecoding program seed {pseed}: {e}"))?;
-        let translated = (engine == Engine::Threaded)
-            .then(|| Arc::new(TranslatedImage::from_predecoded(Arc::clone(&table))));
-        images.push((pseed, image, table, translated));
+        images.push((pseed, image, table));
     }
     let icache_entries = SimConfig::default().icache_entries as u64;
     let cp = resume_checkpoint("crisp-fault", resume_path.as_ref(), total, "cases")?;
@@ -416,7 +399,7 @@ fn run() -> Result<ExitCode, String> {
         for group in cases.chunk_by(|a, b| a / faults == b / faults) {
             let p = group[0] / faults;
             groups.push((p as usize, group.len() as u64));
-            let (pseed, image, table, translated) = &images[p as usize];
+            let (pseed, image, table) = &images[p as usize];
             let reference = references[p as usize].get(|| {
                 let cfg = SimConfig {
                     max_cycles,
@@ -424,7 +407,7 @@ fn run() -> Result<ExitCode, String> {
                     predictor,
                     ..SimConfig::default()
                 };
-                fault_reference(image, cfg, Some(table), translated.as_ref(), pool)
+                fault_reference(image, cfg, Some(table), None, pool)
                     .ok()
                     .map(Arc::new)
             });

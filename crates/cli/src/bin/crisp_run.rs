@@ -8,7 +8,7 @@
 //!                                functional engine)
 //!   --engine ENGINE              functional engine tier: interp (the
 //!                                one-entry reference interpreter,
-//!                                default here) or threaded (the
+//!                                default) or threaded (the
 //!                                block-translating superinstruction
 //!                                tier — same architectural results,
 //!                                several times faster; incompatible
@@ -125,9 +125,9 @@ fn run() -> Result<(), String> {
     }
     let is_asm = parse_switch(&mut raw, "--asm")?;
     let cycles = parse_switch(&mut raw, "--cycles")?;
-    // One-shot runs default to the reference interpreter; campaign
-    // drivers (crisp-diff, crisp-fault) default to threaded.
-    let engine = parse_engine(&mut raw, Engine::Interp)?;
+    // The reference interpreter unless --engine threaded asks for the
+    // speed tier.
+    let engine = parse_engine(&mut raw)?;
     let trace_path = extract_flag(&mut raw, "--trace").map_err(|e| e.to_string())?;
     let chrome_path = extract_flag(&mut raw, "--chrome-trace").map_err(|e| e.to_string())?;
     let stats_path = extract_flag(&mut raw, "--stats-json").map_err(|e| e.to_string())?;

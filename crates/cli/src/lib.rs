@@ -49,6 +49,10 @@ fn err<T>(msg: impl Into<String>) -> Result<T, UsageError> {
     Err(UsageError(msg.into()))
 }
 
+/// Largest `--icache`: the cap `--predictor` geometries have, so a
+/// typo cannot ask for an unallocatable cache.
+const MAX_ICACHE_ENTRIES: usize = 1 << 16;
+
 /// Parse the options shared by both tools:
 ///
 /// ```text
@@ -57,10 +61,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, UsageError> {
 /// --predictor HW         live hardware predictor: static |
 ///                        counterN[xM] | btb[SxW] | jumptrace[N]
 /// --fold POLICY          none | host1 | host13 | all
-/// --icache N             decoded-cache entries (power of two)
+/// --icache N             decoded-cache entries (a power of two,
+///                        at most 65536)
 /// --eu-depth N           execution-unit stages between issue and
 ///                        retire (2..=8; 3 is the paper's IR/OR/RR)
-/// --mem-latency N        cycles per 4-parcel instruction fetch
+/// --mem-latency N        cycles per 4-parcel instruction fetch (>= 1)
 /// --max-cycles N         watchdog: end the run after N cycles/steps
 /// --max-insns N          watchdog: end the run after N instructions
 /// --parity MODE          front-end parity: off | detect
@@ -128,16 +133,21 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, Us
             }
             "--icache" => {
                 let v: String = value_for("--icache", &mut args)?;
-                out.sim.icache_entries = match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => return err(format!("bad --icache value `{v}`")),
+                out.sim.icache_entries = match v.parse::<usize>() {
+                    Ok(n) if n.is_power_of_two() && n <= MAX_ICACHE_ENTRIES => n,
+                    _ => {
+                        return err(format!(
+                            "bad --icache value `{v}` (want a power of two in \
+                             1..={MAX_ICACHE_ENTRIES})"
+                        ))
+                    }
                 };
             }
             "--mem-latency" => {
                 let v: String = value_for("--mem-latency", &mut args)?;
                 out.sim.mem_latency = match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => return err(format!("bad --mem-latency value `{v}`")),
+                    Ok(n) if n > 0 => n,
+                    _ => return err(format!("bad --mem-latency value `{v}` (want a count >= 1)")),
                 };
             }
             "--max-insns" => {
@@ -168,7 +178,12 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, Us
             other if other.starts_with("--") => out.rest.push(arg),
             _ => {
                 if out.input.is_some() {
-                    return err(format!("unexpected extra input `{arg}`"));
+                    // An unknown flag that takes a value leaves the
+                    // value as the input; blame the flag, not the file.
+                    return err(match out.rest.first() {
+                        Some(flag) => format!("unknown flag `{flag}`"),
+                        None => format!("unexpected extra input `{arg}`"),
+                    });
                 }
                 out.input = Some(arg);
             }
@@ -294,16 +309,16 @@ pub fn parse_num<T: std::str::FromStr>(
 }
 
 /// Remove `--engine interp|threaded` from an argument vector, or
-/// return `default` when the flag is absent.
+/// return [`Engine::Interp`] when the flag is absent.
 ///
 /// # Errors
 ///
 /// A message when the value is missing or names no engine.
-pub fn parse_engine(raw: &mut Vec<String>, default: Engine) -> Result<Engine, String> {
+pub fn parse_engine(raw: &mut Vec<String>) -> Result<Engine, String> {
     match extract_flag(raw, "--engine").map_err(|e| e.to_string())? {
         Some(name) => Engine::parse(&name)
             .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)")),
-        None => Ok(default),
+        None => Ok(Engine::Interp),
     }
 }
 
@@ -813,6 +828,25 @@ mod tests {
         assert!(parse(&["--max-cycles", "0"]).is_err());
         assert!(parse(&["--max-insns", "soon"]).is_err());
         assert!(parse(&["a.c", "b.c"]).is_err());
+        for bad in ["0", "3", "131072", "1073741824"] {
+            let e = parse(&["--icache", bad, "x.c"]).unwrap_err();
+            assert!(e.0.contains("want a power of two in 1..=65536"), "{e}");
+        }
+        assert_eq!(
+            parse(&["--icache", "65536"]).unwrap().sim.icache_entries,
+            1 << 16
+        );
+        assert_eq!(parse(&["--icache", "1"]).unwrap().sim.icache_entries, 1);
+        let e = parse(&["--mem-latency", "0", "x.c"]).unwrap_err();
+        assert!(e.0.contains("want a count >= 1"), "{e}");
+    }
+
+    #[test]
+    fn unknown_flag_with_a_value_is_blamed() {
+        let e = parse(&["--max-steps", "5", "prog.c"]).unwrap_err();
+        assert_eq!(e.0, "unknown flag `--max-steps`");
+        let e = parse(&["a.c", "b.c"]).unwrap_err();
+        assert_eq!(e.0, "unexpected extra input `b.c`");
     }
 
     #[test]

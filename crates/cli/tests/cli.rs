@@ -406,9 +406,73 @@ fn unknown_flags_fail_cleanly() {
     let (_, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), &["--bogus"], PROGRAM);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"), "{stderr}");
+    // A value-taking unknown flag is blamed, not the file after it.
+    let (_, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crisp-run"),
+        &["--max-steps", "5", "prog.c"],
+        "",
+    );
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--max-steps`"), "{stderr}");
     let (_, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crispc"), &["--emit", "pdf"], PROGRAM);
     assert!(!ok);
     assert!(stderr.contains("unknown --emit"), "{stderr}");
+}
+
+#[test]
+fn campaign_drivers_have_no_engine_flag() {
+    // Both campaign drivers run the interpreter; the threaded tier's
+    // cross-check lives in the test suite.
+    for exe in [
+        env!("CARGO_BIN_EXE_crisp-diff"),
+        env!("CARGO_BIN_EXE_crisp-fault"),
+    ] {
+        let (stdout, stderr, ok) = run_tool(exe, &["--smoke", "--engine", "interp"], "");
+        assert!(!ok, "{exe}: {stdout}");
+        assert!(
+            stderr.contains("unknown flag `--engine`"),
+            "{exe}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn crisp_run_rejects_bad_machine_geometry() {
+    // These used to trip `SimConfig::validate` asserts, or try to
+    // allocate a 2^30-entry decoded cache.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--icache", "0"], "bad --icache value `0`"),
+        (&["--icache", "3"], "bad --icache value `3`"),
+        (
+            &["--icache", "1073741824"],
+            "bad --icache value `1073741824`",
+        ),
+        (&["--mem-latency", "0"], "bad --mem-latency value `0`"),
+    ];
+    for (args, message) in cases {
+        for cycles in [false, true] {
+            let mut argv = args.to_vec();
+            if cycles {
+                argv.push("--cycles");
+            }
+            let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), &argv, PROGRAM);
+            assert!(!ok, "{argv:?}: {stdout}");
+            assert!(stderr.contains(message), "{argv:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn crisp_diff_rejects_an_empty_campaign() {
+    let (stdout, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crisp-diff"),
+        &["--programs", "0", "--c-programs", "0"],
+        "",
+    );
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("the campaign has no programs"), "{stderr}");
+    assert!(!stdout.contains("all agree"), "{stdout}");
 }
 
 #[test]

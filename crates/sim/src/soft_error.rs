@@ -776,6 +776,9 @@ impl FaultReference {
 
 /// Run the fault-free reference for [`classify_batch`]: the threaded
 /// tier when `translated` is given, the interpreter otherwise.
+/// `crisp-fault` passes `None`; a table is only ever given by the
+/// bench harness's replay and by `tests/prop_threaded.rs`, which holds
+/// the two tiers to the same verdicts.
 ///
 /// # Errors
 ///

@@ -40,8 +40,8 @@
 //!    block fits the remaining step budget, so the watchdog fires at
 //!    exactly the same entry count as the interpreter.
 //! 4. **Armed faults / parity events** — fault injection lives in the
-//!    cycle engine; campaign drivers only route *fault-free* reference
-//!    runs through this tier (see [`crate::soft_error`]).
+//!    cycle engine; only *fault-free* reference runs ever go through
+//!    this tier (see [`crate::soft_error`]).
 //! 5. **Stores into translated text** — tracked as a dirty byte range;
 //!    blocks whose code range overlaps it are invalidated for the rest
 //!    of the run and execute interpreted (both tiers read the immutable
@@ -81,13 +81,12 @@ const BLOCK_CAP: usize = 64;
 /// translating here; uncovered leaders simply stay on the interpreter.
 const OPS_BUDGET: usize = 1 << 20;
 
-/// Which functional engine a driver runs — the `--engine` selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which functional engine `crisp-run` runs — the `--engine` selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The one-entry interpreter ([`FunctionalSim`]).
     Interp,
     /// The block-translating threaded-code tier ([`ThreadedSim`]).
-    #[default]
     Threaded,
 }
 
@@ -98,14 +97,6 @@ impl Engine {
             "interp" => Some(Engine::Interp),
             "threaded" => Some(Engine::Threaded),
             _ => None,
-        }
-    }
-
-    /// Stable CLI/report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Interp => "interp",
-            Engine::Threaded => "threaded",
         }
     }
 }
@@ -1176,12 +1167,18 @@ impl ThreadedSim {
 /// same image, as a human-readable description (`None` = bit-identical).
 pub type ThreadedDivergence = Option<String>;
 
-/// Cross-check the threaded tier against the interpreter on one image:
-/// run both to completion under a [`CommitLog`] observer and compare
-/// errors, final architectural state, architectural statistics, branch
-/// traces and the full commit stream. Machines are pooled through
-/// `bufs` (the `func` slot carries the interpreter, the `cycle` slot
-/// the threaded machine) so campaigns reuse allocations case to case.
+/// Cross-check the threaded tier against the interpreter on one image.
+///
+/// Both run to completion under a [`CommitLog`] observer with branch
+/// traces on, and their errors, final architectural state, halt
+/// disposition, architectural statistics, branch traces and full
+/// commit streams are compared. An observed run retires entry by entry,
+/// so the threaded tier then runs once more unobserved and untraced —
+/// the lowered and melded micro-op path `crisp-run --engine threaded`
+/// ships — and its error, or final state, halt disposition and
+/// statistics, must match the interpreter's too. Machines are pooled
+/// through `bufs` (the `func` slot carries the interpreter, the `cycle`
+/// slot the threaded machine) so repeated checks reuse allocations.
 ///
 /// # Errors
 ///
@@ -1209,67 +1206,79 @@ pub fn verify_threaded_pooled(
         .record_trace(true)
         .run_observed(&mut threaded_log);
 
-    let (a, b) = match (interp_run, threaded_run) {
-        (Err(ea), Err(eb)) => {
-            return Ok((ea != eb)
-                .then(|| format!("errors differ: interp reports {ea}, threaded reports {eb}")));
+    let observed = outcome_divergence("threaded", &interp_run, &threaded_run).or_else(|| {
+        let (Ok(a), Ok(b)) = (&interp_run, &threaded_run) else {
+            return None;
+        };
+        let (la, lb) = (&interp_log.records, &threaded_log.records);
+        if let Some(i) = (0..la.len().max(lb.len())).find(|&i| la.get(i) != lb.get(i)) {
+            return Some(format!(
+                "commit {i} differs: interp {:?}, threaded {:?}",
+                la.get(i),
+                lb.get(i)
+            ));
         }
-        (Err(ea), Ok(_)) => return Ok(Some(format!("interp errors ({ea}), threaded completes"))),
-        (Ok(_), Err(eb)) => return Ok(Some(format!("threaded errors ({eb}), interp completes"))),
+        a.trace
+            .iter()
+            .ne(b.trace.iter())
+            .then(|| "branch traces differ".to_string())
+    });
+
+    // The fast path: unobserved and untraced, on the recycled machine.
+    let fast_machine = reset_or_load(threaded_run.ok().map(|b| b.machine), image)?;
+    let fast_run = ThreadedSim::with_translated(fast_machine, Arc::clone(table))
+        .max_steps(max_steps)
+        .run();
+    let divergence =
+        observed.or_else(|| outcome_divergence("unobserved threaded", &interp_run, &fast_run));
+
+    if let Ok(a) = interp_run {
+        bufs.func = Some(a.machine);
+    }
+    if let Ok(f) = fast_run {
+        bufs.cycle = Some(f.machine);
+    }
+    Ok(divergence)
+}
+
+/// First difference between the interpreter's run and a threaded run
+/// called `name`: the error, or the final architectural state, halt
+/// disposition and architectural statistics. The tier's own counters
+/// are additive observability and are normalized out.
+fn outcome_divergence(
+    name: &str,
+    interp: &Result<FunctionalRun, SimError>,
+    threaded: &Result<FunctionalRun, SimError>,
+) -> ThreadedDivergence {
+    let (a, b) = match (interp, threaded) {
+        (Err(ea), Err(eb)) => {
+            return (ea != eb)
+                .then(|| format!("errors differ: interp reports {ea}, {name} reports {eb}"));
+        }
+        (Err(ea), Ok(_)) => return Some(format!("interp errors ({ea}), {name} completes")),
+        (Ok(_), Err(eb)) => return Some(format!("{name} errors ({eb}), interp completes")),
         (Ok(a), Ok(b)) => (a, b),
     };
-
-    let divergence = (|| {
-        for (i, (ra, rb)) in interp_log
-            .records
-            .iter()
-            .zip(&threaded_log.records)
-            .enumerate()
-        {
-            if ra != rb {
-                return Some(format!(
-                    "commit {i} differs: interp {ra:?}, threaded {rb:?}"
-                ));
-            }
-        }
-        if interp_log.records.len() != threaded_log.records.len() {
-            return Some(format!(
-                "commit counts differ: interp {}, threaded {}",
-                interp_log.records.len(),
-                threaded_log.records.len()
-            ));
-        }
-        if a.machine != b.machine {
-            return Some("final architectural state differs".to_string());
-        }
-        if (a.halted, a.halt_reason) != (b.halted, b.halt_reason) {
-            return Some(format!(
-                "halt disposition differs: interp {:?}, threaded {:?}",
-                (a.halted, a.halt_reason),
-                (b.halted, b.halt_reason)
-            ));
-        }
-        if a.trace.iter().ne(b.trace.iter()) {
-            return Some("branch traces differ".to_string());
-        }
-        // Architectural statistics must agree exactly; the threaded
-        // tier's own counters are additive observability on top.
-        let mut normalized = b.stats.clone();
-        normalized.blocks_translated = 0;
-        normalized.superinstr_dispatches = 0;
-        normalized.deopt_falls = 0;
-        if normalized != a.stats {
-            return Some(format!(
-                "run stats differ: interp {:?}, threaded {normalized:?}",
-                a.stats
-            ));
-        }
-        None
-    })();
-
-    bufs.func = Some(a.machine);
-    bufs.cycle = Some(b.machine);
-    Ok(divergence)
+    if a.machine != b.machine {
+        return Some(format!("{name}: final architectural state differs"));
+    }
+    if (a.halted, a.halt_reason) != (b.halted, b.halt_reason) {
+        return Some(format!(
+            "halt disposition differs: interp {:?}, {name} {:?}",
+            (a.halted, a.halt_reason),
+            (b.halted, b.halt_reason)
+        ));
+    }
+    let mut normalized = b.stats.clone();
+    normalized.blocks_translated = 0;
+    normalized.superinstr_dispatches = 0;
+    normalized.deopt_falls = 0;
+    (normalized != a.stats).then(|| {
+        format!(
+            "run stats differ: interp {:?}, {name} {normalized:?}",
+            a.stats
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1489,7 +1498,5 @@ mod tests {
         assert_eq!(Engine::parse("interp"), Some(Engine::Interp));
         assert_eq!(Engine::parse("threaded"), Some(Engine::Threaded));
         assert_eq!(Engine::parse("jit"), None);
-        assert_eq!(Engine::Threaded.name(), "threaded");
-        assert_eq!(Engine::default(), Engine::Threaded);
     }
 }

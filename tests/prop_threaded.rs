@@ -9,9 +9,12 @@
 //! fault-free reference participates in an armed fault-injection
 //! campaign.
 //!
-//! The comparison itself lives in `crisp::sim::verify_threaded_pooled`
-//! (the same cross-check `crisp-diff --engine threaded` runs per fold
-//! policy); these properties drive it across the corpus space.
+//! The comparison itself lives in `crisp::sim::verify_threaded_pooled`,
+//! which also runs the tier once unobserved and untraced: the lowered
+//! and melded micro-op path `crisp-run --engine threaded` ships, which
+//! an observed run never takes. These properties drive it across the
+//! corpus space, and over the fixed workloads, whose loops exercise the
+//! melded pairs the random corpora rarely or never form.
 
 use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::Image;
@@ -22,6 +25,7 @@ use crisp::sim::{
     LockstepBuffers, MachinePool, ParityMode, PredecodedImage, SimConfig, SimError,
     TranslatedImage, FAULT_SPACE,
 };
+use crisp::workloads::{dispatch_workload, figure3_with_count, fsm_workload, sort_workload};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -57,6 +61,29 @@ fn classify(
     let outcome = classify_batch(image, &[cfg], Some(predecoded), &reference, 1, pool);
     pool.put(reference.into_machine());
     Ok(outcome?[0])
+}
+
+/// The fixed workloads under every fold policy. Figure 3 runs one
+/// `Op3Cmp` and one `Op2SpMov` meld per iteration; over 300 random
+/// assembly and 100 random mini-C programs `Op2SpMov` ran 0 times.
+#[test]
+fn threaded_matches_interp_on_fixed_workloads() {
+    let sources = [
+        ("figure3", figure3_with_count(64)),
+        ("dispatch", dispatch_workload().source.to_string()),
+        ("sort", sort_workload().source.to_string()),
+        ("fsm", fsm_workload().source.to_string()),
+    ];
+    let mut bufs = LockstepBuffers::default();
+    for (name, source) in sources {
+        let image = compile_crisp(&source, &CompileOptions::default()).unwrap();
+        for policy in POLICIES {
+            let table = TranslatedImage::shared(&image, policy).unwrap();
+            let d =
+                crisp::sim::verify_threaded_pooled(&image, &table, 2_000_000, &mut bufs).unwrap();
+            assert!(d.is_none(), "{name} under {policy:?}: {}", d.unwrap());
+        }
+    }
 }
 
 proptest! {
@@ -111,8 +138,9 @@ proptest! {
 
     /// Armed fault-injection campaigns classify identically whichever
     /// tier runs the fault-free reference: the outcome bucket of every
-    /// (program, fault plan) case is unchanged when `crisp-fault`
-    /// defaults to `--engine threaded`.
+    /// (program, fault plan) case is the same when `fault_reference` is
+    /// handed a translated table as when it runs the interpreter, as
+    /// `crisp-fault` does.
     #[test]
     fn fault_classification_agrees_across_tiers(seed in 0u64..5000, plan in arb_plan()) {
         let image = GenProgram::generate(seed, 8).image().unwrap();
