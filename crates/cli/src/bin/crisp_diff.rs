@@ -47,8 +47,8 @@ use crisp_asm::rand_prog::{shrink, GenProgram};
 use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
-    extract_flag, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num, parse_predictor,
-    parse_switch, resume_checkpoint,
+    extract_flag, parse_count, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
+    parse_predictor, parse_switch, resume_checkpoint, MAX_PROGRAMS,
 };
 use crisp_sim::{
     diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, Divergence, FaultInjection,
@@ -143,8 +143,8 @@ fn run() -> Result<ExitCode, String> {
     let seed: u64 = parse_num(&mut raw, "--seed", 0)?;
     let default_programs: u64 = if smoke { 64 } else { 1000 };
     let default_c: u64 = if smoke { 8 } else { 50 };
-    let programs: u64 = parse_num(&mut raw, "--programs", default_programs)?;
-    let c_programs: u64 = parse_num(&mut raw, "--c-programs", default_c)?;
+    let programs = parse_count(&mut raw, "--programs", default_programs, MAX_PROGRAMS)?;
+    let c_programs = parse_count(&mut raw, "--c-programs", default_c, MAX_PROGRAMS)?;
     let max_blocks: usize = parse_num(&mut raw, "--max-blocks", 10)?;
     let jobs: usize = parse_num(
         &mut raw,

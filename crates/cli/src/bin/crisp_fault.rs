@@ -42,35 +42,38 @@
 //!                     SECS seconds, plus a final campaign report
 //! ```
 //!
-//! Workers claim cases in blocks of [`CLAIM_BLOCK`] and run both
-//! phases of every case through [`classify_batch`], which forks each
-//! faulted run off a shared fault-free cycle run at its strike cycle
-//! and stops it as soon as its verdict is fixed; the fault-free
-//! reference commit log is computed once per program and shared by
-//! every case that strikes it. Worker panics are contained per block:
-//! the block is re-run case by case on fresh machine buffers and only
-//! a case that panics solo is quarantined (recorded, skipped, campaign
+//! One program is the unit of work: a worker claims all `--faults`
+//! cases of one program as one block, computes the program's
+//! fault-free reference commit log, and classifies both phases of
+//! every case in one [`classify_batch`] call, which forks each faulted
+//! run off one fault-free cycle run per phase at its strike cycle and
+//! stops it as soon as its verdict is fixed. Parallelism is therefore
+//! across programs: a campaign with fewer programs than `--jobs`
+//! leaves workers idle. Worker panics are contained per block: the
+//! block is re-run case by case on fresh machine buffers and only a
+//! case that panics solo is quarantined (recorded, skipped, campaign
 //! continues) — a single pathological case can no longer abort a
-//! multi-hour campaign. Exit
-//! status is 0 when every fault is recovered under parity protection
-//! and nothing was quarantined, 1 otherwise.
+//! multi-hour campaign. Exit status is 0 when every fault is recovered
+//! under parity protection and nothing was quarantined, 1 otherwise.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crisp_asm::rand_prog::{GenProgram, Rng};
-use crisp_asm::Image;
-use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult, CLAIM_BLOCK};
+use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
-    extract_flag, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num, parse_predictor,
-    parse_switch, resume_checkpoint, target_space, Checkpoint,
+    extract_flag, parse_count, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
+    parse_predictor, parse_switch, resume_checkpoint, target_space, Checkpoint, MAX_PROGRAMS,
 };
 use crisp_sim::{
-    classify_batch, fault_reference, report_rows, FaultOutcome, FaultPlan, FaultReference,
-    FaultSpace, FaultTarget, HwPredictor, MachinePool, ParityMode, PipelineGeometry,
-    PredecodedImage, SimConfig,
+    classify_batch, fault_reference, report_rows, FaultOutcome, FaultPlan, FaultSpace, FaultTarget,
+    HwPredictor, MachinePool, ParityMode, PipelineGeometry, PredecodedImage, SimConfig,
 };
+
+/// Largest `--faults`: one program's cases are one block, and a block
+/// holds two configs and two outcomes per case, so the bound keeps a
+/// typo from asking for an unallocatable block. 2^16 is a thousand
+/// times the default 64 faults per program.
+const MAX_FAULTS: u64 = 1 << 16;
 
 fn main() -> ExitCode {
     match run() {
@@ -88,49 +91,6 @@ struct Failure {
     program_seed: u64,
     plan: FaultPlan,
     detail: String,
-}
-
-/// One program's fault-free reference, shared by every case that
-/// strikes the program and released once the last of them settles.
-struct ProgramReference {
-    /// `None` before the first case computes the reference and again
-    /// after release; `Some(None)` records a reference that did not
-    /// halt within the watchdog budget.
-    slot: Mutex<Option<Option<Arc<FaultReference>>>>,
-    /// Cases of this program not yet classified or quarantined.
-    remaining: AtomicU64,
-}
-
-impl ProgramReference {
-    /// The slot, locked. A panic while computing the reference leaves
-    /// the slot empty, so a poisoned lock is still sound to use: the
-    /// next case simply computes the reference again.
-    fn lock(&self) -> MutexGuard<'_, Option<Option<Arc<FaultReference>>>> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The shared reference, computing it with `compute` when it is
-    /// missing. A released reference is recomputed: the run is
-    /// deterministic, so a late retry classifies exactly as before.
-    fn get(
-        &self,
-        compute: impl FnOnce() -> Option<Arc<FaultReference>>,
-    ) -> Option<Arc<FaultReference>> {
-        self.lock().get_or_insert_with(compute).clone()
-    }
-
-    /// Count `n` more cases of this program as settled. When none
-    /// remain, drop the shared reference and hand back its machine
-    /// buffer if no other holder is left.
-    fn settle(&self, n: u64) -> Option<FaultReference> {
-        // AcqRel pairs each settler's release with the last settler's
-        // acquire, so every earlier use of the reference happens before
-        // it is released.
-        if self.remaining.fetch_sub(n, Ordering::AcqRel) != n {
-            return None;
-        }
-        Arc::into_inner(self.lock().take().flatten()?)
-    }
 }
 
 /// One quarantined case: the worker died twice on it (panic in a
@@ -268,8 +228,8 @@ impl Campaign {
         let (default_programs, default_faults) = if smoke { (2, 32) } else { (8, 64) };
         Ok(Campaign {
             seed: parse_num(raw, "--seed", 0)?,
-            programs: parse_num(raw, "--programs", default_programs)?,
-            faults: parse_num(raw, "--faults", default_faults)?,
+            programs: parse_count(raw, "--programs", default_programs, MAX_PROGRAMS)?,
+            faults: parse_count(raw, "--faults", default_faults, MAX_FAULTS)?,
             max_blocks: parse_num(raw, "--max-blocks", 10)?,
             max_cycles: parse_max_cycles(raw)?.unwrap_or(200_000),
             geometry: parse_eu_depth(raw)?.unwrap_or_default(),
@@ -338,9 +298,8 @@ fn run() -> Result<ExitCode, String> {
     if programs == 0 || faults == 0 {
         return Err("--programs and --faults must be at least 1".into());
     }
-    let total = programs.checked_mul(faults).ok_or_else(|| {
-        format!("--programs {programs} x --faults {faults} is more cases than fit in 64 bits")
-    })?;
+    // The bounds keep this far inside 64 bits.
+    let total = programs * faults;
 
     // The work list is deterministic in (seed, programs, faults,
     // max_blocks, targets), which is what makes --resume sound: case i
@@ -348,8 +307,7 @@ fn run() -> Result<ExitCode, String> {
     // decoded once here; every fault case (and both phases within a
     // case) shares the predecoded table.
     let fold_policy = SimConfig::default().fold_policy;
-    type CampaignImage = (u64, Image, Arc<PredecodedImage>);
-    let mut images: Vec<CampaignImage> = Vec::with_capacity(programs as usize);
+    let mut images = Vec::with_capacity(programs as usize);
     for p in 0..programs {
         let pseed = seed.wrapping_add(p);
         let prog = GenProgram::generate(pseed, max_blocks);
@@ -362,105 +320,69 @@ fn run() -> Result<ExitCode, String> {
     }
     let icache_entries = SimConfig::default().icache_entries as u64;
     let cp = resume_checkpoint("crisp-fault", resume_path.as_ref(), total, "cases")?;
-    // The fault-free reference commit log for each program, computed
-    // once by whichever worker strikes the program first and shared by
-    // every later case (the old scalar driver re-ran the reference
-    // twice per case). A reference that did not halt within the
-    // watchdog budget skips every case of its program, exactly as when
-    // the per-case reference run hit the limit. Each reference counts
-    // down the program's cases still to run (those past the resumed
-    // prefix) and is released after the last one, so only the
-    // programs in flight hold a machine.
-    let references: Vec<ProgramReference> = (0..programs)
-        .map(|p| {
-            let start = (p * faults).max(cp.completed);
-            ProgramReference {
-                slot: Mutex::new(None),
-                remaining: AtomicU64::new(((p + 1) * faults).saturating_sub(start)),
-            }
-        })
-        .collect();
 
     println!(
         "crisp-fault: {programs} programs x {faults} faults on {jobs} threads \
          (base seed {seed}, target {target_spec})"
     );
 
-    // Run one claimed block: group its cases by program so each group
-    // shares one reference lookup, then classify both phases of every
-    // case against it. The groups settle their programs' reference
-    // counts only once the whole block has run: a block that panics
-    // part-way is retried case by case, and each case must count
-    // exactly once.
+    // Run one claimed block: the cases of one program (all of them, or
+    // the rest after a resume, or one on a solo retry). Compute the
+    // program's fault-free reference and classify both phases of every
+    // case against it. A reference that does not halt within the
+    // watchdog budget, like a load failure or a fault-free cycle run
+    // that overruns --max-cycles, is deterministic per program: every
+    // case of the block is tallied skipped.
     let run_block = |cases: &[u64], pool: &mut MachinePool| {
-        let mut out: Vec<(u64, CaseResult<Option<String>, Failure>)> =
-            Vec::with_capacity(cases.len());
-        let mut groups: Vec<(usize, u64)> = Vec::new();
-        for group in cases.chunk_by(|a, b| a / faults == b / faults) {
-            let p = group[0] / faults;
-            groups.push((p as usize, group.len() as u64));
-            let (pseed, image, table) = &images[p as usize];
-            let reference = references[p as usize].get(|| {
-                let cfg = SimConfig {
-                    max_cycles,
-                    geometry,
-                    predictor,
-                    ..SimConfig::default()
-                };
-                fault_reference(image, cfg, Some(table), None, pool)
-                    .ok()
-                    .map(Arc::new)
-            });
-            let Some(reference) = reference else {
-                out.extend(group.iter().map(|&i| (i, CaseResult::Done(None))));
-                continue;
-            };
-            let mut cfgs = Vec::with_capacity(group.len() * 2);
-            let mut plans = Vec::with_capacity(group.len());
-            for &i in group {
-                let plan = plan_for(seed, i, icache_entries, &targets, predictor);
+        let (pseed, image, table) = &images[(cases[0] / faults) as usize];
+        let skipped = || cases.iter().map(|&i| (i, CaseResult::Done(None))).collect();
+        let cfg = SimConfig {
+            max_cycles,
+            geometry,
+            predictor,
+            ..SimConfig::default()
+        };
+        let Ok(reference) = fault_reference(image, cfg, Some(table), None, pool) else {
+            return skipped();
+        };
+        let plans: Vec<FaultPlan> = cases
+            .iter()
+            .map(|&i| plan_for(seed, i, icache_entries, &targets, predictor))
+            .collect();
+        let cfgs: Vec<SimConfig> = plans
+            .iter()
+            .flat_map(|&plan| {
                 let protected = SimConfig {
                     parity: ParityMode::DetectInvalidate,
                     fault_plan: Some(plan),
-                    max_cycles,
-                    geometry,
-                    predictor,
-                    ..SimConfig::default()
+                    ..cfg
                 };
-                cfgs.push(protected);
-                cfgs.push(SimConfig {
-                    parity: ParityMode::Off,
-                    ..protected
-                });
-                plans.push(plan);
-            }
-            match classify_batch(image, &cfgs, Some(table), &reference, 1, pool) {
-                // A load failure, or a fault-free cycle run that
-                // overruns --max-cycles, is deterministic per program:
-                // tally the group skipped, as a reference that does not
-                // halt is.
-                Err(_) => out.extend(group.iter().map(|&i| (i, CaseResult::Done(None)))),
-                Ok(outcomes) => {
-                    for (j, &i) in group.iter().enumerate() {
-                        let verdict =
-                            case_verdict(*pseed, plans[j], outcomes[2 * j], outcomes[2 * j + 1]);
-                        out.push((i, verdict));
-                    }
-                }
-            }
-        }
-        for (p, n) in groups {
-            if let Some(reference) = references[p].settle(n) {
-                pool.put(reference.into_machine());
-            }
-        }
-        out
+                [
+                    protected,
+                    SimConfig {
+                        parity: ParityMode::Off,
+                        ..protected
+                    },
+                ]
+            })
+            .collect();
+        let outcomes = classify_batch(image, &cfgs, Some(table), &reference, 1, pool);
+        pool.put(reference.into_machine());
+        let Ok(outcomes) = outcomes else {
+            return skipped();
+        };
+        cases
+            .iter()
+            .zip(plans)
+            .zip(outcomes.chunks_exact(2))
+            .map(|((&i, plan), o)| (i, case_verdict(*pseed, plan, o[0], o[1])))
+            .collect()
     };
     let report = run_campaign(
         CampaignSpec {
             total,
             jobs,
-            block: CLAIM_BLOCK,
+            block: faults,
             save_every: (jobs as u64 * 32).max(64),
             resume_path: resume_path.as_ref(),
             heartbeat_secs,
@@ -475,16 +397,11 @@ fn run() -> Result<ExitCode, String> {
             }
             None => cp.tally("skipped", 1),
         },
-        |i, detail| {
-            // A quarantined case settles too; its program's reference
-            // buffer is dropped rather than pooled.
-            references[(i / faults) as usize].settle(1);
-            Quarantine {
-                case: i,
-                program_seed: images[(i / faults) as usize].0,
-                plan: plan_for(seed, i, icache_entries, &targets, predictor),
-                detail,
-            }
+        |i, detail| Quarantine {
+            case: i,
+            program_seed: images[(i / faults) as usize].0,
+            plan: plan_for(seed, i, icache_entries, &targets, predictor),
+            detail,
         },
     )?;
 

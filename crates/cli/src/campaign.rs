@@ -7,16 +7,17 @@
 //! and fold the results into a crash-safe [`Checkpoint`]. The
 //! supervisor owns the cross-cutting machinery:
 //!
-//! * **Block claiming** — workers claim `block` cases at a time, so a
-//!   driver can share per-block work (`crisp-fault` looks up each
-//!   program's fault-free reference once per block, not once per
-//!   case).
+//! * **Block claiming** — a worker claims one aligned window of
+//!   `block` cases at a time and completes it as a whole, so a driver
+//!   can make a block its unit of shared work: `crisp-fault` sets
+//!   `block` to its faults per program, so one block is one program
+//!   and computes that program's fault-free reference once.
 //! * **Panic isolation** — a panicking block is retried case by case
 //!   on fresh worker state, so only the offending case is quarantined
 //!   (recorded, skipped, campaign continues) while its innocent
 //!   blockmates complete normally. With `block = 1` this reduces to
 //!   the old retry-once-then-quarantine behavior exactly.
-//! * **Checkpointing** — completed cases join the queue's contiguous
+//! * **Checkpointing** — completed blocks join the queue's contiguous
 //!   prefix; tallies are folded into the checkpoint in prefix order
 //!   and persisted every `save_every` cases, so `--resume` restarts
 //!   replay the identical campaign.
@@ -30,11 +31,6 @@ use std::time::{Duration, Instant};
 use crisp_telemetry::{CampaignMonitor, Heartbeat};
 
 use crate::{Checkpoint, WorkQueue};
-
-/// Cases a `crisp-fault` worker claims per block. Reports do not
-/// depend on it: every case's verdict is independent of its blockmates,
-/// and tallies fold in case order.
-pub const CLAIM_BLOCK: u64 = 8;
 
 /// How one campaign case resolved, as reported by the driver's block
 /// runner.
@@ -55,8 +51,11 @@ pub struct CampaignSpec<'a> {
     pub total: u64,
     /// Worker threads.
     pub jobs: usize,
-    /// Cases claimed (and run) per block ([`CLAIM_BLOCK`] for
-    /// `crisp-fault`, one program at a time for `crisp-diff`).
+    /// Cases per block: block `k` is cases `[k·block, (k+1)·block)`
+    /// clipped to the work left (`--faults`, one program, for
+    /// `crisp-fault`; 1, one program, for `crisp-diff`). Reports do not
+    /// depend on it: every case's verdict is independent of its
+    /// blockmates, and tallies fold in case order.
     pub block: u64,
     /// Persist the checkpoint every this many completed cases.
     pub save_every: u64,
@@ -108,12 +107,12 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `worker_state` builds one `W` per worker thread (machine pools,
 /// lockstep buffers); it is rebuilt whenever a panic may have poisoned
-/// it. `run_block` runs a claimed block of case indices and reports
-/// one [`CaseResult`] per case — it may panic, and the supervisor
-/// contains the blast radius. `tally_case` folds one completed case's
-/// payload into the checkpoint (called in contiguous-prefix order).
-/// `quarantine` renders a twice-panicking case into the driver's
-/// quarantine record.
+/// it. `run_block` runs a claimed block of consecutive case indices
+/// and reports one [`CaseResult`] per case, in case order — it may
+/// panic, and the supervisor contains the blast radius. `tally_case`
+/// folds one completed case's payload into the checkpoint (called in
+/// contiguous-prefix order). `quarantine` renders a twice-panicking
+/// case into the driver's quarantine record.
 ///
 /// # Errors
 ///
@@ -141,13 +140,15 @@ where
         heartbeat_secs,
         checkpoint,
     } = spec;
-    assert!(block_size >= 1, "a campaign block needs at least one case");
     let failure: Mutex<Option<E>> = Mutex::new(None);
     let quarantine_log: Mutex<Vec<Q>> = Mutex::new(Vec::new());
     let abort_msg: Mutex<Option<String>> = Mutex::new(None);
-    let queue: WorkQueue<CaseDone<T>> = WorkQueue::new(checkpoint.completed, total);
+    let queue: WorkQueue<CaseDone<T>> = WorkQueue::new(checkpoint.completed, total, block_size);
+    let monitor = Arc::new(CampaignMonitor::new(
+        total.saturating_sub(checkpoint.completed),
+        jobs,
+    ));
     let progress = Mutex::new((checkpoint, 0u64));
-    let monitor = Arc::new(CampaignMonitor::new(queue.remaining(), jobs));
     let heartbeat =
         heartbeat_secs.map(|s| Heartbeat::start(Arc::clone(&monitor), Duration::from_secs(s)));
 
@@ -159,12 +160,13 @@ where
             let (worker_state, run_block) = (&worker_state, &run_block);
             let (tally_case, quarantine) = (&tally_case, &quarantine);
             scope.spawn(move || {
-                // Settle one completed case: push it through the
-                // queue's prefix tracker, fold released payloads into
-                // the checkpoint, and persist on the save cadence.
-                // Returns false when the worker must stop (I/O error).
-                let settle = |i: u64, done: CaseDone<T>| -> bool {
-                    let drained = queue.complete(i, done);
+                // Settle one completed block starting at case `first`:
+                // push it through the queue's prefix tracker, fold
+                // released payloads into the checkpoint, and persist on
+                // the save cadence. Returns false when the worker must
+                // stop (I/O error).
+                let settle = |first: u64, done: Vec<CaseDone<T>>| -> bool {
+                    let drained = queue.complete(first, done);
                     if drained.payloads.is_empty() {
                         return true;
                     }
@@ -193,51 +195,43 @@ where
                     }
                     true
                 };
-                // Apply one block's results. Returns false when the
-                // worker must stop (failure, abort, or I/O error).
-                let apply = |results: Vec<(u64, CaseResult<T, E>)>, retried: bool| -> bool {
-                    for (i, result) in results {
-                        match result {
-                            CaseResult::Done(t) => {
-                                if !settle(
-                                    i,
-                                    CaseDone {
-                                        payload: Some(t),
-                                        retried,
-                                        quarantined: false,
-                                    },
-                                ) {
+                // Apply one block's results. A failure or abort stops
+                // the campaign before the block settles. Returns false
+                // when the worker must stop (failure, abort, or I/O
+                // error).
+                let apply =
+                    |block: &[u64], results: Vec<(u64, CaseResult<T, E>)>, retried: bool| -> bool {
+                        assert!(
+                            results.iter().map(|r| r.0).eq(block.iter().copied()),
+                            "run_block must report every case of its block, in order"
+                        );
+                        let mut done = Vec::with_capacity(results.len());
+                        for (_, result) in results {
+                            match result {
+                                CaseResult::Done(t) => done.push(CaseDone {
+                                    payload: Some(t),
+                                    retried,
+                                    quarantined: false,
+                                }),
+                                CaseResult::Fail(e) => {
+                                    monitor.record_finding();
+                                    *failure.lock().unwrap() = Some(e);
+                                    queue.abort();
+                                    return false;
+                                }
+                                CaseResult::Abort(msg) => {
+                                    *abort_msg.lock().unwrap() = Some(msg);
+                                    queue.abort();
                                     return false;
                                 }
                             }
-                            CaseResult::Fail(e) => {
-                                monitor.record_finding();
-                                *failure.lock().unwrap() = Some(e);
-                                queue.abort();
-                                return false;
-                            }
-                            CaseResult::Abort(msg) => {
-                                *abort_msg.lock().unwrap() = Some(msg);
-                                queue.abort();
-                                return false;
-                            }
                         }
-                    }
-                    true
-                };
+                        settle(block[0], done)
+                    };
 
                 let mut state = worker_state();
-                loop {
-                    let mut block: Vec<u64> = Vec::with_capacity(block_size as usize);
-                    while (block.len() as u64) < block_size {
-                        match queue.claim() {
-                            Some(i) => block.push(i),
-                            None => break,
-                        }
-                    }
-                    if block.is_empty() {
-                        return;
-                    }
+                while let Some(cases) = queue.claim_block() {
+                    let block: Vec<u64> = cases.collect();
                     let start = Instant::now();
                     let attempt = catch_unwind(AssertUnwindSafe(|| run_block(&block, &mut state)));
                     match attempt {
@@ -246,7 +240,7 @@ where
                             for _ in &block {
                                 monitor.record_case(w, each);
                             }
-                            if !apply(results, false) {
+                            if !apply(&block, results, false) {
                                 return;
                             }
                         }
@@ -262,12 +256,8 @@ where
                                 let solo =
                                     catch_unwind(AssertUnwindSafe(|| run_block(&[i], &mut state)));
                                 monitor.record_case(w, solo_start.elapsed());
-                                match solo {
-                                    Ok(results) => {
-                                        if !apply(results, true) {
-                                            return;
-                                        }
-                                    }
+                                let settled = match solo {
+                                    Ok(results) => apply(&[i], results, true),
                                     Err(payload) => {
                                         monitor.record_quarantine();
                                         state = worker_state();
@@ -275,17 +265,16 @@ where
                                             .lock()
                                             .unwrap()
                                             .push(quarantine(i, panic_text(payload)));
-                                        if !settle(
-                                            i,
-                                            CaseDone {
-                                                payload: None,
-                                                retried: true,
-                                                quarantined: true,
-                                            },
-                                        ) {
-                                            return;
-                                        }
+                                        let done = CaseDone {
+                                            payload: None,
+                                            retried: true,
+                                            quarantined: true,
+                                        };
+                                        settle(i, vec![done])
                                     }
+                                };
+                                if !settled {
+                                    return;
                                 }
                             }
                         }
@@ -346,6 +335,46 @@ mod tests {
             assert!(report.failure.is_none());
             assert!(report.quarantined.is_empty());
         }
+    }
+
+    #[test]
+    fn every_block_is_one_contiguous_slice_of_one_aligned_window() {
+        // A resumed start mid-window: case 10 of windows of 7.
+        let resumed = CampaignSpec {
+            checkpoint: Checkpoint {
+                completed: 10,
+                tallies: Vec::new(),
+            },
+            ..spec(100, 7)
+        };
+        let blocks = Mutex::new(Vec::new());
+        let report = run_campaign(
+            resumed,
+            || (),
+            |cases, ()| {
+                blocks.lock().unwrap().push(cases.to_vec());
+                cases
+                    .iter()
+                    .map(|&i| (i, CaseResult::<u64, String>::Done(1)))
+                    .collect()
+            },
+            |cp, n| cp.tally("done", n),
+            |_, msg| msg,
+        )
+        .unwrap();
+        assert_eq!(report.checkpoint.completed, 100);
+        assert_eq!(report.checkpoint.get("done"), 90);
+        let mut blocks = blocks.into_inner().unwrap();
+        blocks.sort();
+        assert_eq!(blocks[0], (10..14).collect::<Vec<_>>());
+        // Each block is its whole window, clipped to the work left.
+        for block in &blocks {
+            let w = block[0] / 7;
+            let window: Vec<u64> = ((w * 7).max(10)..((w + 1) * 7).min(100)).collect();
+            assert_eq!(*block, window);
+        }
+        let cases: Vec<u64> = blocks.concat();
+        assert_eq!(cases, (10..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 pub mod campaign;
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -308,6 +309,31 @@ pub fn parse_num<T: std::str::FromStr>(
     }
 }
 
+/// Largest `--programs` (and `--c-programs`): both campaign drivers
+/// build their whole work list up front, so a typo must not ask for an
+/// unallocatable list. 2^20 is a thousand times the largest campaign
+/// in use (the benchmark's 1024 programs).
+pub const MAX_PROGRAMS: u64 = 1 << 20;
+
+/// [`parse_num`] for a count with an upper bound.
+///
+/// # Errors
+///
+/// As [`parse_num`], and a message naming the flag and the bound when
+/// the value exceeds `max`.
+pub fn parse_count(
+    raw: &mut Vec<String>,
+    name: &str,
+    default: u64,
+    max: u64,
+) -> Result<u64, String> {
+    let n = parse_num(raw, name, default)?;
+    if n > max {
+        return Err(format!("{name}: {n} is more than the bound of {max}"));
+    }
+    Ok(n)
+}
+
 /// Remove `--engine interp|threaded` from an argument vector, or
 /// return [`Engine::Interp`] when the flag is absent.
 ///
@@ -570,17 +596,24 @@ impl Checkpoint {
 /// A self-scheduling campaign work queue with contiguous-prefix
 /// completion tracking.
 ///
-/// Workers [`claim`](WorkQueue::claim) indices one at a time — no fixed
-/// chunking, so one slow case never leaves the other threads idle at a
-/// chunk boundary — and report each finished case together with its
-/// checkpoint payload. Payloads are handed back to the caller only once
-/// their case joins the contiguous completed prefix, which keeps
-/// `--resume` checkpoints sound: a checkpoint claiming N completed
-/// cases accounts for exactly the first N cases even though cases
-/// finish out of order.
+/// Cases are cut into aligned windows `[k·block, (k+1)·block)`, and
+/// workers [`claim_block`](WorkQueue::claim_block) the next window with
+/// one `fetch_add` — no fixed per-worker chunking, so a worker that
+/// finishes early takes the next window. Alignment makes the blocks a
+/// property of the campaign, not of the run: a resumed start in the
+/// middle of a window first hands out the rest of that window, then
+/// exactly the windows an uninterrupted run would have. Workers report
+/// each finished block with its cases' checkpoint payloads, which are
+/// handed back to the caller only once the block joins the contiguous
+/// completed prefix. That keeps `--resume` checkpoints sound: a
+/// checkpoint claiming N completed cases accounts for exactly the
+/// first N cases even though blocks finish out of order.
 pub struct WorkQueue<T> {
+    /// The next window to hand out.
     next: AtomicU64,
+    start: u64,
     total: u64,
+    block: u64,
     stop: AtomicBool,
     state: Mutex<QueueState<T>>,
 }
@@ -588,9 +621,10 @@ pub struct WorkQueue<T> {
 struct QueueState<T> {
     /// Cases `0..prefix` are complete and their payloads drained.
     prefix: u64,
-    /// Finished cases still waiting for an earlier one (bounded by the
-    /// worker count, so the linear scans below stay cheap).
-    pending: Vec<(u64, T)>,
+    /// Finished blocks (first case, payloads) still waiting for an
+    /// earlier one: at most one per worker, plus the solo reruns of
+    /// one panicked block, so the linear scans below stay cheap.
+    pending: Vec<(u64, Vec<T>)>,
 }
 
 /// Prefix progress released by [`WorkQueue::complete`].
@@ -598,18 +632,26 @@ pub struct Drained<T> {
     /// Cases now in the contiguous completed prefix.
     pub completed: u64,
     /// Payloads of the cases that just joined the prefix, in index
-    /// order. Empty when the completed case is still waiting on an
+    /// order. Empty when the completed block is still waiting on an
     /// earlier in-flight one.
     pub payloads: Vec<T>,
 }
 
 impl<T> WorkQueue<T> {
-    /// A queue over cases `start..total` (cases below `start` were
-    /// completed by a previous run and come from the checkpoint).
-    pub fn new(start: u64, total: u64) -> Self {
+    /// A queue over cases `start..total` in windows of `block` cases
+    /// (cases below `start` were completed by a previous run and come
+    /// from the checkpoint).
+    ///
+    /// # Panics
+    ///
+    /// If `block` is zero.
+    pub fn new(start: u64, total: u64, block: u64) -> Self {
+        assert!(block >= 1, "a campaign block needs at least one case");
         WorkQueue {
-            next: AtomicU64::new(start),
+            next: AtomicU64::new(start / block),
+            start,
             total,
+            block,
             stop: AtomicBool::new(false),
             state: Mutex::new(QueueState {
                 prefix: start,
@@ -618,58 +660,40 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Claim the next unprocessed case, or `None` when the queue is
-    /// drained or aborted.
-    pub fn claim(&self) -> Option<u64> {
+    /// Claim the cases of the next window still inside `start..total`,
+    /// or `None` when the queue is drained or aborted.
+    pub fn claim_block(&self) -> Option<Range<u64>> {
         if self.stop.load(Ordering::Relaxed) {
             return None;
         }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then_some(i)
+        let k = self.next.fetch_add(1, Ordering::Relaxed);
+        let first = k.saturating_mul(self.block).max(self.start);
+        let end = (k + 1).saturating_mul(self.block).min(self.total);
+        (first < end).then_some(first..end)
     }
 
-    /// Stop handing out work (a failure was recorded); in-flight cases
+    /// Stop handing out work (a failure was recorded); in-flight blocks
     /// finish on their own.
     pub fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`abort`](WorkQueue::abort) has been called.
-    pub fn aborted(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Record case `index` as finished with its checkpoint payload and
-    /// collect any payloads that just became part of the contiguous
-    /// prefix.
-    pub fn complete(&self, index: u64, payload: T) -> Drained<T> {
+    /// Record the block starting at case `first` as finished with one
+    /// checkpoint payload per case, and collect any payloads that just
+    /// became part of the contiguous prefix.
+    pub fn complete(&self, first: u64, payloads: Vec<T>) -> Drained<T> {
         let mut st = self.state.lock().unwrap();
-        st.pending.push((index, payload));
-        let mut payloads = Vec::new();
+        st.pending.push((first, payloads));
+        let mut released = Vec::new();
         while let Some(pos) = st.pending.iter().position(|(i, _)| *i == st.prefix) {
-            let (_, p) = st.pending.swap_remove(pos);
-            payloads.push(p);
-            st.prefix += 1;
+            let (_, block) = st.pending.swap_remove(pos);
+            st.prefix += block.len() as u64;
+            released.extend(block);
         }
         Drained {
             completed: st.prefix,
-            payloads,
+            payloads: released,
         }
-    }
-
-    /// Current contiguous completed prefix.
-    pub fn completed(&self) -> u64 {
-        self.state.lock().unwrap().prefix
-    }
-
-    /// Cases not yet handed out by [`claim`](WorkQueue::claim). Read
-    /// before the workers start, this is the work left for this run
-    /// (total minus the checkpoint prefix), which is what campaign
-    /// monitors use as their progress denominator: a resumed run
-    /// reports progress over its own remaining work rather than the
-    /// full campaign.
-    pub fn remaining(&self) -> u64 {
-        self.total - self.next.load(Ordering::Relaxed).min(self.total)
     }
 }
 
@@ -937,63 +961,74 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_hands_out_each_case_once() {
-        let q: WorkQueue<u64> = WorkQueue::new(3, 6);
-        assert_eq!(q.claim(), Some(3));
-        assert_eq!(q.claim(), Some(4));
-        assert_eq!(q.claim(), Some(5));
-        assert_eq!(q.claim(), None);
-        assert_eq!(q.claim(), None);
+    fn work_queue_resumed_mid_window_yields_a_partial_first_block() {
+        let q: WorkQueue<u64> = WorkQueue::new(10, 30, 8);
+        assert_eq!(q.claim_block(), Some(10..16));
+        assert_eq!(q.claim_block(), Some(16..24));
+        assert_eq!(q.claim_block(), Some(24..30));
+        assert_eq!(q.claim_block(), None);
+        assert_eq!(q.claim_block(), None);
+        // A start on a window boundary hands out whole windows.
+        let q: WorkQueue<u64> = WorkQueue::new(8, 16, 8);
+        assert_eq!(q.claim_block(), Some(8..16));
+        assert_eq!(q.claim_block(), None);
     }
 
     #[test]
-    fn work_queue_releases_payloads_in_prefix_order() {
-        let q: WorkQueue<&str> = WorkQueue::new(0, 4);
-        for _ in 0..4 {
-            q.claim();
-        }
-        // Case 2 finishes first: nothing is released yet.
-        let d = q.complete(2, "two");
+    fn work_queue_releases_blocks_in_prefix_order() {
+        let q: WorkQueue<u64> = WorkQueue::new(0, 10, 4);
+        let blocks: Vec<Range<u64>> = std::iter::from_fn(|| q.claim_block()).collect();
+        assert_eq!(blocks, [0..4, 4..8, 8..10]);
+        // The last block finishes first: nothing is released yet.
+        let d = q.complete(8, vec![8, 9]);
         assert_eq!(d.completed, 0);
         assert!(d.payloads.is_empty());
-        // Case 0 joins: 0 is released, 1 still in flight blocks 2.
-        let d = q.complete(0, "zero");
-        assert_eq!(d.completed, 1);
-        assert_eq!(d.payloads, ["zero"]);
-        // Case 1 joins and unblocks the parked case 2.
-        let d = q.complete(1, "one");
-        assert_eq!(d.completed, 3);
-        assert_eq!(d.payloads, ["one", "two"]);
-        let d = q.complete(3, "three");
+        // The first block joins; the middle one still blocks the last.
+        let d = q.complete(0, (0..4).collect());
         assert_eq!(d.completed, 4);
-        assert_eq!(d.payloads, ["three"]);
-        assert_eq!(q.completed(), 4);
+        assert_eq!(d.payloads, [0, 1, 2, 3]);
+        // The middle block joins and unblocks the parked last one.
+        let d = q.complete(4, (4..8).collect());
+        assert_eq!(d.completed, 10);
+        assert_eq!(d.payloads, [4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
     fn work_queue_abort_stops_claims() {
-        let q: WorkQueue<()> = WorkQueue::new(0, 100);
-        assert_eq!(q.claim(), Some(0));
-        assert!(!q.aborted());
+        let q: WorkQueue<()> = WorkQueue::new(0, 100, 1);
+        assert_eq!(q.claim_block(), Some(0..1));
         q.abort();
-        assert!(q.aborted());
-        assert_eq!(q.claim(), None);
+        assert_eq!(q.claim_block(), None);
     }
 
     #[test]
-    fn work_queue_under_thread_contention() {
-        let q: WorkQueue<u64> = WorkQueue::new(0, 500);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    while let Some(i) = q.claim() {
-                        q.complete(i, i);
-                    }
-                });
-            }
-        });
-        assert_eq!(q.completed(), 500);
-        assert_eq!(q.claim(), None);
+    fn work_queue_claims_every_case_once_under_thread_contention() {
+        for block in [1, 7, 64] {
+            let q: WorkQueue<u64> = WorkQueue::new(3, 500, block);
+            let claimed = Mutex::new(Vec::new());
+            let released = Mutex::new((0, Vec::new()));
+            std::thread::scope(|scope| {
+                for _ in 0..8 {
+                    scope.spawn(|| {
+                        while let Some(cases) = q.claim_block() {
+                            claimed.lock().unwrap().extend(cases.clone());
+                            let d = q.complete(cases.start, cases.collect());
+                            let (completed, payloads) = &mut *released.lock().unwrap();
+                            *completed = d.completed.max(*completed);
+                            payloads.extend(d.payloads);
+                        }
+                    });
+                }
+            });
+            let mut claimed = claimed.into_inner().unwrap();
+            claimed.sort_unstable();
+            assert_eq!(claimed, (3..500).collect::<Vec<_>>(), "block {block}");
+            let (completed, mut payloads) = released.into_inner().unwrap();
+            assert_eq!(completed, 500, "block {block}");
+            payloads.sort_unstable();
+            assert_eq!(payloads, claimed, "block {block}");
+            assert_eq!(q.claim_block(), None);
+        }
     }
 
     #[test]

@@ -544,6 +544,7 @@ fn repeated_flags_fail_with_a_clear_error() {
 fn crisp_fault_rejects_a_case_count_that_overflows() {
     // 2 x 2^63 wraps to 0 cases and 3 x 6148914691236517206 to 2: both
     // must fail as usage errors instead of running a wrapped campaign.
+    // The --faults bound rejects them before any product is formed.
     for (programs, faults) in [("2", "9223372036854775808"), ("3", "6148914691236517206")] {
         let (stdout, stderr, ok) = run_tool(
             env!("CARGO_BIN_EXE_crisp-fault"),
@@ -552,9 +553,49 @@ fn crisp_fault_rejects_a_case_count_that_overflows() {
         );
         assert!(!ok, "{stdout}");
         assert!(
-            stderr.contains("more cases than fit in 64 bits"),
+            stderr.contains("--faults") && stderr.contains("bound of 65536"),
             "{stderr}"
         );
         assert!(!stdout.contains(r#""cases""#), "{stdout}");
+    }
+}
+
+#[test]
+fn campaign_counts_past_their_bounds_are_usage_errors() {
+    // Each count sizes an up-front allocation, so 2^60 must fail as a
+    // usage error (exit 1), not panic with "capacity overflow" (101).
+    const HUGE: &str = "1152921504606846976";
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            env!("CARGO_BIN_EXE_crisp-fault"),
+            &["--programs", HUGE, "--faults", "1"],
+            "--programs: 1152921504606846976 is more than the bound of 1048576",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-fault"),
+            &["--programs", "1", "--faults", HUGE],
+            "--faults: 1152921504606846976 is more than the bound of 65536",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-diff"),
+            &["--programs", HUGE, "--c-programs", "0"],
+            "--programs: 1152921504606846976 is more than the bound of 1048576",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crisp-diff"),
+            &["--programs", "0", "--c-programs", HUGE],
+            "--c-programs: 1152921504606846976 is more than the bound of 1048576",
+        ),
+    ];
+    for (exe, args, message) in cases {
+        let out = Command::new(exe)
+            .args(args)
+            .args(["--jobs", "1"])
+            .output()
+            .expect("tool runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
