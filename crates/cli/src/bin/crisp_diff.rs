@@ -31,7 +31,9 @@
 //!                     ETA) plus a final campaign report
 //!   --inject          demonstrate the oracle: run with the
 //!                     skip-OR-squash fault injected, expect it to be
-//!                     caught and shrunk
+//!                     caught and shrunk (takes --seed, --max-blocks
+//!                     and --eu-depth; the campaign flags are usage
+//!                     errors)
 //! ```
 //!
 //! Worker panics are caught per program, retried once on fresh machine
@@ -138,8 +140,26 @@ fn run() -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    let smoke = parse_switch(&mut raw, "--smoke")?;
     let inject = parse_switch(&mut raw, "--inject")?;
+    if inject {
+        // The demonstration runs one fixed configuration on generated
+        // programs until the planted bug shows: campaign flags would be
+        // silently ignored.
+        let campaign = [
+            "--smoke",
+            "--programs",
+            "--c-programs",
+            "--jobs",
+            "--predictor",
+            "--max-cycles",
+            "--resume",
+            "--heartbeat",
+        ];
+        if let Some(flag) = campaign.iter().find(|f| raw.iter().any(|a| a == *f)) {
+            return Err(format!("{flag} does not apply to --inject"));
+        }
+    }
+    let smoke = parse_switch(&mut raw, "--smoke")?;
     let seed: u64 = parse_num(&mut raw, "--seed", 0)?;
     let default_programs: u64 = if smoke { 64 } else { 1000 };
     let default_c: u64 = if smoke { 8 } else { 50 };
@@ -222,13 +242,12 @@ fn run() -> Result<ExitCode, String> {
 
     // One claimed block is one program; check_program runs its whole
     // configuration sweep.
-    let run_block = |cases: &[u64], state: &mut (LockstepBuffers, MachinePool)| {
-        let (bufs, pool) = state;
+    let run_block = |cases: &[u64], pool: &mut MachinePool| {
         cases
             .iter()
             .map(|&i| {
                 let program = &work[i as usize];
-                let result = match check_program(program, &configs, bufs, pool) {
+                let result = match check_program(program, &configs, pool) {
                     Ok(commits) => CaseResult::Done(commits),
                     Err(CheckFail::Load(msg)) => {
                         CaseResult::Abort(format!("campaign aborted: {msg}"))
@@ -251,7 +270,7 @@ fn run() -> Result<ExitCode, String> {
             heartbeat_secs,
             checkpoint: cp,
         },
-        || (LockstepBuffers::default(), MachinePool::default()),
+        MachinePool::default,
         run_block,
         |cp, commits| cp.tally("commits", commits),
         |i, what| format!("{}: {what}", work[i as usize].describe()),
@@ -306,13 +325,11 @@ enum CheckFail {
 /// [`PredecodedImage`], its functional reference commit log is
 /// computed once by [`diff_reference`], and all of the policy's
 /// configurations then run against that log via
-/// [`run_lockstep_batched`] (which falls back to the co-stepped
-/// lockstep oracle on any run that does not cleanly agree, so
-/// divergence reports are identical to [`run_lockstep`]'s).
+/// [`run_lockstep_batched`] (whose divergence reports are identical
+/// to [`run_lockstep`]'s).
 fn check_program(
     program: &Program,
     configs: &[SimConfig],
-    bufs: &mut LockstepBuffers,
     pool: &mut MachinePool,
 ) -> Result<u64, CheckFail> {
     let image = program
@@ -339,8 +356,16 @@ fn check_program(
         };
         let reference = diff_reference(&image, policy, group[0].max_cycles, Some(&table), pool)
             .map_err(load_failed)?;
-        let outcomes = run_lockstep_batched(&image, group, Some(&table), &reference, 1, pool, bufs)
-            .map_err(load_failed)?;
+        let outcomes = run_lockstep_batched(
+            &image,
+            group,
+            Some(&table),
+            &reference,
+            1,
+            pool,
+            &mut LockstepBuffers::default(),
+        )
+        .map_err(load_failed)?;
         for (cfg, out) in group.iter().zip(outcomes) {
             match out {
                 LockstepOutcome::Agree { commits: c, .. } => commits += c,

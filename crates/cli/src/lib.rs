@@ -82,118 +82,117 @@ const MAX_ICACHE_ENTRIES: usize = 1 << 16;
 ///
 /// [`UsageError`] on unknown flags or bad values.
 pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, UsageError> {
-    let mut out = CommonArgs {
-        input: None,
-        compile: CompileOptions::default(),
-        sim: SimConfig::default(),
-        rest: Vec::new(),
-    };
-    // `--inject btb:...` needs the predictor to enumerate fault sites,
-    // and `--predictor` may appear later on the line — resolve after
-    // the loop.
-    let mut inject_spec: Option<String> = None;
     let mut raw: Vec<String> = args.collect();
-    out.sim.geometry = parse_eu_depth(&mut raw)
+    let raw = &mut raw;
+    let (c, d) = (CompileOptions::default(), SimConfig::default());
+    let positive = |n: &u32| *n > 0;
+    let compile = CompileOptions {
+        spread: !parse_switch(raw, "--no-spread").map_err(UsageError)?,
+        prediction: parse_choice(raw, "--predict", &PREDICTION_MODES)
+            .map_err(UsageError)?
+            .unwrap_or(c.prediction),
+    };
+    let icache_want = format!("a power of two in 1..={MAX_ICACHE_ENTRIES}");
+    let mut sim = SimConfig {
+        predictor: parse_predictor(raw)
+            .map_err(UsageError)?
+            .unwrap_or(d.predictor),
+        fold_policy: parse_choice(raw, "--fold", &FOLD_POLICIES)
+            .map_err(UsageError)?
+            .unwrap_or(d.fold_policy),
+        icache_entries: parse_valid(raw, "--icache", &icache_want, |n: &usize| {
+            n.is_power_of_two() && *n <= MAX_ICACHE_ENTRIES
+        })
         .map_err(UsageError)?
-        .unwrap_or_default();
-    out.sim.max_cycles = parse_max_cycles(&mut raw)
-        .map_err(UsageError)?
-        .unwrap_or(out.sim.max_cycles);
-    let mut args = raw.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        let value_for = |flag: &str, args: &mut std::iter::Peekable<_>| match args.next() {
-            Some(v) => Ok(v),
-            None => err(format!("{flag} requires a value")),
-        };
-        match arg.as_str() {
-            "--no-spread" => out.compile.spread = false,
-            "--predict" => {
-                let v: String = value_for("--predict", &mut args)?;
-                out.compile.prediction = match v.as_str() {
-                    "taken" => PredictionMode::Taken,
-                    "not-taken" => PredictionMode::NotTaken,
-                    "btfnt" => PredictionMode::Btfnt,
-                    "ftbnt" => PredictionMode::Ftbnt,
-                    other => return err(format!("unknown prediction mode `{other}`")),
-                };
-            }
-            "--predictor" => {
-                let v: String = value_for("--predictor", &mut args)?;
-                out.sim.predictor = HwPredictor::parse(&v)
-                    .map_err(|e| UsageError(format!("bad --predictor value `{v}`: {e}")))?;
-            }
-            "--fold" => {
-                let v: String = value_for("--fold", &mut args)?;
-                out.sim.fold_policy = match v.as_str() {
-                    "none" => FoldPolicy::None,
-                    "host1" => FoldPolicy::Host1,
-                    "host13" => FoldPolicy::Host13,
-                    "all" => FoldPolicy::All,
-                    other => return err(format!("unknown fold policy `{other}`")),
-                };
-            }
-            "--icache" => {
-                let v: String = value_for("--icache", &mut args)?;
-                out.sim.icache_entries = match v.parse::<usize>() {
-                    Ok(n) if n.is_power_of_two() && n <= MAX_ICACHE_ENTRIES => n,
-                    _ => {
-                        return err(format!(
-                            "bad --icache value `{v}` (want a power of two in \
-                             1..={MAX_ICACHE_ENTRIES})"
-                        ))
-                    }
-                };
-            }
-            "--mem-latency" => {
-                let v: String = value_for("--mem-latency", &mut args)?;
-                out.sim.mem_latency = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => return err(format!("bad --mem-latency value `{v}` (want a count >= 1)")),
-                };
-            }
-            "--max-insns" => {
-                let v: String = value_for("--max-insns", &mut args)?;
-                out.sim.max_insns = match v.parse() {
-                    Ok(n) if n > 0 => Some(n),
-                    _ => return err(format!("bad --max-insns value `{v}`")),
-                };
-            }
-            "--parity" => {
-                let v: String = value_for("--parity", &mut args)?;
-                out.sim.parity = match v.as_str() {
-                    "off" => ParityMode::Off,
-                    "detect" => ParityMode::DetectInvalidate,
-                    other => return err(format!("unknown --parity mode `{other}`")),
-                };
-            }
-            "--degrade" => {
-                let v: String = value_for("--degrade", &mut args)?;
-                out.sim.degrade = match v.parse() {
-                    Ok(n) if n > 0 => Some(DegradePolicy { parity_limit: n }),
-                    _ => return err(format!("bad --degrade value `{v}` (want a count >= 1)")),
-                };
-            }
-            "--inject" => {
-                inject_spec = Some(value_for("--inject", &mut args)?);
-            }
-            other if other.starts_with("--") => out.rest.push(arg),
-            _ => {
-                if out.input.is_some() {
-                    // An unknown flag that takes a value leaves the
-                    // value as the input; blame the flag, not the file.
-                    return err(match out.rest.first() {
-                        Some(flag) => format!("unknown flag `{flag}`"),
-                        None => format!("unexpected extra input `{arg}`"),
-                    });
-                }
-                out.input = Some(arg);
-            }
+        .unwrap_or(d.icache_entries),
+        mem_latency: parse_valid(raw, "--mem-latency", "a count >= 1", positive)
+            .map_err(UsageError)?
+            .unwrap_or(d.mem_latency),
+        geometry: parse_eu_depth(raw).map_err(UsageError)?.unwrap_or_default(),
+        max_cycles: parse_max_cycles(raw)
+            .map_err(UsageError)?
+            .unwrap_or(d.max_cycles),
+        max_insns: parse_valid(raw, "--max-insns", "a count >= 1", |&n: &u64| n > 0)
+            .map_err(UsageError)?,
+        parity: parse_choice(raw, "--parity", &PARITY_MODES)
+            .map_err(UsageError)?
+            .unwrap_or(d.parity),
+        degrade: parse_valid(raw, "--degrade", "a count >= 1", positive)
+            .map_err(UsageError)?
+            .map(|parity_limit| DegradePolicy { parity_limit }),
+        ..d
+    };
+    // `--inject btb:...` enumerates the live predictor's fault sites.
+    if let Some(spec) = extract_flag(raw, "--inject")? {
+        sim.fault_plan = Some(parse_fault_spec(&spec, sim.predictor)?);
+    }
+    let mut input = None;
+    let mut rest: Vec<String> = Vec::new();
+    for arg in raw.drain(..) {
+        if arg.starts_with("--") {
+            rest.push(arg);
+        } else if input.is_some() {
+            // An unknown flag that takes a value leaves the value as
+            // the input; blame the flag, not the file.
+            return err(match rest.first() {
+                Some(flag) => format!("unknown flag `{flag}`"),
+                None => format!("unexpected extra input `{arg}`"),
+            });
+        } else {
+            input = Some(arg);
         }
     }
-    if let Some(spec) = inject_spec {
-        out.sim.fault_plan = Some(parse_fault_spec(&spec, out.sim.predictor)?);
-    }
-    Ok(out)
+    Ok(CommonArgs {
+        input,
+        compile,
+        sim,
+        rest,
+    })
+}
+
+/// `--predict` spellings.
+const PREDICTION_MODES: [(&str, PredictionMode); 4] = [
+    ("taken", PredictionMode::Taken),
+    ("not-taken", PredictionMode::NotTaken),
+    ("btfnt", PredictionMode::Btfnt),
+    ("ftbnt", PredictionMode::Ftbnt),
+];
+
+/// `--fold` spellings.
+const FOLD_POLICIES: [(&str, FoldPolicy); 4] = [
+    ("none", FoldPolicy::None),
+    ("host1", FoldPolicy::Host1),
+    ("host13", FoldPolicy::Host13),
+    ("all", FoldPolicy::All),
+];
+
+/// `--parity` spellings.
+const PARITY_MODES: [(&str, ParityMode); 2] = [
+    ("off", ParityMode::Off),
+    ("detect", ParityMode::DetectInvalidate),
+];
+
+/// Remove `--name VALUE` from an argument vector, `None` when the flag
+/// is absent, and map the value through `choices`. A value that names
+/// no choice is an error that lists them.
+fn parse_choice<T: Copy>(
+    raw: &mut Vec<String>,
+    name: &str,
+    choices: &[(&str, T)],
+) -> Result<Option<T>, String> {
+    extract_flag(raw, name)
+        .map_err(|e| e.to_string())?
+        .map(|v| {
+            choices
+                .iter()
+                .find(|(spelling, _)| *spelling == v)
+                .map(|&(_, choice)| choice)
+                .ok_or_else(|| {
+                    let want: Vec<&str> = choices.iter().map(|(spelling, _)| *spelling).collect();
+                    format!("{name}: bad value `{v}` (want {})", want.join(" | "))
+                })
+        })
+        .transpose()
 }
 
 /// Parse a `--inject TARGET:CYCLE:SLOT:SITE` fault specification into a

@@ -349,7 +349,7 @@ fn crisp_run_predictor_flag_drives_live_prediction() {
             asm,
         );
         assert!(!ok);
-        assert!(stderr.contains("bad --predictor value"), "{bad}: {stderr}");
+        assert!(stderr.contains("--predictor: bad value"), "{bad}: {stderr}");
     }
 }
 
@@ -441,13 +441,13 @@ fn crisp_run_rejects_bad_machine_geometry() {
     // These used to trip `SimConfig::validate` asserts, or try to
     // allocate a 2^30-entry decoded cache.
     let cases: [(&[&str], &str); 4] = [
-        (&["--icache", "0"], "bad --icache value `0`"),
-        (&["--icache", "3"], "bad --icache value `3`"),
+        (&["--icache", "0"], "--icache: bad value `0`"),
+        (&["--icache", "3"], "--icache: bad value `3`"),
         (
             &["--icache", "1073741824"],
-            "bad --icache value `1073741824`",
+            "--icache: bad value `1073741824`",
         ),
-        (&["--mem-latency", "0"], "bad --mem-latency value `0`"),
+        (&["--mem-latency", "0"], "--mem-latency: bad value `0`"),
     ];
     for (args, message) in cases {
         for cycles in [false, true] {
@@ -479,7 +479,7 @@ fn crisp_diff_rejects_an_empty_campaign() {
 fn repeated_flags_fail_with_a_clear_error() {
     // A repeated value flag or switch used to fall through to the
     // leftover check and read as an unknown flag.
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 7] = [
         (
             env!("CARGO_BIN_EXE_crisp-diff"),
             &["--jobs", "2", "--jobs", "1"],
@@ -505,6 +505,16 @@ fn repeated_flags_fail_with_a_clear_error() {
             &["--cycles", "--cycles"],
             "--cycles",
         ),
+        (
+            env!("CARGO_BIN_EXE_crisp-run"),
+            &["--cycles", "--fold", "none", "--fold", "all"],
+            "--fold",
+        ),
+        (
+            env!("CARGO_BIN_EXE_crispc"),
+            &["--fold", "none", "--fold", "all"],
+            "--fold",
+        ),
     ];
     for (exe, args, flag) in cases {
         let (stdout, stderr, ok) = run_tool(exe, args, PROGRAM);
@@ -517,7 +527,7 @@ fn repeated_flags_fail_with_a_clear_error() {
     }
     // One parser per shared flag: every tool rejects a bad value with
     // the same text.
-    let bad_values: [(&[&str], &str); 2] = [
+    let bad_values: [(&[&str], &str); 3] = [
         (
             &["--eu-depth", "9"],
             "--eu-depth: bad value `9` (want 2..=8)",
@@ -526,6 +536,7 @@ fn repeated_flags_fail_with_a_clear_error() {
             &["--max-cycles", "0"],
             "--max-cycles: bad value `0` (want a count >= 1)",
         ),
+        (&["--predictor", "zzz"], "--predictor: bad value `zzz`"),
     ];
     for exe in [
         env!("CARGO_BIN_EXE_crisp-run"),
@@ -597,5 +608,29 @@ fn campaign_counts_past_their_bounds_are_usage_errors() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn crisp_diff_inject_rejects_campaign_flags() {
+    // `--inject` runs one fixed demonstration; these flags used to be
+    // accepted and silently ignored.
+    for args in [
+        &["--inject", "--predictor", "btb"][..],
+        &["--inject", "--max-cycles", "5"],
+        &["--inject", "--programs", "3"],
+        &["--inject", "--c-programs", "3"],
+        &["--inject", "--resume", "/nonexistent/x.json"],
+        &["--inject", "--heartbeat", "1"],
+        &["--inject", "--jobs", "2"],
+        &["--inject", "--smoke"],
+    ] {
+        let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-diff"), args, "");
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(
+            stderr.contains(&format!("{} does not apply to --inject", args[1])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
     }
 }

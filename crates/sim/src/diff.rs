@@ -8,11 +8,18 @@
 //! end-of-run result check can miss, because later correct-path writes
 //! can overwrite the damage. The oracle here compares the engines
 //! *commit by commit* instead: both emit [`PipeEvent::Commit`] through
-//! the shared commit point ([`Machine::execute_observed`]), and
-//! [`run_lockstep`] co-steps the functional engine one retirement at a
-//! time against the cycle engine's commit stream, reporting the first
-//! divergent commit together with a pipeline-timeline excerpt of the
-//! cycles around it.
+//! the shared commit point ([`Machine::execute_observed`]).
+//!
+//! Every lockstep verdict comes from one kernel. [`diff_reference`]
+//! runs the functional engine once and keeps its commit stream and how
+//! it ended; the cycle engine then runs with a [`PrefixCheck`] cursor
+//! over that stream, stopping at the first commit that decides the
+//! verdict; and one `judge` turns the cursor and the way the run ended
+//! into agreement or the first divergence. [`run_lockstep`] adds an
+//! event ring to that run for a pipeline-timeline excerpt of the cycles
+//! around the divergence, and the fault campaigns
+//! ([`crate::classify_batch`]) map the same judgement onto AVF
+//! outcomes.
 //!
 //! The harness is validated by fault injection: configuring
 //! [`crate::FaultInjection::SkipOrSquash`] makes the cycle engine skip
@@ -25,12 +32,9 @@ use std::sync::Arc;
 use crisp_isa::FoldPolicy;
 
 use crate::config::HwPredictor;
-use crate::machine::reset_or_load;
 use crate::observe::{render_timeline_for, EventRing, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
-use crate::{
-    CycleSim, FunctionalSim, HaltReason, Machine, MachinePool, RunEnd, SimConfig, SimError,
-};
+use crate::{CycleSim, FunctionalSim, Machine, MachinePool, RunEnd, SimConfig, SimError};
 use crisp_asm::Image;
 
 /// Events of pipeline context retained for the divergence excerpt.
@@ -39,8 +43,8 @@ const TIMELINE_RING: usize = 4096;
 const EXCERPT_BEFORE: u64 = 8;
 /// Cycles of context rendered after the divergent commit.
 const EXCERPT_AFTER: u64 = 3;
-/// How many commits past the cycle engine's error the functional
-/// reference may run before the engines are declared divergent. The
+/// How many commits past the cycle engine's last the functional
+/// reference may raise the cycle engine's error and still agree. The
 /// cycle engine's fetch/decode errors fire up to a full pipeline ahead
 /// of retirement, so the reference legitimately commits the few slots
 /// still in flight before reaching the same error.
@@ -303,96 +307,17 @@ pub fn sweep_configs() -> Vec<SimConfig> {
     out
 }
 
-fn diverge(
-    cyc: &CycleSim<(CommitLog, EventRing)>,
-    commit_index: usize,
-    at_cycle: u64,
-    kind: DivergenceKind,
-) -> LockstepOutcome {
-    let events: Vec<PipeEvent> = cyc.observer().1.events().copied().collect();
-    let from = at_cycle.saturating_sub(EXCERPT_BEFORE);
-    let timeline = render_timeline_for(&events, from, at_cycle + EXCERPT_AFTER, cyc.geometry());
-    LockstepOutcome::Diverge(Box::new(Divergence {
-        commit_index,
-        cycle: at_cycle,
-        kind,
-        timeline,
-    }))
-}
-
-/// Run both engines over `image` in lockstep under `cfg`, comparing
-/// commit streams, and report the first divergence (or agreement).
-///
-/// The cycle engine is clocked one cycle at a time; each retirement it
-/// produces advances the functional reference by exactly one step, and
-/// the two [`CommitRecord`]s must match. The comparison is therefore
-/// *incremental* — the run stops at the first divergent commit, with
-/// the pipeline context still in the event ring for the excerpt.
-///
-/// # Errors
-///
-/// Only harness-level failures (the image does not load) are `Err`;
-/// every behavioural disagreement — including one engine erroring where
-/// the other ran on — is reported as [`LockstepOutcome::Diverge`].
-pub fn run_lockstep(image: &Image, cfg: SimConfig) -> Result<LockstepOutcome, SimError> {
-    run_lockstep_pooled(image, cfg, None, &mut LockstepBuffers::default())
-}
-
-/// Reusable per-worker state for [`run_lockstep_pooled`]: the two
-/// engines' `Machine` buffers, recycled across cases via
-/// [`Machine::reset_from`] so a million-case campaign performs two
+/// Reusable per-worker state for [`verify_threaded_pooled`]: the
+/// interpreter's and the threaded tier's `Machine` buffers, recycled
+/// across cases via [`Machine::reset_from`] so a campaign performs two
 /// memory allocations per worker instead of two per case.
+/// [`run_lockstep_batched`] takes one and ignores it.
+///
+/// [`verify_threaded_pooled`]: crate::verify_threaded_pooled
 #[derive(Debug, Default)]
 pub struct LockstepBuffers {
     pub(crate) func: Option<Machine>,
     pub(crate) cycle: Option<Machine>,
-}
-
-/// [`run_lockstep`] with the campaign fast paths: `predecoded` (when
-/// given) serves both engines' decode work from a shared table, and
-/// `bufs` recycles the machine buffers across calls.
-///
-/// # Errors
-///
-/// Same conditions as [`run_lockstep`].
-///
-/// # Panics
-///
-/// If `predecoded` was built under a fold policy different from
-/// `cfg.fold_policy` — the table would silently answer for the wrong
-/// policy.
-pub fn run_lockstep_pooled(
-    image: &Image,
-    cfg: SimConfig,
-    predecoded: Option<&Arc<PredecodedImage>>,
-    bufs: &mut LockstepBuffers,
-) -> Result<LockstepOutcome, SimError> {
-    cfg.validate();
-    if let Some(t) = predecoded {
-        assert_eq!(
-            t.policy(),
-            cfg.fold_policy,
-            "predecode table policy must match the swept config"
-        );
-    }
-    let fmach = reset_or_load(bufs.func.take(), image)?;
-    let cmach = reset_or_load(bufs.cycle.take(), image)?;
-    let mut func = match predecoded {
-        Some(t) => FunctionalSim::with_predecoded(fmach, Arc::clone(t)),
-        None => FunctionalSim::with_policy(fmach, cfg.fold_policy),
-    };
-    let mut cyc = CycleSim::with_observer(
-        cmach,
-        cfg,
-        (CommitLog::default(), EventRing::new(TIMELINE_RING)),
-    );
-    if let Some(t) = predecoded {
-        cyc.set_predecoded(Arc::clone(t));
-    }
-    let outcome = lockstep_loop(&mut func, &mut cyc);
-    bufs.func = Some(func.into_machine());
-    bufs.cycle = Some(cyc.into_machine());
-    Ok(outcome)
 }
 
 /// Whether two engines ended in the same architectural state: the
@@ -405,139 +330,28 @@ fn same_final_state(a: &Machine, b: &Machine) -> bool {
         && a.mem == b.mem
 }
 
-fn lockstep_loop(
-    func: &mut FunctionalSim,
-    cyc: &mut CycleSim<(CommitLog, EventRing)>,
-) -> LockstepOutcome {
-    let mut flog = CommitLog::default();
-    let mut compared = 0usize;
-    let mut func_halted = false;
-
-    loop {
-        // One clock cycle, watchdog checked first.
-        let step_result = cyc.run_until(|_| true);
-        if step_result == Ok(RunEnd::Watchdog) {
-            let at = cyc.stats.cycles;
-            return diverge(
-                cyc,
-                compared,
-                at,
-                DivergenceKind::Watchdog {
-                    commits: compared as u64,
-                },
-            );
-        }
-
-        // Drain the cycle engine's newly retired commits, co-stepping
-        // the functional reference one commit per record.
-        while compared < cyc.observer().0.records.len() {
-            let crec = cyc.observer().0.records[compared];
-            let at = cyc.observer().0.cycles[compared];
-            if func_halted {
-                return diverge(
-                    cyc,
-                    compared,
-                    at,
-                    DivergenceKind::ExtraCommit { cycle: crec },
-                );
-            }
-            let frec = match func.step_observed(compared as u64, &mut flog) {
-                Ok(_) => *flog.records.last().expect("step_observed emits a commit"),
-                Err(e) => {
-                    return diverge(
-                        cyc,
-                        compared,
-                        at,
-                        DivergenceKind::Error {
-                            functional: Some(e),
-                            cycle: None,
-                        },
-                    );
-                }
-            };
-            if frec != crec {
-                return diverge(
-                    cyc,
-                    compared,
-                    at,
-                    DivergenceKind::Mismatch {
-                        functional: frec,
-                        cycle: crec,
-                    },
-                );
-            }
-            func_halted = frec.halted;
-            compared += 1;
-        }
-
-        match step_result {
-            Ok(RunEnd::Halted) => break,
-            Ok(_) => {}
-            Err(cycle_err) => {
-                // Agreement requires the functional engine to reach the
-                // same error within the in-flight window (the cycle
-                // engine aborted before the slots behind the error
-                // retired, so the reference may owe a few commits).
-                let mut func_err = None;
-                if !func_halted {
-                    for chase in 0..ERROR_CHASE {
-                        match func.step_observed((compared + chase) as u64, &mut flog) {
-                            Ok(step) => {
-                                if step.halted {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                func_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if func_err.as_ref() == Some(&cycle_err) {
-                    return LockstepOutcome::Agree {
-                        commits: compared as u64,
-                        cycles: cyc.stats.cycles,
-                    };
-                }
-                let at = cyc.stats.cycles;
-                return diverge(
-                    cyc,
-                    compared,
-                    at,
-                    DivergenceKind::Error {
-                        functional: func_err,
-                        cycle: Some(cycle_err),
-                    },
-                );
-            }
-        }
-    }
-
-    // Streams matched all the way to halt (the final records carried
-    // halted = true on both sides, so the functional engine stopped at
-    // the same commit). Belt and braces: the complete architectural
-    // state must agree too, catching any write neither engine reported.
-    if !same_final_state(func.machine(), cyc.machine()) {
-        let at = cyc.stats.cycles;
-        return diverge(cyc, compared, at, DivergenceKind::FinalState);
-    }
-    LockstepOutcome::Agree {
-        commits: compared as u64,
-        cycles: cyc.stats.cycles,
-    }
+/// The first commit a [`PrefixCheck`] could not match.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// The cycle it retired on.
+    cycle: u64,
+    /// What the cycle engine committed.
+    observed: CommitRecord,
+    /// The reference's record at the same index, `None` past the
+    /// reference's end.
+    expected: Option<CommitRecord>,
 }
 
 /// An online commit-stream comparator: checks each commit a cycle
 /// engine retires against a precomputed reference [`CommitLog`], in
 /// retirement order, without storing the stream.
 ///
-/// This is the campaign kernels' observer. Where [`run_lockstep`]
-/// co-steps a live functional engine, the kernels share one reference
-/// log per (image, fold policy) and each case carries only a cursor
-/// into it — no per-case log allocation — and stops its run
-/// ([`CycleSim::run_until`]) as soon as [`PrefixCheck::decided`]
-/// reports that its verdict is fixed.
+/// This is the lockstep kernel's observer, shared by [`run_lockstep`],
+/// [`run_lockstep_batched`] and [`crate::classify_batch`]: one
+/// reference log serves every configuration or fault case of a
+/// program, each run carries only a cursor into it — no per-run log
+/// allocation — and stops ([`CycleSim::run_until`]) as soon as
+/// [`PrefixCheck::decided`] reports that its verdict is fixed.
 ///
 /// It reads only [`PipeEvent::Commit`], so it declares itself
 /// commit-only ([`PipeObserver::PIPELINE`] is `false`): the cycle
@@ -548,10 +362,8 @@ pub struct PrefixCheck {
     reference: Arc<CommitLog>,
     /// Leading commits that matched the reference.
     matched: usize,
-    /// The first divergent (reference, observed) pair, if any.
-    mismatch: Option<(CommitRecord, CommitRecord)>,
-    /// Commits observed beyond the end of the reference stream.
-    extra: u64,
+    /// The first commit that did not extend the matched prefix.
+    miss: Option<Miss>,
 }
 
 impl PrefixCheck {
@@ -560,8 +372,7 @@ impl PrefixCheck {
         PrefixCheck {
             reference,
             matched: 0,
-            mismatch: None,
-            extra: 0,
+            miss: None,
         }
     }
 
@@ -570,31 +381,18 @@ impl PrefixCheck {
         self.matched
     }
 
-    /// The first divergent (reference, observed) record pair, if the
-    /// prefix has diverged.
-    pub fn mismatch(&self) -> Option<&(CommitRecord, CommitRecord)> {
-        self.mismatch.as_ref()
-    }
-
-    /// Commits retired past the end of the reference stream (with the
-    /// whole reference matched).
-    pub fn extra(&self) -> u64 {
-        self.extra
-    }
-
     /// Whether the verdict is already fixed no matter how the run
-    /// ends: the prefix has diverged, so later commits can only follow
-    /// the wrong path. Length differences do *not* decide — a short,
-    /// long or stalled stream still distinguishes hang from halt by
-    /// how the run ends.
+    /// ends: a commit differed from the reference's, or retired past
+    /// the reference's end. A stream that is merely short or stalled
+    /// does *not* decide — how the run ends tells hang from halt.
     pub fn decided(&self) -> bool {
-        self.mismatch.is_some()
+        self.miss.is_some()
     }
 
     /// Whether the observed stream reproduced the reference exactly:
-    /// every reference commit matched, none diverged, none were extra.
+    /// every reference commit matched and nothing else retired.
     pub fn full_match(&self) -> bool {
-        self.mismatch.is_none() && self.extra == 0 && self.matched == self.reference.records.len()
+        self.miss.is_none() && self.matched == self.reference.records.len()
     }
 }
 
@@ -603,53 +401,77 @@ impl PipeObserver for PrefixCheck {
 
     #[inline]
     fn event(&mut self, ev: PipeEvent) {
-        let Some((_, rec)) = CommitRecord::from_event(&ev) else {
+        let Some((cycle, observed)) = CommitRecord::from_event(&ev) else {
             return;
         };
-        if self.mismatch.is_some() {
+        if self.miss.is_some() {
             return;
         }
         match self.reference.records.get(self.matched) {
-            None => self.extra += 1,
-            Some(r) if *r == rec => self.matched += 1,
-            Some(r) => self.mismatch = Some((*r, rec)),
+            Some(r) if *r == observed => self.matched += 1,
+            expected => {
+                self.miss = Some(Miss {
+                    cycle,
+                    observed,
+                    expected: expected.copied(),
+                });
+            }
         }
     }
 }
 
-/// The functional engine's complete run over one (image, fold policy):
-/// the commit stream plus — when the run halted cleanly — the final
-/// architectural state. One reference serves every configuration of a
-/// [`run_lockstep_batched`] sweep under that policy, where
-/// [`run_lockstep`] re-steps the functional engine once per
-/// configuration.
+/// How a reference's functional run ended.
+#[derive(Debug)]
+enum ReferenceEnd {
+    /// It retired `halt`, leaving this final architectural state.
+    Halted(Machine),
+    /// The step after its last record raised this error.
+    Error(SimError),
+    /// It ran its whole step budget.
+    Exhausted,
+}
+
+/// The functional engine's run over one (image, fold policy): the
+/// commit stream plus how it ended. One reference serves every
+/// configuration of a [`run_lockstep_batched`] sweep under that
+/// policy, and every lockstep verdict is judged against one.
 #[derive(Debug)]
 pub struct DiffReference {
     log: Arc<CommitLog>,
-    /// `Some` only when the reference halted within the step budget. A
-    /// prefix-checked run can only agree against a clean reference; an
-    /// unclean one (error or step-budget expiry) sends every
-    /// configuration down the [`run_lockstep_pooled`] fallback, which
-    /// reproduces the error-chase and watchdog reporting exactly.
-    machine: Option<Machine>,
+    end: ReferenceEnd,
 }
 
 impl DiffReference {
+    /// A reference that halted after `log`, in `machine`'s state.
+    pub(crate) fn halted(log: CommitLog, machine: Machine) -> DiffReference {
+        DiffReference {
+            log: Arc::new(log),
+            end: ReferenceEnd::Halted(machine),
+        }
+    }
+
     /// The reference commit stream.
     pub fn log(&self) -> &Arc<CommitLog> {
         &self.log
     }
+
+    /// The final state of a reference that halted.
+    pub(crate) fn into_machine(self) -> Option<Machine> {
+        match self.end {
+            ReferenceEnd::Halted(m) => Some(m),
+            _ => None,
+        }
+    }
 }
 
 /// Precompute the functional side of a lockstep sweep: run the
-/// reference once to completion and capture its commit stream.
+/// reference once and capture its commit stream and how it ended.
 ///
-/// `max_steps` bounds the run; pass the sweep's `max_cycles` — the
-/// cycle engine retires at most one entry per cycle, so a cycle run
-/// inside its watchdog can never need more reference steps than that.
-/// A reference that errors or exhausts the budget is still returned,
-/// without a final state, so [`run_lockstep_batched`] sends every
-/// configuration to the co-stepped fallback.
+/// `max_steps` is the sweep's watchdog budget, `min(max_cycles,
+/// max_insns)`: the cycle engine retires at most one entry per cycle
+/// and one instruction per entry, so a run inside its watchdog never
+/// retires more. The reference runs `ERROR_CHASE` (8) steps further,
+/// so an error the cycle engine raises can always be chased into it.
 ///
 /// # Errors
 ///
@@ -674,43 +496,191 @@ pub fn diff_reference(
         Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
         None => FunctionalSim::with_policy(machine, fold_policy),
     }
-    .max_steps(max_steps)
+    .max_steps(max_steps.saturating_add(ERROR_CHASE as u64))
     .run_observed(&mut log);
-    let machine = match run {
-        Ok(run) if run.halt_reason == HaltReason::Halted => Some(run.machine),
+    let end = match run {
+        Ok(run) if run.halted => ReferenceEnd::Halted(run.machine),
         Ok(run) => {
             pool.put(run.machine);
-            None
+            ReferenceEnd::Exhausted
         }
-        // The reference died mid-run (its machine is consumed); the
-        // scalar fallback will chase the same error per configuration.
-        Err(_) => None,
+        Err(e) => ReferenceEnd::Error(e),
     };
     Ok(DiffReference {
         log: Arc::new(log),
-        machine,
+        end,
     })
 }
 
-/// [`run_lockstep_pooled`] over a block of configurations (all sharing
-/// `reference`'s fold policy), checked against one precomputed
-/// functional reference instead of a co-stepped functional engine.
+/// The verdict order of every lockstep comparison, applied to a cycle
+/// run that `check` watched against `reference` and that ended with
+/// `end`: `None` for agreement, else where and how the run left its
+/// reference (the commit index, the cycle-engine clock, and what
+/// disagreed).
 ///
-/// Each configuration runs on a pooled [`CycleSim`] with a
-/// [`PrefixCheck`] cursor, stopping at the first mismatched commit. A
-/// run that matches the whole reference stream, halts, and reproduces
-/// the reference's final state reports [`LockstepOutcome::Agree`] with
-/// exactly the counts [`run_lockstep`] computes. Every other run — a
-/// mismatched commit, an engine error, a watchdog expiry, a
-/// stream-length difference, a final-state difference, or an unclean
-/// reference — is re-run through [`run_lockstep_pooled`], which
-/// reproduces the divergence report (timeline excerpt included)
-/// bit-identically. Campaigns abort on the first divergence, so the
-/// double run costs nothing on the steady-state path.
+/// In order: a commit that differs from the reference's, or retires
+/// past its end (an extra commit after its halt, or a commit where it
+/// raised an error); then the watchdog; then a cycle-engine error,
+/// which agrees only if the reference raises the same error within
+/// [`ERROR_CHASE`] commits of the cycle engine's last; then, after a
+/// halt, the final state. A run its caller stopped with the prefix
+/// still clean agrees: only the fault kernel's parity settle does that.
 ///
-/// `_lanes` is ignored: configurations run one at a time, as no
-/// measured batch width beat that. It stays so existing callers keep
-/// compiling.
+/// # Panics
+///
+/// If the reference ran out of budget before the run could be judged
+/// (its step budget was below the run's watchdog budget).
+pub(crate) fn judge<O: PipeObserver>(
+    reference: &DiffReference,
+    check: &PrefixCheck,
+    sim: &CycleSim<O>,
+    end: &Result<RunEnd, SimError>,
+) -> Option<(usize, u64, DivergenceKind)> {
+    let (matched, records) = (check.matched, reference.log.records.len());
+    if matches!(reference.end, ReferenceEnd::Exhausted) {
+        assert!(
+            matched + ERROR_CHASE <= records,
+            "the reference's step budget is below the run's watchdog budget"
+        );
+    }
+    if let Some(miss) = check.miss {
+        let kind = match (miss.expected, &reference.end) {
+            (Some(functional), _) => DivergenceKind::Mismatch {
+                functional,
+                cycle: miss.observed,
+            },
+            (None, ReferenceEnd::Error(e)) => DivergenceKind::Error {
+                functional: Some(e.clone()),
+                cycle: None,
+            },
+            (None, _) => DivergenceKind::ExtraCommit {
+                cycle: miss.observed,
+            },
+        };
+        return Some((matched, miss.cycle, kind));
+    }
+    let kind = match end {
+        Ok(RunEnd::Stopped) => return None,
+        Ok(RunEnd::Watchdog) => DivergenceKind::Watchdog {
+            commits: matched as u64,
+        },
+        Err(cycle_err) => {
+            let functional = match &reference.end {
+                ReferenceEnd::Error(e) if records < matched + ERROR_CHASE => Some(e.clone()),
+                _ => None,
+            };
+            if functional.as_ref() == Some(cycle_err) {
+                return None;
+            }
+            DivergenceKind::Error {
+                functional,
+                cycle: Some(cycle_err.clone()),
+            }
+        }
+        Ok(RunEnd::Halted) => match &reference.end {
+            ReferenceEnd::Halted(f) if matched == records && same_final_state(f, sim.machine()) => {
+                return None
+            }
+            _ => DivergenceKind::FinalState,
+        },
+    };
+    Some((matched, sim.stats.cycles, kind))
+}
+
+/// One cycle run of `cfg` over `image` under `obs`, stopped as soon as
+/// the [`PrefixCheck`] that `check` finds in `obs` has decided.
+fn checked_run<O: PipeObserver>(
+    image: &Image,
+    cfg: SimConfig,
+    predecoded: Option<&Arc<PredecodedImage>>,
+    pool: &mut MachinePool,
+    obs: O,
+    check: fn(&O) -> &PrefixCheck,
+) -> Result<(CycleSim<O>, Result<RunEnd, SimError>), SimError> {
+    let mut sim = CycleSim::with_observer(pool.take(image)?, cfg, obs);
+    if let Some(t) = predecoded {
+        sim.set_predecoded(Arc::clone(t));
+    }
+    let end = sim.run_until(|s| check(s.observer()).decided());
+    Ok((sim, end))
+}
+
+/// The checked run of `cfg` with a pipeline-event ring beside the
+/// cursor, judged into a full [`LockstepOutcome`]: a divergence carries
+/// a timeline excerpt of the cycles around it.
+fn report(
+    image: &Image,
+    cfg: SimConfig,
+    predecoded: Option<&Arc<PredecodedImage>>,
+    reference: &DiffReference,
+    pool: &mut MachinePool,
+) -> Result<LockstepOutcome, SimError> {
+    let obs = (
+        PrefixCheck::new(Arc::clone(&reference.log)),
+        EventRing::new(TIMELINE_RING),
+    );
+    let (sim, end) = checked_run(image, cfg, predecoded, pool, obs, |o| &o.0)?;
+    let outcome = match judge(reference, &sim.observer().0, &sim, &end) {
+        None => LockstepOutcome::Agree {
+            commits: sim.observer().0.matched as u64,
+            cycles: sim.stats.cycles,
+        },
+        Some((commit_index, cycle, kind)) => {
+            let events: Vec<PipeEvent> = sim.observer().1.events().copied().collect();
+            let from = cycle.saturating_sub(EXCERPT_BEFORE);
+            let timeline =
+                render_timeline_for(&events, from, cycle + EXCERPT_AFTER, sim.geometry());
+            LockstepOutcome::Diverge(Box::new(Divergence {
+                commit_index,
+                cycle,
+                kind,
+                timeline,
+            }))
+        }
+    };
+    pool.put(sim.into_machine());
+    Ok(outcome)
+}
+
+/// Run the cycle engine over `image` under `cfg` against the
+/// functional reference, comparing commit streams, and report the
+/// first divergence (or agreement).
+///
+/// This is [`diff_reference`] with the configuration's watchdog budget,
+/// then one cycle run checked commit by commit with a [`PrefixCheck`]
+/// and an [`EventRing`]: the run stops at the end of the cycle whose
+/// commit decided the verdict, with the pipeline context still in the
+/// ring for the excerpt.
+///
+/// # Errors
+///
+/// Only harness-level failures (the image does not load) are `Err`;
+/// every behavioural disagreement — including one engine erroring where
+/// the other ran on — is reported as [`LockstepOutcome::Diverge`].
+pub fn run_lockstep(image: &Image, cfg: SimConfig) -> Result<LockstepOutcome, SimError> {
+    let mut pool = MachinePool::default();
+    let budget = cfg
+        .max_insns
+        .map_or(cfg.max_cycles, |n| n.min(cfg.max_cycles));
+    let reference = diff_reference(image, cfg.fold_policy, budget, None, &mut pool)?;
+    report(image, cfg, None, &reference, &mut pool)
+}
+
+/// [`run_lockstep`] over a block of configurations, all sharing
+/// `reference`'s fold policy and checked against that one reference.
+///
+/// Each configuration first runs on a pooled [`CycleSim`] with only a
+/// [`PrefixCheck`] cursor, stopping at its first mismatched commit. A
+/// run that agrees reports [`LockstepOutcome::Agree`] with exactly the
+/// counts [`run_lockstep`] computes. A run that does not is run again
+/// with an [`EventRing`] beside the cursor, as [`run_lockstep`] runs
+/// it, so the divergence report (timeline excerpt included) is
+/// bit-identical. Campaigns abort on the first divergence, so the
+/// second run costs nothing on the steady-state path.
+///
+/// `_lanes` and `_bufs` are ignored: configurations run one at a time
+/// on `pool`'s machines, as no measured batch width beat that. They
+/// stay so existing callers keep compiling.
 ///
 /// # Errors
 ///
@@ -719,7 +689,8 @@ pub fn diff_reference(
 /// # Panics
 ///
 /// If a config's fold policy differs from the reference table's
-/// policy, or a config fails [`SimConfig::validate`].
+/// policy, a config fails [`SimConfig::validate`], or `reference` was
+/// built with a step budget below a config's watchdog budget.
 pub fn run_lockstep_batched(
     image: &Image,
     cfgs: &[SimConfig],
@@ -727,33 +698,23 @@ pub fn run_lockstep_batched(
     reference: &DiffReference,
     _lanes: usize,
     pool: &mut MachinePool,
-    bufs: &mut LockstepBuffers,
+    _bufs: &mut LockstepBuffers,
 ) -> Result<Vec<LockstepOutcome>, SimError> {
     cfgs.iter()
         .map(|&cfg| {
-            if let Some(ref_machine) = &reference.machine {
-                let mut sim = CycleSim::with_observer(
-                    pool.take(image)?,
-                    cfg,
-                    PrefixCheck::new(Arc::clone(&reference.log)),
-                );
-                if let Some(t) = predecoded {
-                    sim.set_predecoded(Arc::clone(t));
-                }
-                let end = sim.run_until(|s| s.observer().decided());
-                let agree = matches!(end, Ok(RunEnd::Halted))
-                    && sim.observer().full_match()
-                    && same_final_state(ref_machine, sim.machine());
-                let outcome = agree.then(|| LockstepOutcome::Agree {
-                    commits: sim.observer().matched() as u64,
+            let check = PrefixCheck::new(Arc::clone(&reference.log));
+            let (sim, end) = checked_run(image, cfg, predecoded, pool, check, |c| c)?;
+            let outcome = judge(reference, sim.observer(), &sim, &end)
+                .is_none()
+                .then(|| LockstepOutcome::Agree {
+                    commits: sim.observer().matched as u64,
                     cycles: sim.stats.cycles,
                 });
-                pool.put(sim.into_machine());
-                if let Some(outcome) = outcome {
-                    return Ok(outcome);
-                }
+            pool.put(sim.into_machine());
+            match outcome {
+                Some(agree) => Ok(agree),
+                None => report(image, cfg, predecoded, reference, pool),
             }
-            run_lockstep_pooled(image, cfg, predecoded, bufs)
         })
         .collect()
 }
@@ -800,11 +761,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_lockstep_matches_fresh_runs() {
-        // Shared tables + recycled machine buffers are pure work-savers:
-        // the outcome of every swept config must match the unpooled
-        // oracle, including across different images through the same
-        // buffers.
+    fn batched_lockstep_matches_fresh_runs() {
+        // Shared tables, a shared reference and recycled machine buffers
+        // are pure work-savers: the outcome of every swept config must
+        // match a fresh `run_lockstep`, including across different
+        // images through the same pool.
         let images = [
             image(
                 "
@@ -818,36 +779,43 @@ mod tests {
             ),
             image("call f\nhalt\nf: add 0(sp),$3\nret"),
         ];
-        let mut bufs = LockstepBuffers::default();
+        let mut pool = MachinePool::default();
         for img in &images {
-            let tables: Vec<Arc<PredecodedImage>> = [
-                FoldPolicy::None,
-                FoldPolicy::Host1,
-                FoldPolicy::Host13,
-                FoldPolicy::All,
-            ]
-            .iter()
-            .map(|&p| PredecodedImage::shared(img, p).unwrap())
-            .collect();
-            for cfg in sweep_configs() {
-                let table = tables
-                    .iter()
-                    .find(|t| t.policy() == cfg.fold_policy)
-                    .unwrap();
-                let fresh = run_lockstep(img, cfg).unwrap();
-                let pooled = run_lockstep_pooled(img, cfg, Some(table), &mut bufs).unwrap();
-                match (&fresh, &pooled) {
-                    (
-                        LockstepOutcome::Agree { commits, cycles },
-                        LockstepOutcome::Agree {
-                            commits: pc,
-                            cycles: py,
-                        },
-                    ) => {
-                        assert_eq!(commits, pc, "{cfg:?}");
-                        assert_eq!(cycles, py, "{cfg:?}");
+            let configs = sweep_configs();
+            for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
+                let table = PredecodedImage::shared(img, group[0].fold_policy).unwrap();
+                let reference = diff_reference(
+                    img,
+                    group[0].fold_policy,
+                    group[0].max_cycles,
+                    Some(&table),
+                    &mut pool,
+                )
+                .unwrap();
+                let batched = run_lockstep_batched(
+                    img,
+                    group,
+                    Some(&table),
+                    &reference,
+                    1,
+                    &mut pool,
+                    &mut LockstepBuffers::default(),
+                )
+                .unwrap();
+                for (cfg, pooled) in group.iter().zip(batched) {
+                    match (run_lockstep(img, *cfg).unwrap(), pooled) {
+                        (
+                            LockstepOutcome::Agree { commits, cycles },
+                            LockstepOutcome::Agree {
+                                commits: pc,
+                                cycles: py,
+                            },
+                        ) => {
+                            assert_eq!(commits, pc, "{cfg:?}");
+                            assert_eq!(cycles, py, "{cfg:?}");
+                        }
+                        other => panic!("outcomes differ under {cfg:?}: {other:?}"),
                     }
-                    other => panic!("outcomes differ under {cfg:?}: {other:?}"),
                 }
             }
         }
@@ -867,13 +835,55 @@ mod tests {
         );
         assert!(run_lockstep(&img, SimConfig::default()).unwrap().is_agree());
         let mut log = CommitLog::default();
-        let machine = Machine::load(&img).unwrap();
-        let mut f = FunctionalSim::new(machine);
-        for i in 0..3 {
-            f.step_observed(i, &mut log).unwrap();
-        }
+        let run = FunctionalSim::new(Machine::load(&img).unwrap())
+            .run_observed(&mut log)
+            .unwrap();
         assert_eq!(log.records[0].mem_write, Some((0x1_0000, 5)));
-        assert_eq!(f.machine().mem.read_word(0x1_0003).unwrap(), 5);
+        assert_eq!(run.machine.mem.read_word(0x1_0003).unwrap(), 5);
+    }
+
+    #[test]
+    fn error_chase_window_edges() {
+        // A cycle-engine error agrees only with the same reference error
+        // raised fewer than ERROR_CHASE commits past the cycle engine's
+        // last; a reference that halts or runs on never agrees.
+        let img = image("halt");
+        let cycle_err = SimError::Decode {
+            pc: 2,
+            source: crisp_isa::IsaError::Truncated,
+        };
+        let sim = CycleSim::new(Machine::load(&img).unwrap(), SimConfig::default());
+        let record = CommitRecord {
+            pc: 0,
+            next_pc: 2,
+            branch_pc: None,
+            folded: false,
+            taken: None,
+            accum: 0,
+            sp: 0,
+            flag: false,
+            mem_write: None,
+            halted: false,
+        };
+        let log = CommitLog {
+            records: vec![record; ERROR_CHASE],
+            cycles: vec![0; ERROR_CHASE],
+        };
+        for matched in 0..=ERROR_CHASE {
+            let mut check = PrefixCheck::new(Arc::new(log.clone()));
+            check.matched = matched;
+            for (end, agrees) in [
+                (ReferenceEnd::Error(cycle_err.clone()), matched > 0),
+                (ReferenceEnd::Halted(Machine::load(&img).unwrap()), false),
+            ] {
+                let reference = DiffReference {
+                    log: Arc::new(log.clone()),
+                    end,
+                };
+                let verdict = judge(&reference, &check, &sim, &Err(cycle_err.clone()));
+                assert_eq!(verdict.is_none(), agrees, "{matched} matched");
+            }
+        }
     }
 
     #[test]

@@ -158,8 +158,8 @@ impl FunctionalSim {
         Ok(d)
     }
 
-    /// The architectural state (read-only view), for callers driving
-    /// the engine one step at a time.
+    /// The architectural state (read-only view); the threaded tier
+    /// reads the PC through it between blocks.
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
@@ -209,28 +209,6 @@ impl FunctionalSim {
             push_branch_event(trace, &d, &step);
         }
         Ok(step)
-    }
-
-    /// Execute exactly one decoded entry at the current PC — one
-    /// commit — reporting it to `obs` with `seq` in the cycle field
-    /// (the functional engine has no clock). This is the lockstep
-    /// primitive behind [`crate::run_lockstep`]: the oracle co-steps
-    /// this engine one commit at a time against the cycle engine's
-    /// retirement stream. Callers must stop once
-    /// [`FunctionalSim::machine`] reports `halted`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FunctionalSim::run`] (no step limit — the
-    /// caller owns the loop).
-    pub fn step_observed<O: PipeObserver>(
-        &mut self,
-        seq: u64,
-        obs: &mut O,
-    ) -> Result<Step, SimError> {
-        let pc = self.machine.pc;
-        let d = self.decoded_at(pc)?;
-        self.machine.execute_observed(&d, seq, obs)
     }
 
     /// Run to `halt`, or until `max_steps` expires (a graceful

@@ -68,9 +68,8 @@ mod trace;
 pub use accounting::{BubbleCause, CycleAccounts};
 pub use config::{DegradePolicy, FaultInjection, HwPredictor, SimConfig};
 pub use diff::{
-    diff_reference, run_lockstep, run_lockstep_batched, run_lockstep_pooled, sweep_configs,
-    CommitLog, CommitRecord, DiffReference, Divergence, DivergenceKind, LockstepBuffers,
-    LockstepOutcome, PrefixCheck,
+    diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CommitRecord,
+    DiffReference, Divergence, DivergenceKind, LockstepBuffers, LockstepOutcome, PrefixCheck,
 };
 pub use error::{HaltReason, SimError};
 pub use functional::{FunctionalRun, FunctionalSim};

@@ -57,7 +57,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::config::HwPredictor;
-use crate::diff::{CommitLog, CommitRecord, PrefixCheck};
+use crate::diff::{judge, CommitLog, CommitRecord, DiffReference, DivergenceKind, PrefixCheck};
 use crate::error::HaltReason;
 use crate::{
     CycleSim, FunctionalSim, Machine, MachinePool, PredecodedImage, RunEnd, SimConfig, SimError,
@@ -756,21 +756,20 @@ pub fn classify_fault(image: &Image, cfg: SimConfig) -> Result<FaultOutcome, Sim
 /// program's F fault cases. The reference depends only on the image, the fold
 /// policy and the step budget, none of which vary within a campaign.
 #[derive(Debug)]
-pub struct FaultReference {
-    log: Arc<CommitLog>,
-    machine: Machine,
-}
+pub struct FaultReference(DiffReference);
 
 impl FaultReference {
     /// The fault-free commit stream.
     pub fn log(&self) -> &Arc<CommitLog> {
-        &self.log
+        self.0.log()
     }
 
     /// Reclaim the reference's machine buffer (e.g. back into a
     /// [`MachinePool`]).
     pub fn into_machine(self) -> Machine {
-        self.machine
+        self.0
+            .into_machine()
+            .expect("a fault reference always halted")
     }
 }
 
@@ -831,10 +830,7 @@ pub fn fault_reference(
             limit: cfg.max_cycles,
         });
     }
-    Ok(FaultReference {
-        log: Arc::new(log),
-        machine: run.machine,
-    })
+    Ok(FaultReference(DiffReference::halted(log, run.machine)))
 }
 
 /// Classify a block of faulted runs against one precomputed reference,
@@ -847,12 +843,12 @@ pub fn fault_reference(
 /// of the cycle the mismatch retired in: the verdict (`classify_pair`
 /// on the divergent records) cannot change, and running on —
 /// potentially hundreds of thousands of cycles to a watchdog hang — is
-/// pure waste. Completed cases keep the full-run verdict order:
-/// divergent prefix, then watchdog hang, then stream-length mismatch,
-/// then final-state SDC, then masked. A case that dies on a
-/// [`SimError`] with its prefix still clean classifies by the error
-/// kind (decode errors are control divergence, anything else data
-/// corruption).
+/// pure waste. Every case is judged in the lockstep kernel's verdict
+/// order, the one [`crate::run_lockstep`] reports by: divergent
+/// prefix, then watchdog hang, then engine error, then final-state
+/// SDC, then masked. A case that dies on a [`SimError`] with its
+/// prefix still clean classifies by the error kind (decode errors are
+/// control divergence, anything else data corruption).
 ///
 /// Parity-protected cases settle early too: under
 /// [`ParityMode::DetectInvalidate`] every cache read is parity-checked,
@@ -918,7 +914,7 @@ pub fn classify_batch(
         let mut golden = CycleSim::with_observer(
             pool.take(image)?,
             golden_cfg,
-            PrefixCheck::new(Arc::clone(&reference.log)),
+            PrefixCheck::new(Arc::clone(reference.log())),
         );
         if let Some(t) = predecoded {
             golden.set_predecoded(Arc::clone(t));
@@ -963,36 +959,24 @@ pub fn classify_batch(
         .collect())
 }
 
-/// The full-run verdict order applied to one stopped case.
+/// The lockstep judgement of one stopped case, as an AVF outcome.
 fn case_outcome(
     reference: &FaultReference,
     sim: &CycleSim<PrefixCheck>,
     end: Result<RunEnd, SimError>,
 ) -> FaultOutcome {
-    let check = sim.observer();
-    if let Some((r, f)) = check.mismatch() {
-        return classify_pair(r, f);
-    }
-    match end {
-        // A case stopped with a clean prefix was parity-settled.
-        Ok(RunEnd::Stopped) => FaultOutcome::Masked,
-        Err(SimError::Decode { .. }) => FaultOutcome::ControlDivergence,
-        Err(_) => FaultOutcome::Sdc,
-        Ok(RunEnd::Watchdog) => FaultOutcome::Hang,
-        Ok(RunEnd::Halted) => {
-            if check.extra() > 0 || check.matched() != reference.log.records.len() {
-                return FaultOutcome::ControlDivergence;
-            }
-            let (fm, cm) = (&reference.machine, sim.machine());
-            if fm.accum != cm.accum
-                || fm.sp != cm.sp
-                || fm.psw.flag != cm.psw.flag
-                || fm.mem != cm.mem
-            {
-                return FaultOutcome::Sdc;
-            }
-            FaultOutcome::Masked
-        }
+    let Some((_, _, kind)) = judge(&reference.0, sim.observer(), sim, &end) else {
+        return FaultOutcome::Masked;
+    };
+    match kind {
+        DivergenceKind::Mismatch { functional, cycle } => classify_pair(&functional, &cycle),
+        DivergenceKind::ExtraCommit { .. }
+        | DivergenceKind::Error {
+            cycle: Some(SimError::Decode { .. }),
+            ..
+        } => FaultOutcome::ControlDivergence,
+        DivergenceKind::Error { .. } | DivergenceKind::FinalState => FaultOutcome::Sdc,
+        DivergenceKind::Watchdog { .. } => FaultOutcome::Hang,
     }
 }
 

@@ -5,9 +5,10 @@
 //! predecode table is built once, and every pipeline queue reaches a
 //! fixed capacity during warm-up. The same holds for the functional
 //! engine's step loop once its decode sources are warm. A counting
-//! `#[global_allocator]` makes the claim checkable: warm each engine
-//! up, then step it thousands of times and assert the allocation
-//! counter never moves.
+//! `#[global_allocator]` makes the claim checkable: warm the cycle
+//! engine up, then step it thousands of times and assert the allocation
+//! counter never moves; and a functional run thousands of steps longer
+//! than another must allocate nothing more.
 //!
 //! (This is an integration test so the counting allocator owns the
 //! whole binary; the assertions measure deltas, so allocations made by
@@ -15,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crisp::cc::{compile_crisp, CompileOptions};
 use crisp::sim::{CycleSim, FunctionalSim, Machine, NullObserver, PredecodedImage, SimConfig};
@@ -130,23 +131,25 @@ fn cycle_loop_is_alloc_free_with_predecoded_table() {
 fn functional_steady_state_is_alloc_free_with_predecoded_table() {
     let _guard = serial();
     let machine = loaded_machine();
-    let table = PredecodedImage::from_machine(&machine, SimConfig::default().fold_policy);
-    let mut sim = FunctionalSim::with_predecoded(machine, table.into());
-    let mut seq = 0;
-    for _ in 0..1_000 {
-        sim.step_observed(seq, &mut NullObserver).expect("steps");
-        seq += 1;
-    }
+    let table: Arc<PredecodedImage> =
+        PredecodedImage::from_machine(&machine, SimConfig::default().fold_policy).into();
+    // Allocations of one whole run of `steps` steps. The run is
+    // deterministic, so a longer run repeats a shorter one and then
+    // goes on: the difference is what the extra steps allocated.
+    let run_allocs = |steps: u64| {
+        let sim =
+            FunctionalSim::with_predecoded(machine.clone(), Arc::clone(&table)).max_steps(steps);
+        let before = allocs();
+        let run = sim.run_observed(&mut NullObserver).expect("steps");
+        let n = allocs() - before;
+        assert!(!run.halted, "measured window too long");
+        n
+    };
     // Same multi-window policy as the cycle-loop assertion above: only
     // an allocation that recurs in every window is the engine's.
     let mut leaked = 0;
     for _window in 0..3 {
-        let before = allocs();
-        for _ in 0..2_000 {
-            sim.step_observed(seq, &mut NullObserver).expect("steps");
-            seq += 1;
-        }
-        leaked = allocs() - before;
+        leaked = run_allocs(3_000).saturating_sub(run_allocs(1_000));
         if leaked == 0 {
             break;
         }
@@ -156,5 +159,4 @@ fn functional_steady_state_is_alloc_free_with_predecoded_table() {
         "functional: {leaked} heap allocations in 2000 steady-state steps \
          (persisted across every measured window)"
     );
-    assert!(!sim.machine().halted, "measured window too long");
 }

@@ -227,15 +227,6 @@ fn commit_only_observer_sees_only_commits_on_the_functional_tiers() {
                 .run_observed(&mut obs)
                 .unwrap();
             assert_eq!(obs.commits, run.stats.entries, "threaded {policy:?}");
-
-            let mut obs = CommitOnly::default();
-            let mut f = FunctionalSim::with_policy(Machine::load(&image).unwrap(), policy);
-            for i in 0.. {
-                if f.step_observed(i, &mut obs).unwrap().halted {
-                    break;
-                }
-            }
-            assert_eq!(obs.commits, run.stats.entries, "step_observed {policy:?}");
         }
     }
 }

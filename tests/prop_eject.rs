@@ -20,16 +20,27 @@
 //!    whose caught fault would have pushed it past the watchdog is
 //!    `Masked`, not `Hang`. A block whose fault-free cycle run does not
 //!    fit the budget is `Err(StepLimit)`, and no other block is.
-//! 2. `run_lockstep_batched` returns the same outcome as the
-//!    co-stepped `run_lockstep_pooled` oracle on every sweep
-//!    configuration.
+//! 2. `run_lockstep_batched` and `run_lockstep` match a post-hoc
+//!    comparison: a whole `FunctionalSim` run (its commit log and its
+//!    error) against a whole `CycleSim<CommitLog>` run, compared after
+//!    both have ended. The kind, commit index and cycle of the first
+//!    divergence agree on every sweep configuration, with tight
+//!    watchdog budgets (cycles or instructions), programs that end in
+//!    a decode error, the planted squash bug and soft-error strikes.
+//!    Together they reach agreement, mismatches, watchdogs, commits
+//!    past an erroring reference, and cycle-engine errors on both
+//!    sides of the error chase's far edge. (An extra commit after the
+//!    reference's halt, and a final-state difference, need a pipeline
+//!    bug none of these plants.)
 
 use crisp::asm::rand_prog::GenProgram;
+use crisp::asm::Image;
 use crisp::sim::{
     classify_batch, diff_reference, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
-    predictor_fault_space, run_lockstep_batched, run_lockstep_pooled, sweep_configs, CycleSim,
-    FaultOutcome, FaultPlan, FaultTarget, HwPredictor, LockstepBuffers, LockstepOutcome, Machine,
-    MachinePool, ParityMode, SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
+    predictor_fault_space, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CycleSim,
+    DivergenceKind, FaultInjection, FaultOutcome, FaultPlan, FaultTarget, FunctionalSim,
+    HwPredictor, LockstepBuffers, LockstepOutcome, Machine, MachinePool, ParityMode, RunEnd,
+    SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use crisp_bench::classify_full_run;
 use proptest::prelude::*;
@@ -183,38 +194,165 @@ proptest! {
         }
     }
 
-    /// Claim 2: the prefix-checked lockstep sweep agrees with the
-    /// co-stepped lockstep oracle on every sweep configuration.
+    /// Claim 2: both lockstep entry points give the post-hoc
+    /// comparison's verdict on every sweep configuration.
     #[test]
-    fn lockstep_batched_matches_scalar_oracle(seed in 0u64..5000) {
-        let image = GenProgram::generate(seed, 6).image().unwrap();
-        let mut bufs = LockstepBuffers::default();
+    fn lockstep_batched_matches_scalar_oracle(
+        seed in 0u64..5000,
+        garbage_end in any::<bool>(),
+        squash_bug in any::<bool>(),
+        budget in 0u8..6,
+        tight_seed in any::<u64>(),
+        strike in 0u8..4,
+        strike_seed in any::<u64>(),
+        slot in any::<u32>(),
+        site in any::<u64>(),
+    ) {
+        let mut image = GenProgram::generate(seed, 6).image().unwrap();
+        if garbage_end {
+            // The closing `halt` becomes an unassigned opcode: both
+            // engines end in the same decode error, the cycle engine
+            // up to a pipeline ahead of retirement.
+            *image.parcels.last_mut().unwrap() = 0xB800;
+        }
         let mut pool = MachinePool::default();
-        let configs = sweep_configs();
+        // A third of the cases get a tight watchdog budget (in cycles
+        // or in instructions), three quarters a cache or PDU strike
+        // somewhere in the run.
+        let configs: Vec<SimConfig> = sweep_configs()
+            .into_iter()
+            .map(|cfg| {
+                let plain = SimConfig {
+                    fault: squash_bug.then_some(FaultInjection::SkipOrSquash),
+                    max_cycles: ROOMY_BUDGET,
+                    ..cfg
+                };
+                let end_cycle = run_cycles(&image, plain);
+                let tight = 1 + tight_seed % (end_cycle + 16);
+                let target = [FaultTarget::Cache, FaultTarget::Pdu][strike as usize % 2];
+                SimConfig {
+                    max_cycles: if budget == 4 { tight } else { ROOMY_BUDGET },
+                    max_insns: (budget == 5).then_some(tight),
+                    fault_plan: (strike < 3).then(|| FaultPlan {
+                        cycle: strike_seed % (end_cycle + 1),
+                        ..plan(target, cfg.predictor, 0, slot, site)
+                    }),
+                    ..plain
+                }
+            })
+            .collect();
         for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
-            let policy = group[0].fold_policy;
+            let budget = group.iter().map(|c| c.max_insns.unwrap_or(c.max_cycles).min(c.max_cycles)).max().unwrap();
             let reference =
-                diff_reference(&image, policy, group[0].max_cycles, None, &mut pool).unwrap();
-            let batched =
-                run_lockstep_batched(&image, group, None, &reference, 1, &mut pool, &mut bufs)
-                    .unwrap();
-            for (cfg, b) in group.iter().zip(batched) {
-                let s = run_lockstep_pooled(&image, *cfg, None, &mut bufs).unwrap();
-                match (s, b) {
-                    (
-                        LockstepOutcome::Agree { commits: sc, cycles: scy },
-                        LockstepOutcome::Agree { commits: bc, cycles: bcy },
-                    ) => {
-                        prop_assert_eq!(sc, bc);
-                        prop_assert_eq!(scy, bcy);
-                    }
-                    (s, b) => {
-                        return Err(TestCaseError::fail(format!(
-                            "outcome mismatch under {cfg:?}: scalar {s:?} vs batched {b:?}"
-                        )))
-                    }
+                diff_reference(&image, group[0].fold_policy, budget, None, &mut pool).unwrap();
+            let batched = run_lockstep_batched(
+                &image, group, None, &reference, 1, &mut pool, &mut LockstepBuffers::default(),
+            )
+            .unwrap();
+            for (cfg, batched) in group.iter().zip(batched) {
+                let expected = post_hoc(&image, *cfg);
+                let scalar = run_lockstep(&image, *cfg).unwrap();
+                for (name, got) in [("batched", &batched), ("scalar", &scalar)] {
+                    let got = match got {
+                        LockstepOutcome::Agree { commits, cycles } => {
+                            Verdict::Agree { commits: *commits, cycles: *cycles }
+                        }
+                        LockstepOutcome::Diverge(d) => Verdict::Diverge(d.commit_index, d.cycle, d.kind.clone()),
+                    };
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "{} seed {} under {:?}", name, seed, cfg
+                    );
+                }
+                if let (LockstepOutcome::Diverge(b), LockstepOutcome::Diverge(s)) = (&batched, &scalar) {
+                    prop_assert_eq!(&b.timeline, &s.timeline);
                 }
             }
         }
     }
+}
+
+/// Cycles a whole run of `cfg` over `image` takes, however it ends.
+fn run_cycles(image: &Image, cfg: SimConfig) -> u64 {
+    let mut sim = CycleSim::new(Machine::load(image).unwrap(), cfg);
+    let _ = sim.run_until(|_| false);
+    sim.stats.cycles
+}
+
+/// A lockstep verdict without its report text.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Agree { commits: u64, cycles: u64 },
+    Diverge(usize, u64, DivergenceKind),
+}
+
+/// How many commits past the cycle engine's last the functional
+/// engine may raise the same error and still agree: the cycle engine
+/// fetches, and fails to decode, up to a pipeline ahead of retirement.
+const ERROR_CHASE: usize = 8;
+
+/// The lockstep verdict found after the fact: both engines run to
+/// their ends, each logging every commit, and the logs and final
+/// states are then compared.
+fn post_hoc(image: &Image, cfg: SimConfig) -> Verdict {
+    let mut flog = CommitLog::default();
+    let func = FunctionalSim::with_policy(Machine::load(image).unwrap(), cfg.fold_policy)
+        .run_observed(&mut flog);
+    let mut sim = CycleSim::with_observer(Machine::load(image).unwrap(), cfg, CommitLog::default());
+    let end = sim.run_until(|_| false);
+    let (f, c) = (&flog.records, &sim.observer().records);
+    for (i, rec) in c.iter().enumerate() {
+        let at = sim.observer().cycles[i];
+        let kind = match (f.get(i), &func) {
+            (Some(r), _) if r == rec => continue,
+            (Some(r), _) => DivergenceKind::Mismatch {
+                functional: *r,
+                cycle: *rec,
+            },
+            (None, Err(e)) => DivergenceKind::Error {
+                functional: Some(e.clone()),
+                cycle: None,
+            },
+            (None, Ok(_)) => DivergenceKind::ExtraCommit { cycle: *rec },
+        };
+        return Verdict::Diverge(i, at, kind);
+    }
+    let (m, cycles) = (c.len(), sim.stats.cycles);
+    let kind = match end {
+        Ok(RunEnd::Watchdog) => DivergenceKind::Watchdog { commits: m as u64 },
+        Err(cycle_err) => {
+            let functional = match &func {
+                Err(e) if f.len() < m + ERROR_CHASE => Some(e.clone()),
+                _ => None,
+            };
+            if functional.as_ref() == Some(&cycle_err) {
+                return Verdict::Agree {
+                    commits: m as u64,
+                    cycles,
+                };
+            }
+            DivergenceKind::Error {
+                functional,
+                cycle: Some(cycle_err),
+            }
+        }
+        Ok(_) => {
+            let (a, b) = (sim.machine(), func.as_ref().map(|r| &r.machine));
+            match b {
+                Ok(b)
+                    if f.len() == m
+                        && (a.accum, a.sp, a.psw.flag, a.halted)
+                            == (b.accum, b.sp, b.psw.flag, b.halted)
+                        && a.mem == b.mem =>
+                {
+                    return Verdict::Agree {
+                        commits: m as u64,
+                        cycles,
+                    };
+                }
+                _ => DivergenceKind::FinalState,
+            }
+        }
+    };
+    Verdict::Diverge(m, cycles, kind)
 }
