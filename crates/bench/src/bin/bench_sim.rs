@@ -598,8 +598,8 @@ struct Args {
 }
 
 fn parse_args(mut raw: Vec<String>) -> Result<Args, String> {
-    let out = extract_flag(&mut raw, "--out").map_err(|e| e.to_string())?;
-    let against = extract_flag(&mut raw, "--against").map_err(|e| e.to_string())?;
+    let out = extract_flag(&mut raw, "--out")?;
+    let against = extract_flag(&mut raw, "--against")?;
     let reduced = parse_switch(&mut raw, "--reduced")?;
     if let Some(flag) = raw.first() {
         return Err(format!("unknown flag `{flag}`"));

@@ -174,7 +174,7 @@ fn run() -> Result<ExitCode, String> {
     let max_cycles = parse_max_cycles(&mut raw)?;
     let geometry = parse_eu_depth(&mut raw)?;
     let predictor = parse_predictor(&mut raw)?;
-    let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
+    let resume_path = extract_flag(&mut raw, "--resume")?;
     let heartbeat_secs = parse_heartbeat(&mut raw)?;
     if let Some(flag) = raw.first() {
         return Err(format!("unknown flag `{flag}`"));
@@ -281,7 +281,7 @@ fn run() -> Result<ExitCode, String> {
     match report.failure {
         None => {
             if let Some(path) = &resume_path {
-                cp.save(path).map_err(|e| e.to_string())?;
+                cp.save(path)?;
             }
             println!(
                 "crisp-diff: all agree ({} commits compared)",
@@ -366,6 +366,9 @@ fn check_program(
             &mut LockstepBuffers::default(),
         )
         .map_err(load_failed)?;
+        if let Some(m) = reference.into_machine() {
+            pool.put(m);
+        }
         for (cfg, out) in group.iter().zip(outcomes) {
             match out {
                 LockstepOutcome::Agree { commits: c, .. } => commits += c,

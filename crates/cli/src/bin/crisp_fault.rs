@@ -234,9 +234,7 @@ impl Campaign {
             max_cycles: parse_max_cycles(raw)?.unwrap_or(200_000),
             geometry: parse_eu_depth(raw)?.unwrap_or_default(),
             predictor: parse_predictor(raw)?.unwrap_or(SimConfig::default().predictor),
-            target_spec: extract_flag(raw, "--target")
-                .map_err(|e| e.to_string())?
-                .unwrap_or_else(|| "cache".into()),
+            target_spec: extract_flag(raw, "--target")?.unwrap_or_else(|| "cache".into()),
         })
     }
 
@@ -286,8 +284,8 @@ fn run() -> Result<ExitCode, String> {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     )?;
     let targets = parse_targets(target_spec, predictor)?;
-    let resume_path = extract_flag(&mut raw, "--resume").map_err(|e| e.to_string())?;
-    let report_path = extract_flag(&mut raw, "--report").map_err(|e| e.to_string())?;
+    let resume_path = extract_flag(&mut raw, "--resume")?;
+    let report_path = extract_flag(&mut raw, "--report")?;
     let heartbeat_secs = parse_heartbeat(&mut raw)?;
     if let Some(flag) = raw.first() {
         return Err(format!("unknown flag `{flag}`"));
@@ -422,7 +420,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if let Some(path) = &resume_path {
-        cp.save(path).map_err(|e| e.to_string())?;
+        cp.save(path)?;
     }
     let quarantined = report.quarantined;
     print_report(&cp, programs, faults, &quarantined, report_path.as_deref())?;

@@ -76,9 +76,9 @@ use crisp_asm::assemble_text;
 use crisp_cc::compile_crisp;
 use crisp_cli::{extract_flag, parse_common, parse_engine, parse_switch, read_input};
 use crisp_sim::{
-    mispredict_cycles, render_timeline_for, write_chrome_trace_for, write_jsonl,
-    write_trace_footer, BranchProfiler, CycleSim, Engine, EventRing, FunctionalSim, Machine,
-    ParityMode, PipeEvent, PipelineGeometry, ThreadedSim, TraceFooter,
+    mispredict_cycles, render_timeline, write_chrome_trace, write_jsonl, write_trace_footer,
+    BranchProfiler, CycleSim, Engine, EventRing, FunctionalSim, Machine, ParityMode, PipeEvent,
+    PipelineGeometry, ThreadedSim, TraceFooter,
 };
 
 /// Event-ring capacity for `--trace`/`--chrome-trace`/`--timeline`:
@@ -128,14 +128,14 @@ fn run() -> Result<(), String> {
     // The reference interpreter unless --engine threaded asks for the
     // speed tier.
     let engine = parse_engine(&mut raw)?;
-    let trace_path = extract_flag(&mut raw, "--trace").map_err(|e| e.to_string())?;
-    let chrome_path = extract_flag(&mut raw, "--chrome-trace").map_err(|e| e.to_string())?;
-    let stats_path = extract_flag(&mut raw, "--stats-json").map_err(|e| e.to_string())?;
+    let trace_path = extract_flag(&mut raw, "--trace")?;
+    let chrome_path = extract_flag(&mut raw, "--chrome-trace")?;
+    let stats_path = extract_flag(&mut raw, "--stats-json")?;
     let profile = parse_switch(&mut raw, "--profile")?;
     let timeline = parse_switch(&mut raw, "--timeline")?;
     let branch_trace = parse_switch(&mut raw, "--branch-trace")?;
     let cpi_breakdown = parse_switch(&mut raw, "--cpi-breakdown")?;
-    let args = parse_common(raw.into_iter()).map_err(|e| e.to_string())?;
+    let args = parse_common(raw.into_iter())?;
     if let Some(flag) = args.rest.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
@@ -156,7 +156,7 @@ fn run() -> Result<(), String> {
         return Err("--engine threaded applies to the functional engine (drop --cycles)".into());
     }
 
-    let source = read_input(&args.input).map_err(|e| e.to_string())?;
+    let source = read_input(&args.input)?;
     let image = if is_asm {
         assemble_text(&source).map_err(|e| e.to_string())?
     } else {
@@ -307,7 +307,7 @@ fn emit_observations(
         })?;
     }
     if let Some(path) = chrome_path {
-        write_output(path, |w| write_chrome_trace_for(w, events, geometry))?;
+        write_output(path, |w| write_chrome_trace(w, events, geometry))?;
     }
     if let Some(prof) = profiler {
         print!("{prof}");
@@ -316,10 +316,7 @@ fn emit_observations(
         match mispredict_cycles(events).first() {
             Some(&center) => {
                 let from = center.saturating_sub(6);
-                print!(
-                    "{}",
-                    render_timeline_for(events, from, center + 6, geometry)
-                );
+                print!("{}", render_timeline(events, from, center + 6, geometry));
             }
             None => println!("timeline: no mispredicts in this run"),
         }

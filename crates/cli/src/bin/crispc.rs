@@ -39,16 +39,14 @@ fn run() -> Result<(), String> {
         println!("usage: crispc [--emit list|vax|summary] [OPTIONS] [FILE]");
         return Ok(());
     }
-    let emit = extract_flag(&mut raw, "--emit")
-        .map_err(|e| e.to_string())?
-        .unwrap_or("list".into());
+    let emit = extract_flag(&mut raw, "--emit")?.unwrap_or("list".into());
     parse_switch(&mut raw, "--")?; // tolerate a bare separator
-    let args = parse_common(raw.into_iter()).map_err(|e| e.to_string())?;
+    let args = parse_common(raw.into_iter())?;
     if let Some(flag) = args.rest.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
 
-    let source = read_input(&args.input).map_err(|e| e.to_string())?;
+    let source = read_input(&args.input)?;
 
     match emit.as_str() {
         "vax" => {

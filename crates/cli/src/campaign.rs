@@ -186,7 +186,7 @@ where
                     if let Some(path) = resume_path {
                         if drained.completed >= *last_saved + save_every {
                             if let Err(e) = cp.save(path) {
-                                *abort_msg.lock().unwrap() = Some(e.to_string());
+                                *abort_msg.lock().unwrap() = Some(e);
                                 queue.abort();
                                 return false;
                             }

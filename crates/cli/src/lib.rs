@@ -9,7 +9,6 @@
 
 pub mod campaign;
 
-use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -32,22 +31,6 @@ pub struct CommonArgs {
     pub sim: SimConfig,
     /// Remaining tool-specific flags.
     pub rest: Vec<String>,
-}
-
-/// A CLI usage error (message already formatted for the user).
-#[derive(Debug)]
-pub struct UsageError(pub String);
-
-impl fmt::Display for UsageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for UsageError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, UsageError> {
-    Err(UsageError(msg.into()))
 }
 
 /// Largest `--icache`: the cap `--predictor` geometries have, so a
@@ -80,45 +63,31 @@ const MAX_ICACHE_ENTRIES: usize = 1 << 16;
 ///
 /// # Errors
 ///
-/// [`UsageError`] on unknown flags or bad values.
-pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, UsageError> {
+/// A message on unknown flags or bad values.
+pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, String> {
     let mut raw: Vec<String> = args.collect();
     let raw = &mut raw;
     let (c, d) = (CompileOptions::default(), SimConfig::default());
     let positive = |n: &u32| *n > 0;
     let compile = CompileOptions {
-        spread: !parse_switch(raw, "--no-spread").map_err(UsageError)?,
-        prediction: parse_choice(raw, "--predict", &PREDICTION_MODES)
-            .map_err(UsageError)?
-            .unwrap_or(c.prediction),
+        spread: !parse_switch(raw, "--no-spread")?,
+        prediction: parse_choice(raw, "--predict", &PREDICTION_MODES)?.unwrap_or(c.prediction),
     };
     let icache_want = format!("a power of two in 1..={MAX_ICACHE_ENTRIES}");
     let mut sim = SimConfig {
-        predictor: parse_predictor(raw)
-            .map_err(UsageError)?
-            .unwrap_or(d.predictor),
-        fold_policy: parse_choice(raw, "--fold", &FOLD_POLICIES)
-            .map_err(UsageError)?
-            .unwrap_or(d.fold_policy),
+        predictor: parse_predictor(raw)?.unwrap_or(d.predictor),
+        fold_policy: parse_choice(raw, "--fold", &FOLD_POLICIES)?.unwrap_or(d.fold_policy),
         icache_entries: parse_valid(raw, "--icache", &icache_want, |n: &usize| {
             n.is_power_of_two() && *n <= MAX_ICACHE_ENTRIES
-        })
-        .map_err(UsageError)?
+        })?
         .unwrap_or(d.icache_entries),
-        mem_latency: parse_valid(raw, "--mem-latency", "a count >= 1", positive)
-            .map_err(UsageError)?
+        mem_latency: parse_valid(raw, "--mem-latency", "a count >= 1", positive)?
             .unwrap_or(d.mem_latency),
-        geometry: parse_eu_depth(raw).map_err(UsageError)?.unwrap_or_default(),
-        max_cycles: parse_max_cycles(raw)
-            .map_err(UsageError)?
-            .unwrap_or(d.max_cycles),
-        max_insns: parse_valid(raw, "--max-insns", "a count >= 1", |&n: &u64| n > 0)
-            .map_err(UsageError)?,
-        parity: parse_choice(raw, "--parity", &PARITY_MODES)
-            .map_err(UsageError)?
-            .unwrap_or(d.parity),
-        degrade: parse_valid(raw, "--degrade", "a count >= 1", positive)
-            .map_err(UsageError)?
+        geometry: parse_eu_depth(raw)?.unwrap_or_default(),
+        max_cycles: parse_max_cycles(raw)?.unwrap_or(d.max_cycles),
+        max_insns: parse_valid(raw, "--max-insns", "a count >= 1", |&n: &u64| n > 0)?,
+        parity: parse_choice(raw, "--parity", &PARITY_MODES)?.unwrap_or(d.parity),
+        degrade: parse_valid(raw, "--degrade", "a count >= 1", positive)?
             .map(|parity_limit| DegradePolicy { parity_limit }),
         ..d
     };
@@ -134,7 +103,7 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, Us
         } else if input.is_some() {
             // An unknown flag that takes a value leaves the value as
             // the input; blame the flag, not the file.
-            return err(match rest.first() {
+            return Err(match rest.first() {
                 Some(flag) => format!("unknown flag `{flag}`"),
                 None => format!("unexpected extra input `{arg}`"),
             });
@@ -180,8 +149,7 @@ fn parse_choice<T: Copy>(
     name: &str,
     choices: &[(&str, T)],
 ) -> Result<Option<T>, String> {
-    extract_flag(raw, name)
-        .map_err(|e| e.to_string())?
+    extract_flag(raw, name)?
         .map(|v| {
             choices
                 .iter()
@@ -198,20 +166,20 @@ fn parse_choice<T: Copy>(
 /// Parse a `--inject TARGET:CYCLE:SLOT:SITE` fault specification into a
 /// [`FaultPlan`], resolving the bit site against the target's
 /// enumerable fault space (`btb` sites depend on the live predictor).
-fn parse_fault_spec(spec: &str, predictor: HwPredictor) -> Result<FaultPlan, UsageError> {
+fn parse_fault_spec(spec: &str, predictor: HwPredictor) -> Result<FaultPlan, String> {
     let bad = || format!("bad --inject value `{spec}` (want TARGET:CYCLE:SLOT:SITE)");
     let parts: Vec<&str> = spec.split(':').collect();
     let [target, cycle, slot, site] = parts.as_slice() else {
-        return err(bad());
+        return Err(bad());
     };
-    let target = FaultTarget::parse(target)
-        .ok_or_else(|| UsageError(format!("unknown --inject target `{target}`")))?;
-    let space = target_space("--inject", target, predictor).map_err(UsageError)?;
-    let cycle: u64 = cycle.parse().map_err(|_| UsageError(bad()))?;
-    let slot: u32 = slot.parse().map_err(|_| UsageError(bad()))?;
-    let site: u64 = site.parse().map_err(|_| UsageError(bad()))?;
+    let target =
+        FaultTarget::parse(target).ok_or_else(|| format!("unknown --inject target `{target}`"))?;
+    let space = target_space("--inject", target, predictor)?;
+    let cycle: u64 = cycle.parse().map_err(|_| bad())?;
+    let slot: u32 = slot.parse().map_err(|_| bad())?;
+    let site: u64 = site.parse().map_err(|_| bad())?;
     if site >= space.size() {
-        return err(format!(
+        return Err(format!(
             "--inject bit-site {site} out of range (this target has {} fault sites)",
             space.size()
         ));
@@ -248,17 +216,17 @@ fn given_twice(name: &str) -> String {
 ///
 /// # Errors
 ///
-/// [`UsageError`] when the flag is present without a value, or is
+/// A message when the flag is present without a value, or is
 /// given more than once.
-pub fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, UsageError> {
+pub fn extract_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
     if let Some(pos) = args.iter().position(|a| a == name) {
         if pos + 1 >= args.len() {
-            return err(format!("{name} requires a value"));
+            return Err(format!("{name} requires a value"));
         }
         let value = args.remove(pos + 1);
         args.remove(pos);
         if args.iter().any(|a| a == name) {
-            return err(given_twice(name));
+            return Err(given_twice(name));
         }
         return Ok(Some(value));
     }
@@ -302,7 +270,7 @@ pub fn parse_num<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match extract_flag(raw, name).map_err(|e| e.to_string())? {
+    match extract_flag(raw, name)? {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("{name}: bad value `{v}`")),
     }
@@ -340,7 +308,7 @@ pub fn parse_count(
 ///
 /// A message when the value is missing or names no engine.
 pub fn parse_engine(raw: &mut Vec<String>) -> Result<Engine, String> {
-    match extract_flag(raw, "--engine").map_err(|e| e.to_string())? {
+    match extract_flag(raw, "--engine")? {
         Some(name) => Engine::parse(&name)
             .ok_or_else(|| format!("unknown engine `{name}` (interp | threaded)")),
         None => Ok(Engine::Interp),
@@ -354,8 +322,7 @@ pub fn parse_engine(raw: &mut Vec<String>) -> Result<Engine, String> {
 ///
 /// A message when the value is missing or names no predictor.
 pub fn parse_predictor(raw: &mut Vec<String>) -> Result<Option<HwPredictor>, String> {
-    extract_flag(raw, "--predictor")
-        .map_err(|e| e.to_string())?
+    extract_flag(raw, "--predictor")?
         .map(|v| HwPredictor::parse(&v).map_err(|e| format!("--predictor: bad value `{v}`: {e}")))
         .transpose()
 }
@@ -369,8 +336,7 @@ fn parse_valid<T: std::str::FromStr>(
     want: &str,
     valid: impl Fn(&T) -> bool,
 ) -> Result<Option<T>, String> {
-    extract_flag(raw, name)
-        .map_err(|e| e.to_string())?
+    extract_flag(raw, name)?
         .map(|v| {
             v.parse()
                 .ok()
@@ -421,7 +387,7 @@ pub fn parse_heartbeat(raw: &mut Vec<String>) -> Result<Option<u64>, String> {
 ///
 /// # Errors
 ///
-/// The [`Checkpoint::load_for_campaign`] failures, as text.
+/// The [`Checkpoint::load_for_campaign`] failures.
 pub fn resume_checkpoint(
     tool: &str,
     resume_path: Option<&String>,
@@ -431,7 +397,7 @@ pub fn resume_checkpoint(
     let Some(path) = resume_path else {
         return Ok(Checkpoint::default());
     };
-    let loaded = Checkpoint::load_for_campaign(path, total).map_err(|e| e.to_string())?;
+    let loaded = Checkpoint::load_for_campaign(path, total)?;
     if let Some(cp) = &loaded {
         println!(
             "{tool}: resuming from {path} ({} / {total} {unit} done)",
@@ -487,10 +453,10 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`UsageError`] on malformed input (including a truncated file
+    /// A message on malformed input (including a truncated file
     /// left behind by a crash mid-save).
-    pub fn from_json(text: &str) -> Result<Checkpoint, UsageError> {
-        let bad = |what: &str| UsageError(format!("checkpoint: {what}"));
+    pub fn from_json(text: &str) -> Result<Checkpoint, String> {
+        let bad = |what: &str| format!("checkpoint: {what}");
         let body = text
             .trim()
             .strip_prefix('{')
@@ -533,13 +499,13 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`UsageError`] on I/O failure (other than not-found) or parse
+    /// A message on I/O failure (other than not-found) or parse
     /// failure.
-    pub fn load(path: &str) -> Result<Option<Checkpoint>, UsageError> {
+    pub fn load(path: &str) -> Result<Option<Checkpoint>, String> {
         match std::fs::read_to_string(path) {
             Ok(text) => Checkpoint::from_json(&text).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => err(format!("reading {path}: {e}")),
+            Err(e) => Err(format!("reading {path}: {e}")),
         }
     }
 
@@ -551,11 +517,11 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`UsageError`] on I/O failure, parse failure, or a `completed`
+    /// A message on I/O failure, parse failure, or a `completed`
     /// count exceeding `total`.
-    pub fn load_for_campaign(path: &str, total: u64) -> Result<Option<Checkpoint>, UsageError> {
+    pub fn load_for_campaign(path: &str, total: u64) -> Result<Option<Checkpoint>, String> {
         match Checkpoint::load(path)? {
-            Some(cp) if cp.completed > total => err(format!(
+            Some(cp) if cp.completed > total => Err(format!(
                 "checkpoint {path} claims {} completed cases but this campaign has only {total}; \
                  it belongs to a different campaign — delete it or run without --resume",
                 cp.completed
@@ -573,8 +539,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`UsageError`] describing the I/O failure.
-    pub fn save(&self, path: &str) -> Result<(), UsageError> {
+    /// A message describing the I/O failure.
+    pub fn save(&self, path: &str) -> Result<(), String> {
         use std::io::Write as _;
         let tmp = format!("{path}.tmp");
         let write_synced = || -> std::io::Result<()> {
@@ -583,10 +549,10 @@ impl Checkpoint {
             f.sync_all()
         };
         if let Err(e) = write_synced() {
-            return err(format!("writing {tmp}: {e}"));
+            return Err(format!("writing {tmp}: {e}"));
         }
         if let Err(e) = std::fs::rename(&tmp, path) {
-            return err(format!("renaming {tmp} to {path}: {e}"));
+            return Err(format!("renaming {tmp} to {path}: {e}"));
         }
         Ok(())
     }
@@ -700,20 +666,20 @@ impl<T> WorkQueue<T> {
 ///
 /// # Errors
 ///
-/// [`UsageError`] describing the I/O failure.
-pub fn read_input(input: &Option<String>) -> Result<String, UsageError> {
+/// A message describing the I/O failure.
+pub fn read_input(input: &Option<String>) -> Result<String, String> {
     use std::io::Read as _;
     match input.as_deref() {
         None | Some("-") => {
             let mut buf = String::new();
             match std::io::stdin().read_to_string(&mut buf) {
                 Ok(_) => Ok(buf),
-                Err(e) => err(format!("reading stdin: {e}")),
+                Err(e) => Err(format!("reading stdin: {e}")),
             }
         }
         Some(path) => match std::fs::read_to_string(path) {
             Ok(s) => Ok(s),
-            Err(e) => err(format!("reading {path}: {e}")),
+            Err(e) => Err(format!("reading {path}: {e}")),
         },
     }
 }
@@ -723,7 +689,7 @@ mod tests {
     use super::*;
     use crisp_sim::{nth_field, nth_pdu_field, nth_predictor_field};
 
-    fn parse(args: &[&str]) -> Result<CommonArgs, UsageError> {
+    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
         parse_common(args.iter().map(|s| s.to_string()))
     }
 
@@ -775,7 +741,7 @@ mod tests {
     fn repeated_flags_and_switches_are_named() {
         let mut args: Vec<String> = ["--jobs", "2", "--jobs", "1"].map(String::from).into();
         let e = extract_flag(&mut args, "--jobs").unwrap_err();
-        assert_eq!(e.to_string(), "`--jobs` given more than once");
+        assert_eq!(e, "`--jobs` given more than once");
         let mut args: Vec<String> = ["--smoke", "x", "--smoke"].map(String::from).into();
         assert_eq!(
             parse_switch(&mut args, "--smoke"),
@@ -832,11 +798,11 @@ mod tests {
         // The static-bit predictor has no strikable state.
         let e = parse(&["--inject", "btb:60:0:0", "x.c"]).unwrap_err();
         assert!(
-            e.0.contains("--inject btb needs a dynamic --predictor"),
+            e.contains("--inject btb needs a dynamic --predictor"),
             "{e}"
         );
         let e = parse(&["--inject", "pdu:10:3:999"]).unwrap_err();
-        assert!(e.0.contains("fault sites"), "{e}");
+        assert!(e.contains("fault sites"), "{e}");
     }
 
     #[test]
@@ -853,7 +819,7 @@ mod tests {
         assert!(parse(&["a.c", "b.c"]).is_err());
         for bad in ["0", "3", "131072", "1073741824"] {
             let e = parse(&["--icache", bad, "x.c"]).unwrap_err();
-            assert!(e.0.contains("want a power of two in 1..=65536"), "{e}");
+            assert!(e.contains("want a power of two in 1..=65536"), "{e}");
         }
         assert_eq!(
             parse(&["--icache", "65536"]).unwrap().sim.icache_entries,
@@ -861,15 +827,15 @@ mod tests {
         );
         assert_eq!(parse(&["--icache", "1"]).unwrap().sim.icache_entries, 1);
         let e = parse(&["--mem-latency", "0", "x.c"]).unwrap_err();
-        assert!(e.0.contains("want a count >= 1"), "{e}");
+        assert!(e.contains("want a count >= 1"), "{e}");
     }
 
     #[test]
     fn unknown_flag_with_a_value_is_blamed() {
         let e = parse(&["--max-steps", "5", "prog.c"]).unwrap_err();
-        assert_eq!(e.0, "unknown flag `--max-steps`");
+        assert_eq!(e, "unknown flag `--max-steps`");
         let e = parse(&["a.c", "b.c"]).unwrap_err();
-        assert_eq!(e.0, "unexpected extra input `b.c`");
+        assert_eq!(e, "unexpected extra input `b.c`");
     }
 
     #[test]
@@ -923,7 +889,7 @@ mod tests {
             }
         );
         let e = parse(&["--predictor", "oracle", "x.c"]).unwrap_err();
-        assert!(e.0.contains("--predictor"), "{}", e.0);
+        assert!(e.contains("--predictor"), "{}", e);
         assert!(parse(&["--predictor"]).is_err());
     }
 
@@ -952,9 +918,9 @@ mod tests {
         // not a queue-arithmetic underflow.
         let e = Checkpoint::load_for_campaign(&path, 9).unwrap_err();
         assert!(
-            e.0.contains("10 completed cases") && e.0.contains("only 9"),
+            e.contains("10 completed cases") && e.contains("only 9"),
             "{}",
-            e.0
+            e
         );
         std::fs::remove_file(&path).unwrap();
     }
@@ -1066,7 +1032,7 @@ mod tests {
         for cut in 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let e = Checkpoint::load(&path).unwrap_err();
-            assert!(e.0.contains("checkpoint"), "cut at {cut}: {}", e.0);
+            assert!(e.contains("checkpoint"), "cut at {cut}: {}", e);
             assert!(
                 Checkpoint::load_for_campaign(&path, 100).is_err(),
                 "cut at {cut}"

@@ -230,16 +230,6 @@ impl fmt::Display for FoldFailure {
     }
 }
 
-impl std::str::FromStr for FoldFailure {
-    type Err = ();
-    fn from_str(s: &str) -> Result<FoldFailure, ()> {
-        FoldFailure::ALL
-            .into_iter()
-            .find(|v| v.name() == s)
-            .ok_or(())
-    }
-}
-
 /// Classify why the instruction at parcel index `at` did **not** absorb
 /// the branch that follows it.
 ///
@@ -839,7 +829,6 @@ mod tests {
 
     #[test]
     fn fold_failure_classifies_blocked_folds() {
-        use std::str::FromStr;
         let jmp = Instr::Jmp {
             target: BranchTarget::PcRel(2),
         };
@@ -880,11 +869,6 @@ mod tests {
         // No branch follows → not a fold failure.
         let p = stream(&[add_slots(), Instr::Nop]);
         assert_eq!(fold_failure(&p, 0, FoldPolicy::Host13), None);
-        // Name round-trip.
-        for v in FoldFailure::ALL {
-            assert_eq!(FoldFailure::from_str(v.name()), Ok(v));
-        }
-        assert!(FoldFailure::from_str("no-such-reason").is_err());
     }
 
     #[test]

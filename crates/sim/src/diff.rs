@@ -32,7 +32,7 @@ use std::sync::Arc;
 use crisp_isa::FoldPolicy;
 
 use crate::config::HwPredictor;
-use crate::observe::{render_timeline_for, EventRing, PipeEvent, PipeObserver};
+use crate::observe::{render_timeline, EventRing, PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::{CycleSim, FunctionalSim, Machine, MachinePool, RunEnd, SimConfig, SimError};
 use crisp_asm::Image;
@@ -455,8 +455,9 @@ impl DiffReference {
         &self.log
     }
 
-    /// The final state of a reference that halted.
-    pub(crate) fn into_machine(self) -> Option<Machine> {
+    /// The final state of a reference that halted, for a caller to
+    /// return to its [`MachinePool`] once the sweep is judged.
+    pub fn into_machine(self) -> Option<Machine> {
         match self.end {
             ReferenceEnd::Halted(m) => Some(m),
             _ => None,
@@ -628,8 +629,7 @@ fn report(
         Some((commit_index, cycle, kind)) => {
             let events: Vec<PipeEvent> = sim.observer().1.events().copied().collect();
             let from = cycle.saturating_sub(EXCERPT_BEFORE);
-            let timeline =
-                render_timeline_for(&events, from, cycle + EXCERPT_AFTER, sim.geometry());
+            let timeline = render_timeline(&events, from, cycle + EXCERPT_AFTER, sim.geometry());
             LockstepOutcome::Diverge(Box::new(Divergence {
                 commit_index,
                 cycle,

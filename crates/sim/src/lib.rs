@@ -78,9 +78,8 @@ pub use icache::{CacheLookup, DecodedCache};
 pub use machine::{Machine, MachinePool, Step};
 pub use mem::Memory;
 pub use observe::{
-    mispredict_cycles, parse_jsonl, render_timeline, render_timeline_for, write_chrome_trace,
-    write_chrome_trace_for, write_jsonl, write_trace_footer, DegradeUnit, EventRing, NullObserver,
-    PipeEvent, PipeObserver, StallKind, TraceFooter, TraceParseError,
+    mispredict_cycles, render_timeline, write_chrome_trace, write_jsonl, write_trace_footer,
+    DegradeUnit, EventRing, NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter,
 };
 pub use pdu::Pdu;
 pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, RunEnd, StageView};

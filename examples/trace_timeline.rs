@@ -11,8 +11,8 @@
 
 use crisp::asm::assemble_text;
 use crisp::sim::{
-    mispredict_cycles, render_timeline_for, write_jsonl, BranchProfiler, CycleSim, EventRing,
-    Machine, PipelineGeometry, SimConfig, MAX_DEPTH, MIN_DEPTH,
+    mispredict_cycles, render_timeline, write_jsonl, BranchProfiler, CycleSim, EventRing, Machine,
+    PipelineGeometry, SimConfig, MAX_DEPTH, MIN_DEPTH,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("the loop exit mispredicts");
     print!(
         "{}",
-        render_timeline_for(&events, center.saturating_sub(4), center + 4, geometry)
+        render_timeline(&events, center.saturating_sub(4), center + 4, geometry)
     );
 
     println!();

@@ -3,7 +3,9 @@
 //!
 //! The vectors under `tests/golden/` were generated from the 3-stage
 //! engine *before* it was generalized over [`PipelineGeometry`]
-//! (`cargo run --release --example gen_golden` regenerates them). Each
+//! (the ignored `regenerate_golden_vectors` test rewrites them:
+//! `cargo test --release --test golden_geometry -- --ignored
+//! regenerate`). Each
 //! file holds one run's stats JSON followed by its complete commit
 //! event stream — cycle stamps included — so any timing or
 //! architectural drift in the D=3 machine fails the replay
@@ -95,11 +97,10 @@ fn replay(image: &crisp::asm::Image, cfg: SimConfig) -> String {
     out
 }
 
-/// Every fold-policy × predictor sweep at D=3 must reproduce its
-/// pre-generalization golden vector bit-for-bit: stats line, commit
-/// stream, and the cycle stamp of every commit.
-#[test]
-fn default_geometry_matches_pre_refactor_golden_vectors() {
+/// The 24 golden configurations — two compiles of figure3 (64
+/// iterations) × four fold policies × three predictors — as
+/// `(file name, image, config)`, all at the default geometry.
+fn golden_cases() -> Vec<(String, crisp::asm::Image, SimConfig)> {
     let source = figure3_with_count(64);
     let compiles = [
         ("figure3x64", CompileOptions::default()),
@@ -111,7 +112,7 @@ fn default_geometry_matches_pre_refactor_golden_vectors() {
             },
         ),
     ];
-    let mut checked = 0;
+    let mut cases = Vec::new();
     for (wname, copts) in compiles {
         let image = compile_crisp(&source, &copts).expect("workload compiles");
         for fold_policy in [
@@ -144,18 +145,46 @@ fn default_geometry_matches_pre_refactor_golden_vectors() {
                 };
                 assert_eq!(cfg.geometry, PipelineGeometry::crisp());
                 let name = format!("{wname}_{}_{pname}.txt", fold_name(fold_policy));
-                let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("tests/golden")
-                    .join(&name);
-                let want = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-                let got = replay(&image, cfg);
-                assert_eq!(got, want, "golden vector {name} drifted");
-                checked += 1;
+                cases.push((name, image.clone(), cfg));
             }
         }
     }
-    assert_eq!(checked, 24, "all golden vectors must be replayed");
+    cases
+}
+
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// Every fold-policy × predictor sweep at D=3 must reproduce its
+/// pre-generalization golden vector bit-for-bit: stats line, commit
+/// stream, and the cycle stamp of every commit.
+#[test]
+fn default_geometry_matches_pre_refactor_golden_vectors() {
+    let cases = golden_cases();
+    assert_eq!(cases.len(), 24, "all golden vectors must be replayed");
+    for (name, image, cfg) in cases {
+        let path = golden_path(&name);
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let got = replay(&image, cfg);
+        assert_eq!(got, want, "golden vector {name} drifted");
+    }
+}
+
+/// Rewrite every golden vector through the same [`replay`] the check
+/// above uses. Run only by a change meant to move the vectors:
+/// `cargo test --release --test golden_geometry -- --ignored regenerate`.
+#[test]
+#[ignore = "rewrites tests/golden; run on purpose"]
+fn regenerate_golden_vectors() {
+    for (name, image, cfg) in golden_cases() {
+        let path = golden_path(&name);
+        std::fs::write(&path, replay(&image, cfg))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    }
 }
 
 /// The stats JSON at a non-default depth emits the histogram at live

@@ -29,12 +29,15 @@
 //!    a decode error, the planted squash bug and soft-error strikes.
 //!    Together they reach agreement, mismatches, watchdogs, commits
 //!    past an erroring reference, and cycle-engine errors on both
-//!    sides of the error chase's far edge. (An extra commit after the
+//!    sides of the error chase's far edge (the edge itself through one
+//!    pinned case, `lockstep_error_chase_far_edge`, since random draws
+//!    almost never land on it). (An extra commit after the
 //!    reference's halt, and a final-state difference, need a pipeline
 //!    bug none of these plants.)
 
 use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::Image;
+use crisp::isa::FoldPolicy;
 use crisp::sim::{
     classify_batch, diff_reference, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
     predictor_fault_space, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CycleSim,
@@ -208,68 +211,166 @@ proptest! {
         slot in any::<u32>(),
         site in any::<u64>(),
     ) {
-        let mut image = GenProgram::generate(seed, 6).image().unwrap();
-        if garbage_end {
-            // The closing `halt` becomes an unassigned opcode: both
-            // engines end in the same decode error, the cycle engine
-            // up to a pipeline ahead of retirement.
-            *image.parcels.last_mut().unwrap() = 0xB800;
-        }
-        let mut pool = MachinePool::default();
-        // A third of the cases get a tight watchdog budget (in cycles
-        // or in instructions), three quarters a cache or PDU strike
-        // somewhere in the run.
-        let configs: Vec<SimConfig> = sweep_configs()
-            .into_iter()
-            .map(|cfg| {
-                let plain = SimConfig {
-                    fault: squash_bug.then_some(FaultInjection::SkipOrSquash),
-                    max_cycles: ROOMY_BUDGET,
-                    ..cfg
-                };
-                let end_cycle = run_cycles(&image, plain);
-                let tight = 1 + tight_seed % (end_cycle + 16);
-                let target = [FaultTarget::Cache, FaultTarget::Pdu][strike as usize % 2];
-                SimConfig {
-                    max_cycles: if budget == 4 { tight } else { ROOMY_BUDGET },
-                    max_insns: (budget == 5).then_some(tight),
-                    fault_plan: (strike < 3).then(|| FaultPlan {
-                        cycle: strike_seed % (end_cycle + 1),
-                        ..plan(target, cfg.predictor, 0, slot, site)
-                    }),
-                    ..plain
-                }
-            })
-            .collect();
-        for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
-            let budget = group.iter().map(|c| c.max_insns.unwrap_or(c.max_cycles).min(c.max_cycles)).max().unwrap();
-            let reference =
-                diff_reference(&image, group[0].fold_policy, budget, None, &mut pool).unwrap();
-            let batched = run_lockstep_batched(
-                &image, group, None, &reference, 1, &mut pool, &mut LockstepBuffers::default(),
-            )
+        lockstep_matches_post_hoc(LockstepCase {
+            seed, garbage_end, squash_bug, budget, tight_seed, strike, strike_seed, slot, site,
+        })?;
+    }
+}
+
+/// One draw of claim 2's parameters.
+#[derive(Debug, Clone, Copy)]
+struct LockstepCase {
+    seed: u64,
+    garbage_end: bool,
+    squash_bug: bool,
+    budget: u8,
+    tight_seed: u64,
+    strike: u8,
+    strike_seed: u64,
+    slot: u32,
+    site: u64,
+}
+
+/// Claim 2 for one case: every sweep configuration, through both
+/// lockstep entry points, against the post-hoc comparison.
+fn lockstep_matches_post_hoc(case: LockstepCase) -> Result<(), TestCaseError> {
+    let LockstepCase {
+        seed,
+        garbage_end,
+        squash_bug,
+        budget,
+        tight_seed,
+        strike,
+        strike_seed,
+        slot,
+        site,
+    } = case;
+    let mut image = GenProgram::generate(seed, 6).image().unwrap();
+    if garbage_end {
+        // The closing `halt` becomes an unassigned opcode: both
+        // engines end in the same decode error, the cycle engine
+        // up to a pipeline ahead of retirement.
+        *image.parcels.last_mut().unwrap() = 0xB800;
+    }
+    let mut pool = MachinePool::default();
+    // A third of the cases get a tight watchdog budget (in cycles
+    // or in instructions), three quarters a cache or PDU strike
+    // somewhere in the run.
+    let configs: Vec<SimConfig> = sweep_configs()
+        .into_iter()
+        .map(|cfg| {
+            let plain = SimConfig {
+                fault: squash_bug.then_some(FaultInjection::SkipOrSquash),
+                max_cycles: ROOMY_BUDGET,
+                ..cfg
+            };
+            let end_cycle = run_cycles(&image, plain);
+            let tight = 1 + tight_seed % (end_cycle + 16);
+            let target = [FaultTarget::Cache, FaultTarget::Pdu][strike as usize % 2];
+            SimConfig {
+                max_cycles: if budget == 4 { tight } else { ROOMY_BUDGET },
+                max_insns: (budget == 5).then_some(tight),
+                fault_plan: (strike < 3).then(|| FaultPlan {
+                    cycle: strike_seed % (end_cycle + 1),
+                    ..plan(target, cfg.predictor, 0, slot, site)
+                }),
+                ..plain
+            }
+        })
+        .collect();
+    for group in configs.chunk_by(|a, b| a.fold_policy == b.fold_policy) {
+        let budget = group
+            .iter()
+            .map(|c| c.max_insns.unwrap_or(c.max_cycles).min(c.max_cycles))
+            .max()
             .unwrap();
-            for (cfg, batched) in group.iter().zip(batched) {
-                let expected = post_hoc(&image, *cfg);
-                let scalar = run_lockstep(&image, *cfg).unwrap();
-                for (name, got) in [("batched", &batched), ("scalar", &scalar)] {
-                    let got = match got {
-                        LockstepOutcome::Agree { commits, cycles } => {
-                            Verdict::Agree { commits: *commits, cycles: *cycles }
-                        }
-                        LockstepOutcome::Diverge(d) => Verdict::Diverge(d.commit_index, d.cycle, d.kind.clone()),
-                    };
-                    prop_assert_eq!(
-                        &got, &expected,
-                        "{} seed {} under {:?}", name, seed, cfg
-                    );
-                }
-                if let (LockstepOutcome::Diverge(b), LockstepOutcome::Diverge(s)) = (&batched, &scalar) {
-                    prop_assert_eq!(&b.timeline, &s.timeline);
-                }
+        let reference =
+            diff_reference(&image, group[0].fold_policy, budget, None, &mut pool).unwrap();
+        let batched = run_lockstep_batched(
+            &image,
+            group,
+            None,
+            &reference,
+            1,
+            &mut pool,
+            &mut LockstepBuffers::default(),
+        )
+        .unwrap();
+        for (cfg, batched) in group.iter().zip(batched) {
+            let expected = post_hoc(&image, *cfg);
+            let scalar = run_lockstep(&image, *cfg).unwrap();
+            for (name, got) in [("batched", &batched), ("scalar", &scalar)] {
+                let got = match got {
+                    LockstepOutcome::Agree { commits, cycles } => Verdict::Agree {
+                        commits: *commits,
+                        cycles: *cycles,
+                    },
+                    LockstepOutcome::Diverge(d) => {
+                        Verdict::Diverge(d.commit_index, d.cycle, d.kind.clone())
+                    }
+                };
+                prop_assert_eq!(&got, &expected, "{} seed {} under {:?}", name, seed, cfg);
+            }
+            if let (LockstepOutcome::Diverge(b), LockstepOutcome::Diverge(s)) = (&batched, &scalar)
+            {
+                prop_assert_eq!(&b.timeline, &s.timeline);
             }
         }
     }
+    Ok(())
+}
+
+/// Claim 2 at the error chase's far edge, which random draws almost
+/// never reach: on seed 0 with a garbage end, a parity-off strike on
+/// cache slot 2 at cycle 100 sends the cycle engine (fold `all`, 8
+/// cache entries, static bit) into the decode error with the reference
+/// exactly `ERROR_CHASE - 1` commits further on. The run agrees; one
+/// commit further and it would not.
+#[test]
+fn lockstep_error_chase_far_edge() {
+    let case = LockstepCase {
+        seed: 0,
+        garbage_end: true,
+        squash_bug: false,
+        budget: 0,
+        tight_seed: 0,
+        strike: 0,
+        strike_seed: 100,
+        slot: 2,
+        site: 5,
+    };
+    // The configuration that reaches the edge, as claim 2 builds it
+    // (the fault-free run takes 123 cycles, so the strike is at 100).
+    let mut image = GenProgram::generate(case.seed, 6).image().unwrap();
+    *image.parcels.last_mut().unwrap() = 0xB800;
+    let cfg = SimConfig {
+        fold_policy: FoldPolicy::All,
+        icache_entries: 8,
+        max_cycles: ROOMY_BUDGET,
+        fault_plan: Some(FaultPlan {
+            cycle: 100,
+            ..plan(
+                FaultTarget::Cache,
+                HwPredictor::StaticBit,
+                0,
+                case.slot,
+                case.site,
+            )
+        }),
+        ..SimConfig::default()
+    };
+    let mut flog = CommitLog::default();
+    let func = FunctionalSim::with_policy(Machine::load(&image).unwrap(), cfg.fold_policy)
+        .run_observed(&mut flog);
+    let mut sim =
+        CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, CommitLog::default());
+    let end = sim.run_until(|_| false);
+    let matched = sim.observer().records.len();
+    assert!(matches!(end, Err(SimError::Decode { .. })), "{end:?}");
+    assert_eq!(end.err(), func.err());
+    assert_eq!(flog.records[..matched], sim.observer().records[..]);
+    assert_eq!(flog.records.len(), matched + ERROR_CHASE - 1);
+    lockstep_matches_post_hoc(case).unwrap();
 }
 
 /// Cycles a whole run of `cfg` over `image` takes, however it ends.

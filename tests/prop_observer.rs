@@ -1,7 +1,7 @@
 //! Property tests for the observability layer: on randomized programs,
 //! the typed event stream must reconcile *exactly* with the cycle
-//! engine's counters, the branch-site profiler must agree with both,
-//! and the JSONL trace format must round-trip losslessly.
+//! engine's counters, and the branch-site profiler must agree with
+//! both.
 //!
 //! Programs are a bounded counted loop over a random mix of ALU
 //! operations and forward conditional skips with random prediction
@@ -11,8 +11,8 @@
 use crisp::asm::{assemble, Item, Module};
 use crisp::isa::{BinOp, Cond, FoldPolicy, Instr, Operand};
 use crisp::sim::{
-    parse_jsonl, write_jsonl, BranchProfiler, CycleSim, EventRing, HwPredictor, Machine, PipeEvent,
-    PipelineGeometry, SimConfig, StageHistogram, StallKind,
+    BranchProfiler, CycleSim, EventRing, HwPredictor, Machine, PipeEvent, PipelineGeometry,
+    SimConfig, StageHistogram, StallKind,
 };
 use proptest::prelude::*;
 
@@ -353,28 +353,5 @@ proptest! {
                 t.fold_fails
             );
         }
-    }
-
-    #[test]
-    fn jsonl_trace_round_trips(
-        body in prop::collection::vec(arb_body_op(), 1..8),
-        iters in 1u8..12,
-    ) {
-        let image = assemble(&build_program(&body, iters)).unwrap();
-        let sim = CycleSim::with_observer(
-            Machine::load(&image).unwrap(),
-            SimConfig::default(),
-            EventRing::new(1 << 20),
-        );
-        let (_, ring) = sim.run_observed().unwrap();
-        let events = ring.into_vec();
-        prop_assert!(!events.is_empty());
-
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &events).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        prop_assert_eq!(text.lines().count(), events.len());
-        let parsed = parse_jsonl(&text).unwrap();
-        prop_assert_eq!(parsed, events);
     }
 }
