@@ -330,7 +330,11 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
             (image, table, cfgs)
         })
         .collect();
+    // The kernel arm runs in a twentieth of the per-case arm's time and
+    // is the row a null A/B fails on most often, so it takes five times
+    // the samples, for about half a second more per reduced spawn.
     let (cwarm, csamples) = if reduced { (1, 5) } else { (1, 15) };
+    let ksamples = 5 * csamples;
     let mut pool = MachinePool::default();
     out.push(measure("campaign_fault_percase", cwarm, csamples, || {
         let mut n = 0;
@@ -343,7 +347,7 @@ fn run_suite(reduced: bool) -> Vec<Measured> {
         n
     }));
     let mut pool = MachinePool::default();
-    out.push(measure("campaign_fault_kernel", cwarm, csamples, || {
+    out.push(measure("campaign_fault_kernel", cwarm, ksamples, || {
         let mut n = 0;
         for (image, table, cfgs) in &campaign {
             let reference = fault_reference(image, base, Some(table), None, &mut pool)

@@ -46,8 +46,15 @@
 //! cases of one program as one block, computes the program's
 //! fault-free reference commit log, and classifies both phases of
 //! every case in one [`classify_batch`] call, which forks each faulted
-//! run off one fault-free cycle run per phase at its strike cycle and
-//! stops it as soon as its verdict is fixed. Parallelism is therefore
+//! run off one fault-free cycle run per phase as its strike lands and
+//! stops it as soon as its verdict is fixed. The ejects, first match
+//! wins: a cache strike on an empty slot, or a strike at or past the
+//! fault-free halt (or still armed there), takes the fault-free verdict
+//! without forking; a fork stops at its first divergent commit, or once
+//! parity has caught its fault; and a fork whose state rejoins the
+//! fault-free run's, Δ cycles late, takes the fault-free verdict too,
+//! except that it is a hang when the fault-free halt cycle + Δ exceeds
+//! `--max-cycles`. No eject changes a verdict. Parallelism is therefore
 //! across programs: a campaign with fewer programs than `--jobs`
 //! leaves workers idle. Worker panics are contained per block: the
 //! block is re-run case by case on fresh machine buffers and only a

@@ -283,6 +283,40 @@ impl DecodedCache {
     pub fn clear(&mut self) {
         self.entries.fill(None);
     }
+
+    /// Whether `slot` (taken modulo the cache size, as
+    /// [`DecodedCache::corrupt`] takes it) holds an entry: a strike on
+    /// an unoccupied slot flips nothing.
+    pub fn occupied(&self, slot: usize) -> bool {
+        self.entries[slot % self.entries.len()].is_some()
+    }
+
+    /// Whether this cache and `other` behave the same from here on:
+    /// the same resident entries, the same parity state where parity is
+    /// checked, and the same degrade bookkeeping. The fill and eviction
+    /// counters are left out; they never steer a lookup.
+    pub(crate) fn same_future(&self, other: &DecodedCache) -> bool {
+        let checked = self.parity == ParityMode::DetectInvalidate;
+        self.parity == other.parity
+            && self.disabled == other.disabled
+            && self.slot_parity_hits == other.slot_parity_hits
+            && self.pending_degraded == other.pending_degraded
+            && self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| match (a, b) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => {
+                        a.d == b.d
+                            && (!checked
+                                || (a.stored_parity, a.live_parity)
+                                    == (b.stored_parity, b.live_parity))
+                    }
+                    _ => false,
+                })
+    }
 }
 
 #[cfg(test)]

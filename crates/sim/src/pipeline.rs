@@ -401,6 +401,77 @@ impl<O: PipeObserver> CycleSim<O> {
         }
     }
 
+    /// Whether this run's fault plan has fired: it struck, or it was
+    /// spent on an empty cache slot or a run with no predictor table.
+    /// Until then a faulted run is the fault-free one, cycle for cycle.
+    pub(crate) fn strike_spent(&self) -> bool {
+        self.front.fault_done
+    }
+
+    /// Whether a strike on `target` armed now would fire at the start
+    /// of the next cycle: the rule of the cycle's fault-injection step.
+    /// Cache slots always exist; predictor tables and PDU fold slots
+    /// must hold state first, and a run without a predictor table
+    /// spends a predictor strike at once.
+    pub(crate) fn strike_lands(&self, target: FaultTarget) -> bool {
+        match target {
+            FaultTarget::Cache => true,
+            FaultTarget::Predictor => self
+                .predictor
+                .as_ref()
+                .is_none_or(HwPredictorState::has_state),
+            FaultTarget::Pdu => self.pdu.inflight_len() > 0,
+        }
+    }
+
+    /// The decoded cache (read-only view).
+    pub(crate) fn cache(&self) -> &DecodedCache {
+        &self.cache
+    }
+
+    /// Whether this run and `other`, two runs of one configuration up
+    /// to the fault plan that have retired the same commit records,
+    /// evolve identically from here on, `other`'s clock shifted by the
+    /// difference of their cycle counts. The state compared is the
+    /// micro-architectural state that decides behaviour: the front
+    /// end's live latches (see `PipeFront::same_future`), the PDU with
+    /// its ready cycles relative to each run's clock, the decoded cache
+    /// with its parity and degrade state, the predictor tables, and the
+    /// retired instruction count the `max_insns` watchdog reads. Pure
+    /// counters (fill and eviction counts, [`CycleStats`]) are left
+    /// out.
+    ///
+    /// The machines are not compared: the caller has checked that both
+    /// runs' commit cursors match the same reference prefix, and a
+    /// commit record carries every architectural write (accumulator,
+    /// stack pointer, flag, next PC, the one memory word), so equal
+    /// records from one start state leave equal machines. A spent fault
+    /// plan is inert, and a run that has not yet fired its plan is the
+    /// fault-free run: comparing it proves nothing, so callers first
+    /// check [`CycleSim::strike_spent`].
+    pub(crate) fn same_future(&self, other: &Self) -> bool {
+        debug_assert_eq!(
+            SimConfig {
+                fault_plan: None,
+                ..self.cfg
+            },
+            SimConfig {
+                fault_plan: None,
+                ..other.cfg
+            }
+        );
+        self.stats.program_instrs == other.stats.program_instrs
+            && self.front.same_future(&other.front)
+            && self
+                .pdu
+                .same_future(self.stats.cycles, &other.pdu, other.stats.cycles)
+            && self.cache.same_future(&other.cache)
+            && match (&self.predictor, &other.predictor) {
+                (Some(p), Some(q)) => p.same_future(q),
+                (p, q) => p.is_none() && q.is_none(),
+            }
+    }
+
     /// Whether a parity-protected run's planned soft-error fault has
     /// both struck and been caught by a parity check (a decoded-cache
     /// invalidate or a predictor scrub). From then on no corrupted entry
@@ -564,6 +635,35 @@ impl PipeFront {
             fetch_kill_cause: BubbleCause::Startup,
             parity_pc: None,
         }
+    }
+
+    /// Whether this front end and `other` steer the same from here on:
+    /// the fetch register, the pending indirect wait and every valid
+    /// stage latch, with sequence numbers taken relative to each side's
+    /// `next_seq`. An invalid latch is dead (it retires nothing and
+    /// resolves nothing). Left out: the miss latch, the stall in
+    /// progress and the bubble provenance, which only feed counters and
+    /// events, and the fault latch, as a spent plan is inert.
+    fn same_future(&self, other: &PipeFront) -> bool {
+        let live = |f: &PipeFront, s: &Option<Slot>| {
+            s.filter(|s| s.valid).map(|s| {
+                (
+                    s.d,
+                    s.resolved,
+                    s.followed,
+                    s.other,
+                    f.next_seq.wrapping_sub(s.seq),
+                )
+            })
+        };
+        let waiting = |f: &PipeFront| f.waiting_on.map(|w| f.next_seq.wrapping_sub(w));
+        self.depth == other.depth
+            && self.fetch_pc == other.fetch_pc
+            && waiting(self) == waiting(other)
+            && self.stages[..self.depth]
+                .iter()
+                .zip(&other.stages)
+                .all(|(a, b)| live(self, a) == live(other, b))
     }
 
     fn cc_writer_in_flight(&self) -> bool {

@@ -61,7 +61,7 @@ pub trait Predictor {
 /// at the weakly-not-taken value; the index is the parcel address
 /// (`pc >> 1`) masked to the table size. The finite-table ablation
 /// scores traces on this type directly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterTable {
     bits: u8,
     threshold: u8,
@@ -146,7 +146,7 @@ impl Predictor for CounterTable {
 /// One resident BTB entry: a branch address with its 2-bit direction
 /// counter, LRU stamp and a parity bit over the tag + counter. No
 /// target — see the module docs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbSlot {
     pc: u32,
     counter: u8,
@@ -324,6 +324,42 @@ impl BtbTable {
         ((pc >> 1) as usize) & self.mask
     }
 
+    /// Whether this table and `other` predict and train the same from
+    /// here on: every field but the `parity_scrubs` counter. LRU stamps
+    /// are compared as they stand, so two tables that order their
+    /// entries alike but stamped them at different trains differ.
+    fn same_future(&self, other: &BtbTable) -> bool {
+        let BtbTable {
+            mask,
+            ways,
+            sets,
+            clock,
+            protected,
+            way_parity_hits,
+            ways_disabled,
+            degrade_limit,
+            pending_degraded,
+            parity_scrubs: _,
+        } = self;
+        (
+            *mask,
+            *ways,
+            *clock,
+            *protected,
+            *ways_disabled,
+            *degrade_limit,
+        ) == (
+            other.mask,
+            other.ways,
+            other.clock,
+            other.protected,
+            other.ways_disabled,
+            other.degrade_limit,
+        ) && *way_parity_hits == other.way_parity_hits
+            && *pending_degraded == other.pending_degraded
+            && *sets == other.sets
+    }
+
     /// Read-only prediction: `(direction, table_miss)`. A hit predicts
     /// by its counter; a miss predicts not-taken.
     #[inline]
@@ -400,7 +436,7 @@ impl Predictor for BtbTable {
 /// "Results for the MU5 show only a 40-65 percent correct prediction
 /// rate for an eight entry jump-trace, barely better than tossing a
 /// coin."
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JumpTraceTable {
     capacity: usize,
     /// FIFO order, oldest first; preallocated to capacity.
@@ -584,6 +620,17 @@ impl HwPredictorState {
     pub fn fully_degraded(&self) -> bool {
         match self {
             HwPredictorState::Btb(t) => t.fully_degraded(),
+            _ => false,
+        }
+    }
+
+    /// Whether this table and `other` predict and train the same from
+    /// here on (the scrub counter aside).
+    pub(crate) fn same_future(&self, other: &HwPredictorState) -> bool {
+        match (self, other) {
+            (HwPredictorState::Counters(a), HwPredictorState::Counters(b)) => a == b,
+            (HwPredictorState::Btb(a), HwPredictorState::Btb(b)) => a.same_future(b),
+            (HwPredictorState::JumpTrace(a), HwPredictorState::JumpTrace(b)) => a == b,
             _ => false,
         }
     }

@@ -450,6 +450,16 @@ pub fn report_rows() -> Vec<&'static str> {
 /// the strike at `cycle` and fires it on the first later cycle where
 /// the target holds state — a particle that never finds a victim is a
 /// trivially masked run, not an error.
+///
+/// Until the plan fires, a faulted run *is* the fault-free run, and a
+/// fired plan is spent. [`classify_batch`] relies on both: it forks a
+/// case off a shared fault-free run on the cycle the strike lands,
+/// gives a strike that flips nothing (an empty cache slot, or a
+/// structure that stays empty to the end) the fault-free verdict, and
+/// gives a fired case whose state has rejoined the fault-free run's,
+/// `Δ` cycles late, the fault-free verdict too — except that it is a
+/// [`FaultOutcome::Hang`] when the fault-free end cycle + `Δ` exceeds
+/// [`SimConfig::max_cycles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Cycle at which the flip occurs.
@@ -861,14 +871,40 @@ pub fn fault_reference(
 /// pushed it past the watchdog budget classifies as the masked fault it
 /// provably is rather than a spurious `Hang`.
 ///
-/// No case simulates its fault-free prefix. The configs are grouped by
-/// their configuration without the fault plan, and each group runs one
-/// fault-free *golden* simulator. The golden steps to each case's
-/// strike cycle in ascending order and the case is forked off it
-/// ([`CycleSim::fork`]), which is exact because the engine consults a
-/// plan only from its strike cycle on. A case that strikes at or after
-/// the golden's halt would halt unstruck, so it takes the golden's own
-/// verdict and simulates nothing.
+/// No case simulates its fault-free prefix, and a case whose verdict
+/// is already the fault-free run's stops as soon as that is proven. The
+/// configs are grouped by their configuration without the fault plan,
+/// and the strike-ordered cases of a group are cut into windows of
+/// `WINDOW` (32) cases, each served by one fault-free *golden*
+/// simulator run from cycle 0. A case is settled by the first of these
+/// ejects that applies:
+///
+/// 1. **Empty slot.** A [`FaultTarget::Cache`] strike on a slot that is
+///    empty in the golden at the strike cycle flips nothing: the case
+///    is the golden run and takes its verdict without forking.
+/// 2. **Past the end.** A case that strikes at or after the golden's
+///    end, or whose predictor or PDU strike is still armed then (its
+///    structure never held state), is the golden run too.
+/// 3. **Fork.** Otherwise the case is forked off the golden
+///    ([`CycleSim::fork`]) on the cycle its strike lands, which is exact
+///    because until then a faulted run is the fault-free one.
+/// 4. **Divergence, parity settle.** A fork stops at its first
+///    divergent commit, or once parity has caught its fault, as above.
+/// 5. **Rejoin.** Every `REJOIN_EVERY` (32) golden commits, each fork is
+///    run up to the golden's commit count. A fork whose strike has
+///    fired and whose state then equals the golden's in everything that
+///    decides behaviour (`CycleSim::same_future`: exact `==`, never a
+///    hash) replays the golden's future shifted by Δ, the difference of
+///    their cycle counts. It takes the golden's verdict, except that it
+///    is [`FaultOutcome::Hang`] exactly when the golden's end cycle + Δ
+///    exceeds `max_cycles` (the watchdog stops it first). `max_insns`
+///    does not shift: both runs retired the same instructions.
+/// 6. **Run out.** Forks still live when the golden ends run on to
+///    their own end.
+///
+/// Apart from the protected hang above, every eject gives the verdict
+/// the full run would; `tests/prop_eject.rs` holds the kernel to a
+/// full-run classifier.
 ///
 /// `_lanes` is ignored: cases run one at a time, as no measured batch
 /// width beat that. It stays so existing callers keep compiling.
@@ -911,52 +947,194 @@ pub fn classify_batch(
     }
     for (golden_cfg, mut cases) in groups {
         cases.sort_by_key(|&i| cfgs[i].fault_plan.map_or(u64::MAX, |p| p.cycle));
-        let mut golden = CycleSim::with_observer(
-            pool.take(image)?,
-            golden_cfg,
-            PrefixCheck::new(Arc::clone(reference.log())),
-        );
-        if let Some(t) = predecoded {
-            golden.set_predecoded(Arc::clone(t));
-        }
-        // How the golden ended, once it has.
-        let mut golden_end = None;
-        for &i in &cases {
-            let Some(plan) = cfgs[i].fault_plan else {
-                continue;
+        for window in cases.chunks(WINDOW) {
+            let group = Group {
+                image,
+                cfg: golden_cfg,
+                predecoded,
+                reference,
             };
-            if golden_end.is_none() && golden.stats.cycles < plan.cycle {
-                let end =
-                    golden.run_until(|s| s.observer().decided() || s.stats.cycles >= plan.cycle);
-                if end != Ok(RunEnd::Stopped) || golden.observer().decided() {
-                    golden_end = Some(end);
-                }
-            }
-            if golden_end.is_some() {
-                continue;
-            }
-            let mut case = golden.fork(pool.take_buffer(image)?, plan);
-            let end = case.run_until(|s| s.observer().decided() || s.parity_settled());
-            outcomes[i] = Some(case_outcome(reference, &case, end));
-            pool.put(case.into_machine());
-        }
-        let end = golden_end.unwrap_or_else(|| golden.run_until(|s| s.observer().decided()));
-        if end == Ok(RunEnd::Watchdog) {
-            pool.put(golden.into_machine());
-            return Err(SimError::StepLimit {
-                limit: golden_cfg.max_cycles,
-            });
-        }
-        let verdict = case_outcome(reference, &golden, end);
-        pool.put(golden.into_machine());
-        for &i in &cases {
-            outcomes[i].get_or_insert(verdict);
+            group.classify(cfgs, window, pool, &mut outcomes)?;
         }
     }
     Ok(outcomes
         .into_iter()
         .map(|o| o.expect("every case classified"))
         .collect())
+}
+
+/// Golden commits between two rejoin checks of the live forks. A
+/// smaller value rejoins forks sooner but checks them more often; at
+/// benchmark seed 1, 16 to 128 tie on wall time and 8 is slower
+/// (EXPERIMENTS.md, "State-equivalence eject").
+const REJOIN_EVERY: usize = 32;
+
+/// Strike-ordered cases that share one golden run, and so the most
+/// forks alive at once. Every window runs a golden of its own from
+/// cycle 0, so the bound trades golden cycles for resident forks (about
+/// 27 KB each): a `crisp-fault --faults 65536` block would otherwise
+/// hold every unfinished fork of a program at once.
+const WINDOW: usize = 32;
+
+/// A config group: the fault-free configuration its golden runs, and
+/// what its cases are judged against.
+struct Group<'a> {
+    image: &'a Image,
+    cfg: SimConfig,
+    predecoded: Option<&'a Arc<PredecodedImage>>,
+    reference: &'a FaultReference,
+}
+
+impl Group<'_> {
+    /// Classify the strike-ordered cases of `window` (indices into
+    /// `cfgs`) into `outcomes`; see [`classify_batch`] for the eject
+    /// order.
+    fn classify(
+        &self,
+        cfgs: &[SimConfig],
+        window: &[usize],
+        pool: &mut MachinePool,
+        outcomes: &mut [Option<FaultOutcome>],
+    ) -> Result<(), SimError> {
+        let mut golden = CycleSim::with_observer(
+            pool.take(self.image)?,
+            self.cfg,
+            PrefixCheck::new(Arc::clone(self.reference.log())),
+        );
+        if let Some(t) = self.predecoded {
+            golden.set_predecoded(Arc::clone(t));
+        }
+        let mut due = window
+            .iter()
+            .filter_map(|&i| cfgs[i].fault_plan.map(|p| (i, p)))
+            .peekable();
+        // Strikes waiting for their structure to hold state, forks in
+        // flight, and forks that rejoined the golden at a cycle shift.
+        let mut armed: Vec<(usize, FaultPlan)> = Vec::new();
+        let mut live: Vec<(usize, CycleSim<PrefixCheck>)> = Vec::new();
+        let mut rejoined: Vec<(usize, i128)> = Vec::new();
+        let mut check_at = REJOIN_EVERY;
+        let end = loop {
+            if !live.is_empty() && golden.observer().matched() >= check_at {
+                check_at = golden.observer().matched() + REJOIN_EVERY;
+                self.check(&golden, &mut live, &mut rejoined, pool, outcomes);
+            }
+            let now = golden.stats.cycles;
+            while let Some((i, plan)) = due.next_if(|(_, p)| p.cycle <= now) {
+                // A strike on an empty cache slot flips nothing: the
+                // case is the golden run.
+                if plan.target != FaultTarget::Cache || golden.cache().occupied(plan.slot as usize)
+                {
+                    armed.push((i, plan));
+                }
+            }
+            // Fork each armed strike as it lands, so a fork always
+            // strikes in its first cycle: until then it is the golden.
+            let mut k = 0;
+            while k < armed.len() {
+                let (i, plan) = armed[k];
+                if !golden.strike_lands(plan.target) {
+                    k += 1;
+                    continue;
+                }
+                armed.swap_remove(k);
+                if live.is_empty() {
+                    check_at = golden.observer().matched() + REJOIN_EVERY;
+                }
+                let buf = pool.take_buffer(self.image)?;
+                live.push((i, golden.fork(buf, FaultPlan { cycle: now, ..plan })));
+            }
+            let next = due.peek().map(|(_, p)| p.cycle);
+            if next.is_none() && armed.is_empty() && live.is_empty() {
+                break golden.run_until(|s| s.observer().decided());
+            }
+            let watch = !live.is_empty();
+            let end = golden.run_until(|s| {
+                s.observer().decided()
+                    || next.is_some_and(|c| s.stats.cycles >= c)
+                    || (watch && s.observer().matched() >= check_at)
+                    || armed.iter().any(|(_, p)| s.strike_lands(p.target))
+            });
+            if end != Ok(RunEnd::Stopped) || golden.observer().decided() {
+                break end;
+            }
+        };
+        if end == Ok(RunEnd::Watchdog) {
+            pool.put(golden.into_machine());
+            for (_, case) in live {
+                pool.put(case.into_machine());
+            }
+            return Err(SimError::StepLimit {
+                limit: self.cfg.max_cycles,
+            });
+        }
+        for (i, mut case) in live {
+            let end = case.run_until(|s| s.observer().decided() || s.parity_settled());
+            outcomes[i] = Some(case_outcome(self.reference, &case, end));
+            pool.put(case.into_machine());
+        }
+        // A rejoined case replays the golden's future `shift` cycles
+        // late (early when negative): it ends as the golden did unless
+        // the watchdog stops it first. `max_insns` does not shift, as
+        // both retired the same instructions.
+        let verdict = case_outcome(self.reference, &golden, end);
+        let ended = golden.stats.cycles;
+        for (i, shift) in rejoined {
+            let hang = i128::from(ended) + shift > i128::from(self.cfg.max_cycles);
+            outcomes[i] = Some(if hang { FaultOutcome::Hang } else { verdict });
+        }
+        pool.put(golden.into_machine());
+        // Cases that struck nothing, or struck at or past the golden's
+        // end, or stayed armed to it, are the golden run.
+        for &i in window {
+            outcomes[i].get_or_insert(verdict);
+        }
+        Ok(())
+    }
+
+    /// Bring every live fork up to the golden's commit count and settle
+    /// the ones whose verdict is fixed: ended or ejected forks by their
+    /// own judgement, and forks whose whole future is the golden's
+    /// (their strike spent, their state [`CycleSim::same_future`]) by
+    /// joining `rejoined` with their cycle shift.
+    fn check(
+        &self,
+        golden: &CycleSim<PrefixCheck>,
+        live: &mut Vec<(usize, CycleSim<PrefixCheck>)>,
+        rejoined: &mut Vec<(usize, i128)>,
+        pool: &mut MachinePool,
+        outcomes: &mut [Option<FaultOutcome>],
+    ) {
+        let commits = golden.observer().matched();
+        let mut k = 0;
+        while k < live.len() {
+            let (i, case) = &mut live[k];
+            let end = if case.observer().matched() < commits {
+                case.run_until(|s| {
+                    s.observer().decided()
+                        || s.parity_settled()
+                        || s.observer().matched() >= commits
+                })
+            } else {
+                Ok(RunEnd::Stopped)
+            };
+            if end != Ok(RunEnd::Stopped) || case.observer().decided() || case.parity_settled() {
+                outcomes[*i] = Some(case_outcome(self.reference, case, end));
+            } else if case.strike_spent()
+                && case.observer().matched() == commits
+                && case.same_future(golden)
+            {
+                debug_assert_eq!(case.machine(), golden.machine(), "equal clean prefixes");
+                let shift = i128::from(case.stats.cycles) - i128::from(golden.stats.cycles);
+                rejoined.push((*i, shift));
+            } else {
+                k += 1;
+                continue;
+            }
+            let (_, case) = live.swap_remove(k);
+            pool.put(case.into_machine());
+        }
+    }
 }
 
 /// The lockstep judgement of one stopped case, as an AVF outcome.
@@ -1482,6 +1660,44 @@ mod tests {
                 let fresh = classify_fault(&image, *cfg).unwrap();
                 assert_eq!(fresh, pooled, "{policy:?} {:?}", cfg.fault_plan);
             }
+        }
+    }
+
+    #[test]
+    fn windows_give_the_verdicts_of_one_case_blocks() {
+        // A block several windows long, of cache, PDU and predictor
+        // strikes in both parity phases, classifies each case as a block
+        // of that case alone does: window boundaries, the forks alive
+        // beside a case and the rejoin checks they share change nothing.
+        let image = crisp_asm::rand_prog::GenProgram::generate(7, 10)
+            .image()
+            .unwrap();
+        let predictor = HwPredictor::parse("btb16x2").unwrap();
+        let mut cfgs = Vec::new();
+        for k in 0..(5 * WINDOW as u64 / 2) {
+            let target = FaultTarget::ALL[(k % 3) as usize];
+            let space = FaultSpace::of(target, predictor).unwrap();
+            let plan = FaultPlan {
+                cycle: k * 7 % 400,
+                slot: (k * 5 % 32) as u32,
+                field: space.nth(k * 11),
+                target,
+            };
+            for parity in [PM::DetectInvalidate, PM::Off] {
+                cfgs.push(SimConfig {
+                    parity,
+                    predictor,
+                    fault_plan: Some(plan),
+                    ..SimConfig::default()
+                });
+            }
+        }
+        let mut pool = MachinePool::default();
+        let reference = fault_reference(&image, cfgs[0], None, None, &mut pool).unwrap();
+        let block = classify_batch(&image, &cfgs, None, &reference, 1, &mut pool).unwrap();
+        for (cfg, outcome) in cfgs.iter().zip(block) {
+            let alone = classify_batch(&image, &[*cfg], None, &reference, 1, &mut pool).unwrap();
+            assert_eq!(alone, [outcome], "{:?} {:?}", cfg.parity, cfg.fault_plan);
         }
     }
 

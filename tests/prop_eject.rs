@@ -3,9 +3,10 @@
 //!
 //! `classify_batch` stops a faulted run at its first commit that
 //! diverges from the shared reference, or — under parity protection —
-//! once the planned fault has struck and been caught.
-//! `run_lockstep_batched` stops a sweep run at its first divergent
-//! commit. The claims, checked over generated programs:
+//! once the planned fault has struck and been caught, or once its state
+//! has rejoined the fault-free run's; a strike on an empty cache slot
+//! is never run at all. `run_lockstep_batched` stops a sweep run at its
+//! first divergent commit. The claims, checked over generated programs:
 //!
 //! 1. `classify_batch` matches a full-run classifier
 //!    (`crisp_bench::classify_full_run`): the faulted
@@ -19,7 +20,14 @@
 //!    difference is the one `classify_batch` documents: a protected run
 //!    whose caught fault would have pushed it past the watchdog is
 //!    `Masked`, not `Hang`. A block whose fault-free cycle run does not
-//!    fit the budget is `Err(StepLimit)`, and no other block is.
+//!    fit the budget is `Err(StepLimit)`, and no other block is. Four
+//!    pinned cases, found by search, hold the rejoin eject at points
+//!    random draws rarely reach: both sides of the shifted watchdog
+//!    (`rejoined_case_hangs_past_the_shifted_budget`), a strike that
+//!    is still armed while its run is the fault-free one, and state
+//!    that differs only in the predictor or in the PDU's PIR pipeline.
+//!    Each fails under a mutant of the kernel that drops that part of the
+//!    check.
 //! 2. `run_lockstep_batched` and `run_lockstep` match a post-hoc
 //!    comparison: a whole `FunctionalSim` run (its commit log and its
 //!    error) against a whole `CycleSim<CommitLog>` run, compared after
@@ -112,21 +120,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Claim 1: stopping at the first divergent commit or at parity
-    /// settle, and forking every case off one fault-free run at its
-    /// strike cycle, classifies every case of a block as a full run
-    /// does, except a protected watchdog `Hang` that eject settles as
+    /// settle, forking every case off one fault-free run as its strike
+    /// lands, giving a case that struck an empty cache slot or rejoined
+    /// the fault-free run the fault-free verdict (shifted onto the
+    /// watchdog), classifies every case of a block as a full run does,
+    /// except a protected watchdog `Hang` that eject settles as
     /// `Masked`. A block is 1–8 plans, each classified protected then
     /// unprotected as `crisp-fault` orders them, with strike cycles at
     /// 0, tied with the previous plan's, past the fault-free halt, or
-    /// anywhere in the first 400 cycles. Under a budget too tight for
-    /// the fault-free cycle run itself the block is `Err`, and only
-    /// then.
+    /// anywhere in the first 400 cycles. A quarter of the plans are
+    /// drawn where rejoining is common: cache strikes in the second
+    /// half of the run, when its loops are warm, and PDU strikes
+    /// anywhere in it. Under a budget too tight for the fault-free
+    /// cycle run itself the block is `Err`, and only then.
     #[test]
     fn eject_classifies_like_a_full_run(
         seed in 0u64..5000,
         p_idx in 0usize..3,
         strikes in prop::collection::vec(
-            (0usize..3, 0u8..6, 0u64..400, any::<u32>(), any::<u64>()),
+            (0usize..3, 0u8..8, 0u64..400, any::<u32>(), any::<u64>()),
             1..=8,
         ),
         tight in any::<bool>(),
@@ -151,13 +163,15 @@ proptest! {
             .cycles;
         let mut plans: Vec<FaultPlan> = Vec::new();
         for (target_idx, kind, cycle, slot, site) in strikes {
-            let cycle = match kind {
-                0 => 0,
-                1 => plans.last().map_or(0, |p| p.cycle),
-                2 => halt_cycle + cycle % 8,
-                _ => cycle,
+            let (target, cycle) = match kind {
+                0 => (FaultTarget::ALL[target_idx], 0),
+                1 => (FaultTarget::ALL[target_idx], plans.last().map_or(0, |p| p.cycle)),
+                2 => (FaultTarget::ALL[target_idx], halt_cycle + cycle % 8),
+                6 => (FaultTarget::Cache, halt_cycle / 2 + cycle % (halt_cycle / 2 + 1)),
+                7 => (FaultTarget::Pdu, site % halt_cycle),
+                _ => (FaultTarget::ALL[target_idx], cycle),
             };
-            plans.push(plan(FaultTarget::ALL[target_idx], predictor, cycle, slot, site));
+            plans.push(plan(target, predictor, cycle, slot, site));
         }
         let cfgs: Vec<SimConfig> = plans
             .iter()
@@ -371,6 +385,129 @@ fn lockstep_error_chase_far_edge() {
     assert_eq!(flog.records[..matched], sim.observer().records[..]);
     assert_eq!(flog.records.len(), matched + ERROR_CHASE - 1);
     lockstep_matches_post_hoc(case).unwrap();
+}
+
+/// Claim 1's verdict for one unprotected case: `classify_batch` on a
+/// block of that case alone, held to the full run's and to `expected`.
+fn eject_and_full_run_agree(seed: u64, plan: FaultPlan, max_cycles: u64, expected: FaultOutcome) {
+    let image = GenProgram::generate(seed, 8).image().unwrap();
+    let cfg = SimConfig {
+        predictor: PREDICTORS[0],
+        parity: ParityMode::Off,
+        max_cycles,
+        fault_plan: Some(plan),
+        ..SimConfig::default()
+    };
+    let mut pool = MachinePool::default();
+    let reference = fault_reference(&image, cfg, None, None, &mut pool).unwrap();
+    let ejected = classify_batch(&image, &[cfg], None, &reference, 1, &mut pool).unwrap();
+    assert_eq!(classify_full_run(&image, cfg, None, &mut pool), expected);
+    assert_eq!(ejected, [expected], "budget {max_cycles}");
+}
+
+/// Claim 1 on both sides of the shifted watchdog: on seed 10 (fault-free
+/// halt at cycle 216) an unprotected strike on tag bit 31 of cache slot
+/// 16 at cycle 164 costs 3 cycles and then rejoins the fault-free run,
+/// found by search. It halts at cycle 219, so a 219-cycle budget masks
+/// it and a 218-cycle one hangs it, although the fault-free run fits
+/// both.
+#[test]
+fn rejoined_case_hangs_past_the_shifted_budget() {
+    let plan = FaultPlan {
+        cycle: 164,
+        slot: 16,
+        field: nth_field(180),
+        target: FaultTarget::Cache,
+    };
+    assert_eq!(plan.field.to_string(), "tag bit 31");
+    eject_and_full_run_agree(10, plan, 219, FaultOutcome::Masked);
+    eject_and_full_run_agree(10, plan, 218, FaultOutcome::Hang);
+}
+
+/// Claim 1 for a strike that stays armed while its run is the
+/// fault-free one: on seed 52 a PDU strike on Next-PC bit 31 armed at
+/// cycle 57 waits for the PIR pipeline to fill, found by search. A
+/// kernel that compared the case with the fault-free run before the
+/// strike fired would find them equal and call it masked; the strike
+/// then lands and diverts control flow.
+#[test]
+fn armed_strike_does_not_rejoin_before_it_fires() {
+    let plan = FaultPlan {
+        cycle: 57,
+        slot: 3,
+        field: nth_pdu_field(33),
+        target: FaultTarget::Pdu,
+    };
+    assert_eq!(plan.field.to_string(), "next-pc bit 33");
+    eject_and_full_run_agree(52, plan, ROOMY_BUDGET, FaultOutcome::ControlDivergence);
+}
+
+/// Claim 1 for a strike whose only lasting trace is predictor state: on
+/// seed 11 (fault-free halt at cycle 1709) an unprotected strike on
+/// BTB tag bit 20 at cycle 11 leaves the program's state otherwise the
+/// fault-free run's, and costs 3 cycles of worse predictions, found by
+/// search. A kernel that left the predictor out of the comparison would
+/// rejoin it at no cost and miss the hang one cycle short of its halt.
+#[test]
+fn predictor_state_keeps_a_case_from_rejoining() {
+    let predictor = PREDICTORS[0];
+    let plan = FaultPlan {
+        cycle: 11,
+        slot: 11,
+        field: nth_predictor_field(predictor, 20).unwrap(),
+        target: FaultTarget::Predictor,
+    };
+    assert_eq!(plan.field.to_string(), "btb-tag bit 20");
+    eject_and_full_run_agree(11, plan, 1712, FaultOutcome::Masked);
+    eject_and_full_run_agree(11, plan, 1711, FaultOutcome::Hang);
+}
+
+/// Claim 1 for an entry corrupted in the PDU's PIR pipeline: on seed 193
+/// (8 blocks, `btb` predictor, parity off) this block of eight strikes,
+/// alternately PDU and cache, has its third case checked against the
+/// fault-free run while its corrupted Next-PC is still in flight, found
+/// by search. Everything else already matches, so a kernel that left
+/// the PIR pipeline out of the comparison would call it masked; the
+/// entry reaches the cache and diverts control flow.
+#[test]
+fn in_flight_pdu_entry_keeps_a_case_from_rejoining() {
+    let image = GenProgram::generate(193, 8).image().unwrap();
+    let predictor = HwPredictor::Btb {
+        entries: 128,
+        ways: 4,
+    };
+    let base = SimConfig {
+        predictor,
+        parity: ParityMode::Off,
+        max_cycles: ROOMY_BUDGET,
+        ..SimConfig::default()
+    };
+    let cfgs: Vec<SimConfig> = (0..8u64)
+        .map(|k| {
+            let target = [FaultTarget::Pdu, FaultTarget::Cache][k as usize % 2];
+            let cycle = (k * 37 + 193 * 11) % 300;
+            let strike = plan(
+                target,
+                predictor,
+                cycle,
+                (k * 7 + 193) as u32,
+                k * 13 + 193 * 5,
+            );
+            SimConfig {
+                fault_plan: Some(strike),
+                ..base
+            }
+        })
+        .collect();
+    let mut pool = MachinePool::default();
+    let reference = fault_reference(&image, base, None, None, &mut pool).unwrap();
+    let ejected = classify_batch(&image, &cfgs, None, &reference, 1, &mut pool).unwrap();
+    let full: Vec<FaultOutcome> = cfgs
+        .iter()
+        .map(|&cfg| classify_full_run(&image, cfg, None, &mut pool))
+        .collect();
+    assert_eq!(ejected, full);
+    assert_eq!(full[2], FaultOutcome::ControlDivergence);
 }
 
 /// Cycles a whole run of `cfg` over `image` takes, however it ends.
