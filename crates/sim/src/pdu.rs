@@ -173,27 +173,24 @@ impl Pdu {
     }
 
     /// Whether this PDU at cycle `now` and `other` at cycle
-    /// `other_now` behave the same from there on: the same PIR
-    /// pipeline, with each entry's ready cycle taken relative to its
-    /// own clock, and the same prefetch state. A parked PDU's fetch
-    /// stream is dead (the next [`Pdu::demand`] that unparks it
-    /// restarts the stream), so only a running one compares it. The
-    /// decode counters are left out.
+    /// `other_now` behave the same from there on: the same prefetch
+    /// state and the same PIR pipeline, with each entry's ready cycle
+    /// taken relative to its own clock. The decode counters are left
+    /// out.
     pub(crate) fn same_future(&self, now: u64, other: &Pdu, other_now: u64) -> bool {
-        self.parked == other.parked
-            && self.failure == other.failure
-            && (self.parked
-                || (
-                    self.decode_pc,
-                    self.fetched_until,
-                    self.mem_timer,
-                    self.since_demand,
-                ) == (
-                    other.decode_pc,
-                    other.fetched_until,
-                    other.mem_timer,
-                    other.since_demand,
-                ))
+        (
+            self.decode_pc,
+            self.fetched_until,
+            self.mem_timer,
+            self.parked,
+            self.since_demand,
+        ) == (
+            other.decode_pc,
+            other.fetched_until,
+            other.mem_timer,
+            other.parked,
+            other.since_demand,
+        ) && self.failure == other.failure
             && self.inflight.len() == other.inflight.len()
             && self.inflight.iter().zip(&other.inflight).all(|(a, b)| {
                 a.0.wrapping_sub(now) == b.0.wrapping_sub(other_now) && (a.1, a.2) == (b.1, b.2)
