@@ -21,7 +21,8 @@ use crisp_predict::{
 };
 use crisp_sim::{
     CommitLog, CounterTable, CycleSim, FaultOutcome, FunctionalSim, HaltReason, HwPredictor,
-    Machine, MachinePool, PipelineGeometry, PredecodedImage, RunEnd, SimConfig, SimError, Trace,
+    Machine, MachinePool, PipeEvent, PipeObserver, PipelineGeometry, PredecodedImage, RunEnd,
+    SimConfig, SimError, Trace,
 };
 use crisp_workloads::{figure3_with_count, prediction_workloads, FIGURE3_SOURCE};
 
@@ -728,6 +729,10 @@ pub fn depth_sweep(depths: &[usize], count: u32) -> Vec<DepthSweepRow> {
 /// documents. `bench_sim`'s per-case arm times this shape, and
 /// `tests/prop_eject.rs` holds `classify_batch` to it.
 ///
+/// The faulted run keeps at most one record past the reference's
+/// length, so a case that commits until the watchdog holds a bounded
+/// log.
+///
 /// # Panics
 ///
 /// If the image does not load or the fault-free reference does not
@@ -738,6 +743,36 @@ pub fn classify_full_run(
     table: Option<&Arc<PredecodedImage>>,
     pool: &mut MachinePool,
 ) -> FaultOutcome {
+    full_run(image, cfg, table, pool).0
+}
+
+/// A [`CommitLog`] that stops recording at `cap` records. The verdict
+/// reads only the first mismatch within the reference's length and
+/// whether the two lengths differ, so a cap of the reference's length
+/// + 1 changes none.
+struct CappedLog {
+    log: CommitLog,
+    cap: usize,
+}
+
+impl PipeObserver for CappedLog {
+    const PIPELINE: bool = false;
+
+    fn event(&mut self, ev: PipeEvent) {
+        if self.log.records.len() < self.cap {
+            self.log.event(ev);
+        }
+    }
+}
+
+/// [`classify_full_run`], with the reference's length and the number
+/// of records the faulted run's log kept.
+fn full_run(
+    image: &Image,
+    cfg: SimConfig,
+    table: Option<&Arc<PredecodedImage>>,
+    pool: &mut MachinePool,
+) -> (FaultOutcome, usize, usize) {
     let machine = pool.take(image).expect("image loads");
     let mut ref_log = CommitLog::default();
     let reference = match table {
@@ -751,13 +786,16 @@ pub fn classify_full_run(
     let mut sim = CycleSim::with_observer(
         pool.take(image).expect("image loads"),
         cfg,
-        CommitLog::default(),
+        CappedLog {
+            log: CommitLog::default(),
+            cap: ref_log.records.len() + 1,
+        },
     );
     if let Some(t) = table {
         sim.set_predecoded(Arc::clone(t));
     }
     let end = sim.run_until(|_| false);
-    let log = sim.observer();
+    let log = &sim.observer().log;
     let (fm, cm) = (&reference.machine, sim.machine());
     let outcome = match ref_log
         .records
@@ -795,9 +833,10 @@ pub fn classify_full_run(
             Ok(RunEnd::Halted) => FaultOutcome::Masked,
         },
     };
+    let (reference_len, kept) = (ref_log.records.len(), log.records.len());
     pool.put(reference.machine);
     pool.put(sim.into_machine());
-    outcome
+    (outcome, reference_len, kept)
 }
 
 #[cfg(test)]
@@ -1032,5 +1071,36 @@ mod tests {
         // The decoded cache decouples the EU: even 16-cycle memory
         // costs far less than 16x.
         assert!((rows[2].1 as f64) < (rows[0].1 as f64) * 2.0, "{rows:?}");
+    }
+
+    #[test]
+    fn full_run_log_stays_bounded_on_a_case_that_commits_forever() {
+        // Found by search: on generated program seed 12 (a 324-commit
+        // fault-free run), an unprotected strike on bit 8 of cache slot
+        // 14 at cycle 82 sends the run into a loop that commits about
+        // once a cycle and never halts. Uncapped, its log would grow to
+        // about 20M records before the watchdog. Its verdict is the
+        // divergence it reads at any budget: a `Hang` commits a clean
+        // prefix of the reference, so it can never outgrow the cap.
+        let image = crisp_asm::rand_prog::GenProgram::generate(12, 8)
+            .image()
+            .unwrap();
+        let cfg = SimConfig {
+            parity: crisp_sim::ParityMode::Off,
+            max_cycles: 20_000_000,
+            fault_plan: Some(crisp_sim::FaultPlan {
+                cycle: 82,
+                slot: 14,
+                field: crisp_sim::nth_field(8),
+                target: crisp_sim::FaultTarget::Cache,
+            }),
+            ..SimConfig::default()
+        };
+        let (outcome, reference, kept) = full_run(&image, cfg, None, &mut MachinePool::default());
+        assert_eq!(outcome, FaultOutcome::ControlDivergence);
+        assert!(
+            kept <= reference + 1,
+            "{kept} records kept, reference {reference}"
+        );
     }
 }

@@ -18,6 +18,12 @@
 //!   ever cost cycles, so a non-masked outcome in *either* phase is an
 //!   architectural-safety violation and fails the campaign.
 //!
+//! A strike that may only cost cycles can still end in a `hang`: the
+//! cycles it cost pushed a clean run past `--max-cycles`. The safety
+//! check re-judges such a case (any protected case, and an unprotected
+//! predictor case) on twice `--max-cycles` and fails it only if it is
+//! then not masked. The AVF row keeps the `hang`.
+//!
 //! ```text
 //! crisp-fault [OPTIONS]
 //!
@@ -160,40 +166,48 @@ fn plan_for(
 /// fault-free commit stream — a recovery bug — or, for predictor-state
 /// faults, that the *unprotected* run diverged architecturally, which
 /// the predictor contract forbids outright (a wrong prediction may
-/// cost cycles, never correctness).
+/// cost cycles, never correctness). A `Hang` in a phase held to that
+/// bar is only a budget verdict: `rejudge` classifies the phase again
+/// on twice the budget, and its outcome decides.
 fn case_verdict(
     program_seed: u64,
     plan: FaultPlan,
     protected: FaultOutcome,
     unprotected: FaultOutcome,
+    mut rejudge: impl FnMut(ParityMode) -> FaultOutcome,
 ) -> CaseResult<Option<String>, Failure> {
-    if protected != FaultOutcome::Masked {
-        return CaseResult::Fail(Failure {
-            program_seed,
-            plan,
-            detail: format!(
-                "DetectInvalidate failed to mask the {} fault (outcome: {})",
-                plan.target.name(),
-                protected.name()
-            ),
-        });
-    }
-    if plan.target == FaultTarget::Predictor && unprotected != FaultOutcome::Masked {
-        return CaseResult::Fail(Failure {
-            program_seed,
-            plan,
-            detail: format!(
+    let mut judge = |outcome, parity| match outcome {
+        FaultOutcome::Hang => rejudge(parity),
+        _ => outcome,
+    };
+    let detail = match judge(protected, ParityMode::DetectInvalidate) {
+        FaultOutcome::Masked if plan.target != FaultTarget::Predictor => None,
+        FaultOutcome::Masked => match judge(unprotected, ParityMode::Off) {
+            FaultOutcome::Masked => None,
+            o => Some(format!(
                 "predictor-state fault changed architectural state with parity off \
                  (outcome: {})",
-                unprotected.name()
-            ),
-        });
+                o.name()
+            )),
+        },
+        o => Some(format!(
+            "DetectInvalidate failed to mask the {} fault (outcome: {})",
+            plan.target.name(),
+            o.name()
+        )),
+    };
+    match detail {
+        Some(detail) => CaseResult::Fail(Failure {
+            program_seed,
+            plan,
+            detail,
+        }),
+        None => CaseResult::Done(Some(format!(
+            "{}.{}",
+            plan.field.name(),
+            unprotected.name()
+        ))),
     }
-    CaseResult::Done(Some(format!(
-        "{}.{}",
-        plan.field.name(),
-        unprotected.name()
-    )))
 }
 
 /// Parse `--target` into the set of structures this campaign strikes:
@@ -371,17 +385,34 @@ fn run() -> Result<ExitCode, String> {
                 ]
             })
             .collect();
-        let outcomes = classify_batch(image, &cfgs, Some(table), &reference, 1, pool);
-        pool.put(reference.into_machine());
-        let Ok(outcomes) = outcomes else {
+        let Ok(outcomes) = classify_batch(image, &cfgs, Some(table), &reference, 1, pool) else {
+            pool.put(reference.into_machine());
             return skipped();
         };
-        cases
+        // A re-judged case runs against the same, halted, reference.
+        // The block's fault-free cycle run fit --max-cycles, so twice
+        // the budget leaves at least one whole fault-free run of slack
+        // for the cycles a strike cost; a livelock still hangs.
+        let results = cases
             .iter()
             .zip(plans)
             .zip(outcomes.chunks_exact(2))
-            .map(|((&i, plan), o)| (i, case_verdict(*pseed, plan, o[0], o[1])))
-            .collect()
+            .map(|((&i, plan), o)| {
+                let rejudge = |parity| {
+                    let cfg = SimConfig {
+                        parity,
+                        fault_plan: Some(plan),
+                        max_cycles: max_cycles.saturating_mul(2),
+                        ..cfg
+                    };
+                    classify_batch(image, &[cfg], Some(table), &reference, 1, pool)
+                        .map_or(FaultOutcome::Hang, |o| o[0])
+                };
+                (i, case_verdict(*pseed, plan, o[0], o[1], rejudge))
+            })
+            .collect();
+        pool.put(reference.into_machine());
+        results
     };
     let report = run_campaign(
         CampaignSpec {

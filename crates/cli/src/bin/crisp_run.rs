@@ -11,13 +11,15 @@
 //!                                default) or threaded (the
 //!                                block-translating superinstruction
 //!                                tier — same architectural results,
-//!                                several times faster; incompatible
-//!                                with --cycles)
+//!                                several times faster, unobserved
+//!                                only: incompatible with --cycles,
+//!                                --trace, --profile and
+//!                                --branch-trace)
 //!   --trace PATH                 write a JSONL pipeline event trace
 //!                                (`-` = stdout); the cycle engine emits
 //!                                the full fetch/decode/fold/squash
-//!                                stream, the functional engine its
-//!                                commit stream
+//!                                stream, the interpreter its commit
+//!                                stream
 //!   --chrome-trace PATH          write a Chrome trace_event JSON file
 //!                                (open in chrome://tracing or Perfetto;
 //!                                needs --cycles)
@@ -30,8 +32,8 @@
 //!   --cpi-breakdown              print the top-down cycle accounting
 //!                                table: every cycle attributed to one
 //!                                cause bucket (needs --cycles)
-//!   --branch-trace               print the branch trace (functional
-//!                                engine only)
+//!   --branch-trace               print the branch trace (interpreter
+//!                                only)
 //!   --fold POLICY --icache N --mem-latency N   machine configuration
 //!   --eu-depth N                 execution-unit depth (2..=8, default 3;
 //!                                cycle engine geometry)
@@ -155,6 +157,20 @@ fn run() -> Result<(), String> {
     if cycles && engine == Engine::Threaded {
         return Err("--engine threaded applies to the functional engine (drop --cycles)".into());
     }
+    // The threaded tier runs unobserved only: observing a run must not
+    // move it onto another code path, so observation needs the
+    // interpreter.
+    let observed = [
+        ("--trace", trace_path.is_some()),
+        ("--profile", profile),
+        ("--branch-trace", branch_trace),
+    ];
+    if let Some((flag, _)) = observed
+        .iter()
+        .find(|&&(_, given)| given && engine == Engine::Threaded)
+    {
+        return Err(format!("{flag} needs --engine interp"));
+    }
 
     let source = read_input(&args.input)?;
     let image = if is_asm {
@@ -231,16 +247,10 @@ fn run() -> Result<(), String> {
                     sim.run().map_err(|e| e.to_string())?
                 }
             }
-            Engine::Threaded => {
-                let sim = ThreadedSim::new(machine)
-                    .record_trace(branch_trace)
-                    .max_steps(steps);
-                if observing {
-                    sim.run_observed(&mut obs).map_err(|e| e.to_string())?
-                } else {
-                    sim.run().map_err(|e| e.to_string())?
-                }
-            }
+            Engine::Threaded => ThreadedSim::new(machine)
+                .max_steps(steps)
+                .run()
+                .map_err(|e| e.to_string())?,
         };
         let (ring, profiler) = obs;
 

@@ -166,11 +166,16 @@ where
                 // the save cadence. Returns false when the worker must
                 // stop (I/O error).
                 let settle = |first: u64, done: Vec<CaseDone<T>>| -> bool {
+                    // Drain under the progress lock, so blocks are
+                    // tallied in the order they join the prefix: a
+                    // worker that drained first but tallied second
+                    // would save a `completed` covering untallied
+                    // cases, then move it back.
+                    let (cp, last_saved) = &mut *progress.lock().unwrap();
                     let drained = queue.complete(first, done);
                     if drained.payloads.is_empty() {
                         return true;
                     }
-                    let (cp, last_saved) = &mut *progress.lock().unwrap();
                     for case in drained.payloads {
                         if let Some(t) = case.payload {
                             tally_case(cp, t);

@@ -193,6 +193,47 @@ fn crisp_run_rejects_fault_flags_without_cycles() {
 }
 
 #[test]
+fn crisp_run_threaded_engine_rejects_observation() {
+    // The threaded tier runs unobserved only, so observing a run never
+    // moves it onto another code path: each observation needs the
+    // interpreter.
+    let cases: [(&[&str], &str); 3] = [
+        (&["--trace", "-"], "--trace needs --engine interp"),
+        (&["--profile"], "--profile needs --engine interp"),
+        (&["--branch-trace"], "--branch-trace needs --engine interp"),
+    ];
+    for (flags, message) in cases {
+        let mut args = vec!["--engine", "threaded"];
+        args.extend(flags);
+        let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), &args, PROGRAM);
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+    let (stdout, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crisp-run"),
+        &["--engine", "threaded"],
+        PROGRAM,
+    );
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("translated blocks"), "{stdout}");
+}
+
+#[test]
+fn crisp_fault_rejudges_a_predictor_hang_on_a_larger_budget() {
+    // At this budget a parity-off btb-tag strike on program seed 65
+    // costs enough cycles to hang. A strike that only costs cycles is
+    // re-judged on twice --max-cycles, where it is masked, so the
+    // campaign passes.
+    let args = "--target all --predictor btb --seed 5 --programs 64 --faults 64 \
+                --max-cycles 1500 --jobs 2";
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-fault"), &args, "");
+    assert!(ok, "{stdout}{stderr}");
+    assert!(!stdout.contains("FAILURE"), "{stdout}");
+}
+
+#[test]
 fn crisp_run_cpi_breakdown_conserves_cycles() {
     let (stdout, stderr, ok) = run_tool(
         env!("CARGO_BIN_EXE_crisp-run"),

@@ -8,10 +8,8 @@ use crate::predecode::{PredecodedImage, DECODE_WINDOW};
 use crate::{BranchEvent, BranchKind, HaltReason, Machine, RunStats, SimError, Step, Trace};
 
 /// Append the branch-trace event for one executed entry, if it carries
-/// a branch — shared between the interpreter loop and the threaded
-/// tier's generic terminator path so the two engines record identical
-/// traces.
-pub(crate) fn push_branch_event(trace: &mut Trace, d: &Decoded, step: &Step) {
+/// a branch.
+fn push_branch_event(trace: &mut Trace, d: &Decoded, step: &Step) {
     let Some(branch_pc) = d.branch_pc else {
         return;
     };

@@ -61,7 +61,7 @@ use crate::diff::{judge, CommitLog, CommitRecord, DiffReference, DivergenceKind,
 use crate::error::HaltReason;
 use crate::{
     CycleSim, FunctionalSim, Machine, MachinePool, PredecodedImage, RunEnd, SimConfig, SimError,
-    ThreadedSim, TranslatedImage,
+    TranslatedImage,
 };
 use crisp_asm::Image;
 
@@ -783,11 +783,13 @@ impl FaultReference {
     }
 }
 
-/// Run the fault-free reference for [`classify_batch`]: the threaded
-/// tier when `translated` is given, the interpreter otherwise.
-/// `crisp-fault` passes `None`; a table is only ever given by the
-/// bench harness's replay and by `tests/prop_threaded.rs`, which holds
-/// the two tiers to the same verdicts.
+/// Run the fault-free reference for [`classify_batch`] on the
+/// interpreter, observed by a [`CommitLog`]. The predecode table is
+/// `predecoded`, else the one under `translated`, else built here. A
+/// `translated` table only ever supplies that predecode table: it is
+/// given by the bench harness's replay and by
+/// `tests/prop_threaded.rs`, which checks that passing one changes no
+/// verdict.
 ///
 /// # Errors
 ///
@@ -823,17 +825,12 @@ pub fn fault_reference(
     }
     let machine = pool.take(image)?;
     let mut log = CommitLog::default();
-    let run = match translated {
-        Some(t) => ThreadedSim::with_translated(machine, Arc::clone(t))
-            .max_steps(cfg.max_cycles)
-            .run_observed(&mut log)?,
-        None => match predecoded {
-            Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
-            None => FunctionalSim::with_policy(machine, cfg.fold_policy),
-        }
-        .max_steps(cfg.max_cycles)
-        .run_observed(&mut log)?,
-    };
+    let run = match predecoded.or(translated.map(|t| t.predecoded())) {
+        Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
+        None => FunctionalSim::with_policy(machine, cfg.fold_policy),
+    }
+    .max_steps(cfg.max_cycles)
+    .run_observed(&mut log)?;
     if run.halt_reason != HaltReason::Halted {
         pool.put(run.machine);
         return Err(SimError::StepLimit {

@@ -205,8 +205,8 @@ pub struct RunStats {
     /// or dispatch).
     pub superinstr_dispatches: u64,
     /// Times the threaded tier fell back to the one-entry interpreter:
-    /// untranslated/indirect targets, watchdog-budget tails, or blocks
-    /// invalidated by stores into text.
+    /// untranslated/indirect targets, decode-error slots or
+    /// watchdog-budget tails.
     pub deopt_falls: u64,
     /// Per-mnemonic dynamic histogram.
     pub opcodes: OpcodeCounts,

@@ -28,7 +28,7 @@
 //! The tier is an *oracle accelerator*, not a semantics fork: every
 //! path that the fast tier cannot honour bit-for-bit falls back to the
 //! same one-[`crisp_isa::Decoded`]-entry interpreter
-//! ([`FunctionalSim`]) that defines the architecture. The five deopt
+//! ([`FunctionalSim`]) that defines the architecture. The four deopt
 //! boundaries:
 //!
 //! 1. **Untranslated targets** — indirect jumps, returns, odd or
@@ -42,20 +42,17 @@
 //! 4. **Armed faults / parity events** — fault injection lives in the
 //!    cycle engine; only *fault-free* reference runs ever go through
 //!    this tier (see [`crate::soft_error`]).
-//! 5. **Stores into translated text** — tracked as a dirty byte range;
-//!    blocks whose code range overlaps it are invalidated for the rest
-//!    of the run and execute interpreted (both tiers read the immutable
-//!    predecode table, so results stay identical — the deopt models the
-//!    hardware's cache invalidate and keeps the tier honest if decode
-//!    ever goes live).
 //!
-//! Under an enabled [`PipeObserver`] (or with branch-trace recording
-//! on) the block walker retires each entry through
-//! [`Machine::execute_observed`], so observed commit streams and traces
-//! are bit-identical to the interpreter's (`tests/prop_threaded.rs`
-//! proves this over the random program and random mini-C corpora); with
-//! [`NullObserver`] the body runs through the lowered micro-ops with no
-//! `Step` construction at all.
+//! Stores into text need no boundary: both tiers decode from the same
+//! immutable [`PredecodedImage`], so a store never changes what either
+//! executes.
+//!
+//! The tier runs unobserved only: it has no observer and records no
+//! branch trace. An observed or traced functional run is an
+//! interpreter run, so observing a run never moves it onto another
+//! code path. `tests/prop_threaded.rs` holds the tier's final state,
+//! halt disposition and statistics to the interpreter's over the
+//! random program and random mini-C corpora.
 
 use std::sync::Arc;
 
@@ -63,13 +60,11 @@ use crisp_asm::Image;
 use crisp_isa::{BinOp, Cond, Decoded, ExecOp, FoldClass, FoldPolicy, Operand};
 
 use crate::diff::LockstepBuffers;
-use crate::functional::push_branch_event;
 use crate::machine::reset_or_load;
-use crate::observe::{NullObserver, PipeObserver};
+use crate::observe::NullObserver;
 use crate::predecode::PredecodedImage;
 use crate::{
-    CommitLog, FunctionalRun, FunctionalSim, HaltReason, Machine, OpcodeCounts, RunStats, SimError,
-    Trace,
+    FunctionalRun, FunctionalSim, HaltReason, Machine, OpcodeCounts, RunStats, SimError, Trace,
 };
 
 /// Longest translated block, in decoded entries (body + terminator).
@@ -279,8 +274,8 @@ fn lower(exec: &ExecOp) -> HostOp {
 }
 
 /// One straight-line entry of a translated block: the lowered micro-op
-/// plus its PC (needed only to reconstruct exact error and observer
-/// state; the fast path never touches the architectural PC mid-block).
+/// plus its PC (needed only to reconstruct exact error state; the fast
+/// path never touches the architectural PC mid-block).
 #[derive(Debug, Clone, Copy)]
 struct BodyOp {
     op: HostOp,
@@ -305,14 +300,13 @@ enum TermKind {
         seq_succ: u32,
     },
     /// Anything else (calls, returns, indirect targets): execute the
-    /// full decoded entry through the shared commit point.
+    /// full decoded entry through [`Machine::execute`].
     General,
 }
 
 /// A translated block terminator: the specialization, the lowered host
-/// op for the fast path, and the original decoded entry (the observed
-/// path and the `General` kind retire it through
-/// [`Machine::execute_observed`] verbatim).
+/// op for the fast path, and the original decoded entry (the `General`
+/// kind retires it through [`Machine::execute`] verbatim).
 #[derive(Debug, Clone, Copy)]
 struct Term {
     d: Decoded,
@@ -323,18 +317,11 @@ struct Term {
 /// One translated superinstruction block.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Leader PC (the block's entry point).
-    start_pc: u32,
     /// Body range into [`TranslatedImage::ops`] (terminator excluded;
     /// melded pairs mean one op can cover two decoded entries).
     ops: (u32, u32),
     /// Histogram-delta range into [`TranslatedImage::deltas`].
     deltas: (u32, u32),
-    /// Byte range of code this block covers (superblocks may span
-    /// gaps; the range is the conservative hull) — the invalidation
-    /// granule for dirty-range overlap checks.
-    code_lo: u32,
-    code_hi: u32,
     /// Precomputed [`RunStats`] deltas for one execution of the block
     /// (body + terminator); only `static_mispredicts` stays dynamic.
     entries: u32,
@@ -569,15 +556,11 @@ impl TranslatedImage {
         let mut program_instrs = 0u32;
         let mut folded = 0u32;
         let mut transfers = 0u32;
-        let mut code_lo = u32::MAX;
-        let mut code_hi = 0u32;
         let mut opc = OpcodeCounts::new();
         for d in body.iter().chain(std::iter::once(&term)) {
             program_instrs += 1 + u32::from(d.folded);
             folded += u32::from(d.folded);
             transfers += u32::from(d.fold.is_transfer());
-            code_lo = code_lo.min(d.pc);
-            code_hi = code_hi.max(d.seq_pc());
             opc.record(d);
         }
 
@@ -608,11 +591,8 @@ impl TranslatedImage {
         );
 
         self.blocks.push(Block {
-            start_pc: pc,
             ops: (ops_start, self.ops.len() as u32),
             deltas: (deltas_start, self.deltas.len() as u32),
-            code_lo,
-            code_hi,
             entries: body.len() as u32 + 1,
             program_instrs,
             folded,
@@ -625,17 +605,6 @@ impl TranslatedImage {
             },
         });
         true
-    }
-}
-
-/// Record a store into the dirty byte range when it overlaps text.
-#[inline(always)]
-fn note_addr(dirty: &mut Option<(u32, u32)>, lo: u32, hi: u32, addr: u32) {
-    let a = addr & !3;
-    if a < hi && a.wrapping_add(4) > lo {
-        let (dlo, dhi) = dirty.get_or_insert((a, a + 4));
-        *dlo = (*dlo).min(a);
-        *dhi = (*dhi).max(a + 4);
     }
 }
 
@@ -656,11 +625,10 @@ impl From<SimError> for HostFault {
 
 /// Interpreter-identical fallback for rare addressing forms: the
 /// sequential-semantics arms of [`Machine::execute`] (operand read
-/// order preserved, so error identity holds); returns the memory word
-/// written, if any.
-fn exec_generic(m: &mut Machine, exec: &ExecOp) -> Result<Option<(u32, i32)>, SimError> {
+/// order preserved, so error identity holds).
+fn exec_generic(m: &mut Machine, exec: &ExecOp) -> Result<(), SimError> {
     match *exec {
-        ExecOp::Nop => Ok(None),
+        ExecOp::Nop => {}
         ExecOp::Op2 { op, dst, src } => {
             let b = m.read_operand(src)?;
             let value = if op == BinOp::Mov {
@@ -668,45 +636,31 @@ fn exec_generic(m: &mut Machine, exec: &ExecOp) -> Result<Option<(u32, i32)>, Si
             } else {
                 op.eval(m.read_operand(dst)?, b)
             };
-            m.write_operand(dst, value)
+            m.write_operand(dst, value)?;
         }
         ExecOp::Op3 { op, a, b } => {
             let av = m.read_operand(a)?;
             let bv = m.read_operand(b)?;
             m.accum = op.eval(av, bv);
-            Ok(None)
         }
         ExecOp::Cmp { cond, a, b } => {
             let av = m.read_operand(a)?;
             let bv = m.read_operand(b)?;
             m.psw.flag = cond.eval(av, bv);
-            Ok(None)
         }
-        ExecOp::Enter { bytes } => {
-            m.sp = m.sp.wrapping_sub(bytes);
-            Ok(None)
-        }
-        ExecOp::Leave { bytes } => {
-            m.sp = m.sp.wrapping_add(bytes);
-            Ok(None)
-        }
+        ExecOp::Enter { bytes } => m.sp = m.sp.wrapping_sub(bytes),
+        ExecOp::Leave { bytes } => m.sp = m.sp.wrapping_add(bytes),
         ExecOp::Halt | ExecOp::CallPush { .. } | ExecOp::RetPop => {
             unreachable!("control ops are never executed as host ops")
         }
     }
+    Ok(())
 }
 
 /// Execute one lowered micro-op with sequential semantics: no `Step`,
-/// no next-PC resolution, no architectural-PC update. Stores overlapping
-/// translated text are merged into `dirty`.
+/// no next-PC resolution, no architectural-PC update.
 #[inline(always)]
-fn exec_host(
-    m: &mut Machine,
-    op: &HostOp,
-    dirty: &mut Option<(u32, u32)>,
-    text_lo: u32,
-    text_hi: u32,
-) -> Result<(), HostFault> {
+fn exec_host(m: &mut Machine, op: &HostOp) -> Result<(), HostFault> {
     #[inline(always)]
     fn read_src(m: &Machine, s: Src) -> Result<i32, SimError> {
         match s {
@@ -726,25 +680,21 @@ fn exec_host(
             let v = read_src(m, src)?;
             let addr = m.sp.wrapping_add(off);
             m.mem.write_word(addr, v)?;
-            note_addr(dirty, text_lo, text_hi, addr);
         }
         HostOp::Op2Sp { op, off, src } => {
             let b = read_src(m, src)?;
             let addr = m.sp.wrapping_add(off);
             let a = m.mem.read_word(addr)?;
             m.mem.write_word(addr, op.eval(a, b))?;
-            note_addr(dirty, text_lo, text_hi, addr);
         }
         HostOp::MovAbs { addr, src } => {
             let v = read_src(m, src)?;
             m.mem.write_word(addr, v)?;
-            note_addr(dirty, text_lo, text_hi, addr);
         }
         HostOp::Op2Abs { op, addr, src } => {
             let b = read_src(m, src)?;
             let a = m.mem.read_word(addr)?;
             m.mem.write_word(addr, op.eval(a, b))?;
-            note_addr(dirty, text_lo, text_hi, addr);
         }
         HostOp::MovAcc { src } => m.accum = read_src(m, src)?,
         HostOp::Op2Acc { op, src } => {
@@ -782,9 +732,7 @@ fn exec_host(
             let a = m.mem.read_word(addr)?;
             let v = op.eval(a, b);
             m.mem.write_word(addr, v)?;
-            note_addr(dirty, text_lo, text_hi, addr);
-            let addr2 = m.sp.wrapping_add(dst);
-            if let Err(e) = m.mem.write_word(addr2, v) {
+            if let Err(e) = m.mem.write_word(m.sp.wrapping_add(dst), v) {
                 // The first entry committed; the fault belongs to the
                 // second entry's PC.
                 m.pc = pc2;
@@ -793,13 +741,8 @@ fn exec_host(
                     pc_set: true,
                 });
             }
-            note_addr(dirty, text_lo, text_hi, addr2);
         }
-        HostOp::Generic(ref exec) => {
-            if let Some((addr, _)) = exec_generic(m, exec)? {
-                note_addr(dirty, text_lo, text_hi, addr);
-            }
-        }
+        HostOp::Generic(ref exec) => exec_generic(m, exec)?,
     }
     Ok(())
 }
@@ -813,97 +756,25 @@ enum BlockExit {
     Fall,
 }
 
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn exec_block<O: PipeObserver>(
+fn exec_block(
     m: &mut Machine,
     table: &TranslatedImage,
     blk: &Block,
-    seq0: u64,
     stats: &mut RunStats,
-    trace: &mut Trace,
-    record_trace: bool,
-    dirty: &mut Option<(u32, u32)>,
-    text_lo: u32,
-    text_hi: u32,
-    obs: &mut O,
 ) -> Result<BlockExit, SimError> {
-    if O::ENABLED || record_trace {
-        // Observed body: re-walk the decoded entries (melded micro-ops
-        // cover two of them) and retire each through the shared commit
-        // point so the event stream (and the branch trace — superblock
-        // bodies may contain folded or plain jumps) is bit-identical to
-        // the interpreter's.
-        let mut cur = blk.start_pc;
-        for j in 0..blk.entries - 1 {
-            let d = table
-                .predecoded
-                .decoded(cur)
-                .expect("translated body slots decode");
-            let step = m.execute_observed(d, seq0 + j as u64, obs)?;
-            if let Some((addr, _)) = step.mem_write {
-                note_addr(dirty, text_lo, text_hi, addr);
+    let ops = &table.ops[blk.ops.0 as usize..blk.ops.1 as usize];
+    for op in ops {
+        if let Err(f) = exec_host(m, &op.op) {
+            // Leave the PC where the interpreter would have it.
+            if !f.pc_set {
+                m.pc = op.pc;
             }
-            if record_trace {
-                push_branch_event(trace, d, &step);
-            }
-            cur = through(d).expect("translated body entries chain");
-        }
-        debug_assert_eq!(cur, blk.term.d.pc);
-    } else {
-        let ops = &table.ops[blk.ops.0 as usize..blk.ops.1 as usize];
-        for op in ops {
-            if let Err(f) = exec_host(m, &op.op, dirty, text_lo, text_hi) {
-                // Leave the PC where the interpreter would have it.
-                if !f.pc_set {
-                    m.pc = op.pc;
-                }
-                return Err(f.err);
-            }
+            return Err(f.err);
         }
     }
 
-    let seq = seq0 + (blk.entries - 1) as u64;
     let term = &blk.term;
-    if O::ENABLED || record_trace || matches!(term.kind, TermKind::General) {
-        let step = m.execute_observed(&term.d, seq, obs)?;
-        if let Some((addr, _)) = step.mem_write {
-            note_addr(dirty, text_lo, text_hi, addr);
-        }
-        if let (Some(taken), FoldClass::Cond { predict_taken, .. }) = (step.taken, term.d.fold) {
-            if taken != predict_taken {
-                stats.static_mispredicts += 1;
-            }
-        }
-        if record_trace {
-            push_branch_event(trace, &term.d, &step);
-        }
-        if step.halted {
-            return Ok(BlockExit::Halted);
-        }
-        return Ok(match term.kind {
-            TermKind::Fixed { succ, .. } if succ != 0 => BlockExit::Chained(succ - 1),
-            TermKind::Cond {
-                taken_pc,
-                taken_succ,
-                seq_succ,
-                ..
-            } => {
-                let s = if step.next_pc == taken_pc {
-                    taken_succ
-                } else {
-                    seq_succ
-                };
-                if s != 0 {
-                    BlockExit::Chained(s - 1)
-                } else {
-                    BlockExit::Fall
-                }
-            }
-            _ => BlockExit::Fall,
-        });
-    }
-
     match term.kind {
         TermKind::Halt => {
             m.halted = true;
@@ -911,7 +782,7 @@ fn exec_block<O: PipeObserver>(
             Ok(BlockExit::Halted)
         }
         TermKind::Fixed { target, succ } => {
-            if let Err(f) = exec_host(m, &term.host, dirty, text_lo, text_hi) {
+            if let Err(f) = exec_host(m, &term.host) {
                 m.pc = term.d.pc;
                 return Err(f.err);
             }
@@ -930,7 +801,7 @@ fn exec_block<O: PipeObserver>(
             taken_succ,
             seq_succ,
         } => {
-            if let Err(f) = exec_host(m, &term.host, dirty, text_lo, text_hi) {
+            if let Err(f) = exec_host(m, &term.host) {
                 m.pc = term.d.pc;
                 return Err(f.err);
             }
@@ -950,20 +821,32 @@ fn exec_block<O: PipeObserver>(
                 BlockExit::Fall
             })
         }
-        TermKind::General => unreachable!("general terminators take the observed path above"),
+        TermKind::General => {
+            let step = m.execute(&term.d)?;
+            if let (Some(taken), FoldClass::Cond { predict_taken, .. }) = (step.taken, term.d.fold)
+            {
+                if taken != predict_taken {
+                    stats.static_mispredicts += 1;
+                }
+            }
+            Ok(if step.halted {
+                BlockExit::Halted
+            } else {
+                BlockExit::Fall
+            })
+        }
     }
 }
 
 /// The threaded-code functional engine: same inputs, outputs and
-/// builder surface as [`FunctionalSim`], same architectural results
-/// (bit-identical commit streams under observation), several times
+/// builder surface as [`FunctionalSim`] minus observation and branch
+/// traces, same architectural results and statistics, several times
 /// faster on translated code.
 #[derive(Debug)]
 pub struct ThreadedSim {
     interp: FunctionalSim,
     table: Arc<TranslatedImage>,
     max_steps: u64,
-    record_trace: bool,
 }
 
 impl ThreadedSim {
@@ -989,22 +872,7 @@ impl ThreadedSim {
             interp,
             table,
             max_steps: 2_000_000_000,
-            record_trace: false,
         }
-    }
-
-    /// Recover the machine for buffer reuse (see
-    /// [`Machine::reset_from`]), dropping the engine state.
-    pub fn into_machine(self) -> Machine {
-        self.interp.into_machine()
-    }
-
-    /// Enable branch-trace recording (builder style). Trace runs retire
-    /// entries through the observed path, trading the micro-op speedup
-    /// for an interpreter-identical trace.
-    pub fn record_trace(mut self, on: bool) -> ThreadedSim {
-        self.record_trace = on;
-        self
     }
 
     /// Set the runaway-program step limit (builder style).
@@ -1013,42 +881,20 @@ impl ThreadedSim {
         self
     }
 
-    /// The architectural state (read-only view).
-    pub fn machine(&self) -> &Machine {
-        self.interp.machine()
-    }
-
-    /// The translation table this engine executes from.
-    pub fn table(&self) -> &Arc<TranslatedImage> {
-        &self.table
-    }
-
     /// Run to `halt`, or until `max_steps` expires.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FunctionalSim::run`].
-    pub fn run(self) -> Result<FunctionalRun, SimError> {
-        self.run_observed(&mut NullObserver)
-    }
-
-    /// Run to `halt`, reporting each retirement to `obs` exactly as the
-    /// interpreter would (the step index plays the role of the cycle).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FunctionalSim::run`].
-    pub fn run_observed<O: PipeObserver>(mut self, obs: &mut O) -> Result<FunctionalRun, SimError> {
+    pub fn run(mut self) -> Result<FunctionalRun, SimError> {
         let table = Arc::clone(&self.table);
         let mut stats = RunStats {
             blocks_translated: table.blocks.len() as u64,
             ..RunStats::default()
         };
+        // Never recorded into: the interpreter steps take one.
         let mut trace = Trace::new();
-        let mut dirty: Option<(u32, u32)> = None;
-        let (text_lo, text_hi) = (table.predecoded.base(), table.predecoded.end());
         let max_steps = self.max_steps;
-        let record_trace = self.record_trace;
         let mut steps: u64 = 0;
         // Per-block execution counts; folded into `stats` once at run
         // end so a dispatch costs one increment, not a stats replay.
@@ -1056,33 +902,15 @@ impl ThreadedSim {
 
         'outer: loop {
             // Fast tier: chained translated blocks. A block runs only
-            // when it fits the remaining watchdog budget whole and no
-            // store has dirtied its code bytes.
+            // when it fits the remaining watchdog budget whole.
             let mut next = table.block_index(self.interp.machine().pc);
             while let Some(bi) = next {
                 let blk = &table.blocks[bi as usize];
                 if steps + blk.entries as u64 > max_steps {
                     break;
                 }
-                if let Some((dlo, dhi)) = dirty {
-                    if blk.code_lo < dhi && blk.code_hi > dlo {
-                        break;
-                    }
-                }
                 block_runs[bi as usize] += 1;
-                let exit = exec_block(
-                    self.interp.machine_mut(),
-                    &table,
-                    blk,
-                    steps,
-                    &mut stats,
-                    &mut trace,
-                    record_trace,
-                    &mut dirty,
-                    text_lo,
-                    text_hi,
-                    obs,
-                )?;
+                let exit = exec_block(self.interp.machine_mut(), &table, blk, &mut stats)?;
                 steps += blk.entries as u64;
                 next = match exit {
                     BlockExit::Halted => {
@@ -1101,27 +929,22 @@ impl ThreadedSim {
                     stats.watchdog = true;
                     return Ok(self.finish(stats, &block_runs, trace, false, HaltReason::Watchdog));
                 }
-                let step =
-                    self.interp
-                        .interp_step(steps, &mut stats, &mut trace, record_trace, obs)?;
+                let step = self.interp.interp_step(
+                    steps,
+                    &mut stats,
+                    &mut trace,
+                    false,
+                    &mut NullObserver,
+                )?;
                 steps += 1;
-                if let Some((addr, _)) = step.mem_write {
-                    note_addr(&mut dirty, text_lo, text_hi, addr);
-                }
                 if step.halted {
                     return Ok(self.finish(stats, &block_runs, trace, true, HaltReason::Halted));
                 }
-                // Rejoin the fast tier only at a block that is actually
-                // runnable (budget and dirty-range checked), so control
-                // cannot ping-pong between the tiers without progress.
+                // Rejoin the fast tier only at a block that fits the
+                // budget, so control cannot ping-pong between the
+                // tiers without progress.
                 if let Some(bi) = table.block_index(self.interp.machine().pc) {
-                    let blk = &table.blocks[bi as usize];
-                    let fits = steps + blk.entries as u64 <= max_steps;
-                    let clean = match dirty {
-                        Some((dlo, dhi)) => blk.code_lo >= dhi || blk.code_hi <= dlo,
-                        None => true,
-                    };
-                    if fits && clean {
+                    if steps + table.blocks[bi as usize].entries as u64 <= max_steps {
                         continue 'outer;
                     }
                 }
@@ -1169,16 +992,13 @@ pub type ThreadedDivergence = Option<String>;
 
 /// Cross-check the threaded tier against the interpreter on one image.
 ///
-/// Both run to completion under a [`CommitLog`] observer with branch
-/// traces on, and their errors, final architectural state, halt
-/// disposition, architectural statistics, branch traces and full
-/// commit streams are compared. An observed run retires entry by entry,
-/// so the threaded tier then runs once more unobserved and untraced —
-/// the lowered and melded micro-op path `crisp-run --engine threaded`
-/// ships — and its error, or final state, halt disposition and
-/// statistics, must match the interpreter's too. Machines are pooled
-/// through `bufs` (the `func` slot carries the interpreter, the `cycle`
-/// slot the threaded machine) so repeated checks reuse allocations.
+/// One interpreter run and one threaded run — the lowered and melded
+/// micro-op path `crisp-run --engine threaded` ships — go to completion
+/// with the same step budget, and their errors, or final architectural
+/// state, halt disposition and architectural statistics, are compared.
+/// Machines are pooled through `bufs` (the `func` slot carries the
+/// interpreter, the `cycle` slot the threaded machine) so repeated
+/// checks reuse allocations.
 ///
 /// # Errors
 ///
@@ -1193,78 +1013,45 @@ pub fn verify_threaded_pooled(
 ) -> Result<ThreadedDivergence, SimError> {
     let interp_machine = reset_or_load(bufs.func.take(), image)?;
     let threaded_machine = reset_or_load(bufs.cycle.take(), image)?;
-
-    let mut interp_log = CommitLog::default();
     let interp_run = FunctionalSim::with_predecoded(interp_machine, Arc::clone(table.predecoded()))
         .max_steps(max_steps)
-        .record_trace(true)
-        .run_observed(&mut interp_log);
-
-    let mut threaded_log = CommitLog::default();
+        .run();
     let threaded_run = ThreadedSim::with_translated(threaded_machine, Arc::clone(table))
         .max_steps(max_steps)
-        .record_trace(true)
-        .run_observed(&mut threaded_log);
-
-    let observed = outcome_divergence("threaded", &interp_run, &threaded_run).or_else(|| {
-        let (Ok(a), Ok(b)) = (&interp_run, &threaded_run) else {
-            return None;
-        };
-        let (la, lb) = (&interp_log.records, &threaded_log.records);
-        if let Some(i) = (0..la.len().max(lb.len())).find(|&i| la.get(i) != lb.get(i)) {
-            return Some(format!(
-                "commit {i} differs: interp {:?}, threaded {:?}",
-                la.get(i),
-                lb.get(i)
-            ));
-        }
-        a.trace
-            .iter()
-            .ne(b.trace.iter())
-            .then(|| "branch traces differ".to_string())
-    });
-
-    // The fast path: unobserved and untraced, on the recycled machine.
-    let fast_machine = reset_or_load(threaded_run.ok().map(|b| b.machine), image)?;
-    let fast_run = ThreadedSim::with_translated(fast_machine, Arc::clone(table))
-        .max_steps(max_steps)
         .run();
-    let divergence =
-        observed.or_else(|| outcome_divergence("unobserved threaded", &interp_run, &fast_run));
-
+    let divergence = outcome_divergence(&interp_run, &threaded_run);
     if let Ok(a) = interp_run {
         bufs.func = Some(a.machine);
     }
-    if let Ok(f) = fast_run {
-        bufs.cycle = Some(f.machine);
+    if let Ok(b) = threaded_run {
+        bufs.cycle = Some(b.machine);
     }
     Ok(divergence)
 }
 
-/// First difference between the interpreter's run and a threaded run
-/// called `name`: the error, or the final architectural state, halt
+/// First difference between the interpreter's run and the threaded
+/// run: the error, or the final architectural state, halt
 /// disposition and architectural statistics. The tier's own counters
 /// are additive observability and are normalized out.
 fn outcome_divergence(
-    name: &str,
     interp: &Result<FunctionalRun, SimError>,
     threaded: &Result<FunctionalRun, SimError>,
 ) -> ThreadedDivergence {
     let (a, b) = match (interp, threaded) {
         (Err(ea), Err(eb)) => {
             return (ea != eb)
-                .then(|| format!("errors differ: interp reports {ea}, {name} reports {eb}"));
+                .then(|| format!("errors differ: interp reports {ea}, threaded reports {eb}"));
         }
-        (Err(ea), Ok(_)) => return Some(format!("interp errors ({ea}), {name} completes")),
-        (Ok(_), Err(eb)) => return Some(format!("{name} errors ({eb}), interp completes")),
+        (Err(ea), Ok(_)) => return Some(format!("interp errors ({ea}), threaded completes")),
+        (Ok(_), Err(eb)) => return Some(format!("threaded errors ({eb}), interp completes")),
         (Ok(a), Ok(b)) => (a, b),
     };
     if a.machine != b.machine {
-        return Some(format!("{name}: final architectural state differs"));
+        return Some("threaded: final architectural state differs".to_string());
     }
     if (a.halted, a.halt_reason) != (b.halted, b.halt_reason) {
         return Some(format!(
-            "halt disposition differs: interp {:?}, {name} {:?}",
+            "halt disposition differs: interp {:?}, threaded {:?}",
             (a.halted, a.halt_reason),
             (b.halted, b.halt_reason)
         ));
@@ -1275,7 +1062,7 @@ fn outcome_divergence(
     normalized.deopt_falls = 0;
     (normalized != a.stats).then(|| {
         format!(
-            "run stats differ: interp {:?}, {name} {normalized:?}",
+            "run stats differ: interp {:?}, threaded {normalized:?}",
             a.stats
         )
     })
@@ -1289,11 +1076,9 @@ mod tests {
     fn both(src: &str) -> (FunctionalRun, FunctionalRun) {
         let img = assemble_text(src).unwrap();
         let interp = FunctionalSim::new(Machine::load(&img).unwrap())
-            .record_trace(true)
             .run()
             .unwrap();
         let threaded = ThreadedSim::new(Machine::load(&img).unwrap())
-            .record_trace(true)
             .run()
             .unwrap();
         (interp, threaded)
@@ -1308,7 +1093,6 @@ mod tests {
         s.superinstr_dispatches = 0;
         s.deopt_falls = 0;
         assert_eq!(s, interp.stats);
-        assert!(interp.trace.iter().eq(threaded.trace.iter()));
     }
 
     #[test]
@@ -1332,10 +1116,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_without_trace_matches_interpreter() {
-        // The no-trace run takes the lowered micro-op path; results
-        // must still match the interpreter exactly.
-        let src = "
+    fn superblocks_walk_through_unconditional_jumps() {
+        let (i, t) = both(
+            "
             mov 0(sp),$0
         top:
             add 0(sp),$1
@@ -1350,14 +1133,8 @@ mod tests {
             cmp.s< 0(sp),$20
             ifjmpy.t top
             halt
-        ";
-        let img = assemble_text(src).unwrap();
-        let i = FunctionalSim::new(Machine::load(&img).unwrap())
-            .run()
-            .unwrap();
-        let t = ThreadedSim::new(Machine::load(&img).unwrap())
-            .run()
-            .unwrap();
+        ",
+        );
         assert_identical(&i, &t);
         // Superblocks walk through the unconditional `jmp join`, so an
         // iteration costs two dispatches (loop head + one arm).
@@ -1435,10 +1212,10 @@ mod tests {
     }
 
     #[test]
-    fn store_into_text_invalidates_overlapping_blocks() {
-        // The store lands inside the loop's own code range; the block
-        // must deopt (dirty overlap) yet results stay identical because
-        // both tiers read the immutable predecode table.
+    fn store_into_text_matches_interpreter() {
+        // The store lands inside the loop's own code range. Both tiers
+        // decode from the immutable predecode table, so it changes
+        // nothing either executes.
         let (i, t) = both(
             "
             mov 0(sp),$0
@@ -1451,11 +1228,10 @@ mod tests {
         ",
         );
         assert_identical(&i, &t);
-        assert!(t.stats.deopt_falls > 0, "dirty text must force deopt");
     }
 
     #[test]
-    fn observed_commit_streams_are_bit_identical() {
+    fn pooled_verify_agrees_and_returns_machines() {
         let img = assemble_text(
             "
             mov 0(sp),$0

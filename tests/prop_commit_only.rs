@@ -11,7 +11,8 @@
 //!
 //! * a test observer that panics on any non-commit event runs over the
 //!   differential sweep, parity-protected cache, PDU and predictor
-//!   fault plans, a deep pipe and both functional tiers — with an
+//!   fault plans, a deep pipe and the interpreter (the threaded tier
+//!   runs unobserved only) — with an
 //!   event-kind census over the same runs proving every kind is offered
 //!   to a full observer there, so an ungated site cannot hide;
 //! * `CommitLog` alone must record exactly what it records beside an
@@ -26,8 +27,8 @@ use crisp::isa::FoldPolicy;
 use crisp::sim::{
     nth_field, nth_pdu_field, nth_predictor_field, predictor_fault_space, sweep_configs, CommitLog,
     CycleSim, DegradePolicy, EventRing, FaultPlan, FaultTarget, FunctionalSim, HwPredictor,
-    Machine, ParityMode, PipeEvent, PipeObserver, PipelineGeometry, SimConfig, ThreadedSim,
-    FAULT_SPACE, PDU_FAULT_SPACE,
+    Machine, ParityMode, PipeEvent, PipeObserver, PipelineGeometry, SimConfig, FAULT_SPACE,
+    PDU_FAULT_SPACE,
 };
 use crisp::workloads::figure3_with_count;
 use proptest::prelude::*;
@@ -210,8 +211,9 @@ fn commit_only_observer_sees_only_commits_on_the_cycle_engine() {
     assert!(missing.is_empty(), "corpus never emits {missing:?}");
 }
 
-/// The functional tiers retire through the same commit point: a
+/// The interpreter retires through the same commit point: a
 /// commit-only observer gets one `Commit` per retired entry there too.
+/// It is the only functional tier that takes an observer.
 #[test]
 fn commit_only_observer_sees_only_commits_on_the_functional_tiers() {
     for image in corpus() {
@@ -221,12 +223,6 @@ fn commit_only_observer_sees_only_commits_on_the_functional_tiers() {
                 .run_observed(&mut obs)
                 .unwrap();
             assert_eq!(obs.commits, run.stats.entries, "interp {policy:?}");
-
-            let mut obs = CommitOnly::default();
-            let run = ThreadedSim::with_policy(Machine::load(&image).unwrap(), policy)
-                .run_observed(&mut obs)
-                .unwrap();
-            assert_eq!(obs.commits, run.stats.entries, "threaded {policy:?}");
         }
     }
 }

@@ -1,20 +1,19 @@
 //! Property tests for the threaded-code tier: block-translated
 //! execution is **bit-identical** to the one-entry interpreter.
 //!
-//! The tentpole claim, checked over both generated corpora (random
-//! assembly programs and random mini-C programs): registers, memory,
-//! halt disposition, branch traces, architectural statistics and the
-//! full observed commit stream all match, under every fold policy —
-//! including runs that end in the watchdog mid-block and runs whose
-//! fault-free reference participates in an armed fault-injection
-//! campaign.
+//! The claim, checked over both generated corpora (random assembly
+//! programs and random mini-C programs): registers, memory, halt
+//! disposition and architectural statistics all match, under every
+//! fold policy, including runs that end in the watchdog mid-block.
 //!
-//! The comparison itself lives in `crisp::sim::verify_threaded_pooled`,
-//! which also runs the tier once unobserved and untraced: the lowered
-//! and melded micro-op path `crisp-run --engine threaded` ships, which
-//! an observed run never takes. These properties drive it across the
+//! The comparison itself lives in `crisp::sim::verify_threaded_pooled`:
+//! one interpreter run and one run of the tier's lowered and melded
+//! micro-op path, the one `crisp-run --engine threaded` ships (the
+//! tier has no observed path). These properties drive it across the
 //! corpus space, and over the fixed workloads, whose loops exercise the
-//! melded pairs the random corpora rarely or never form.
+//! melded pairs the random corpora rarely or never form. A last
+//! property checks that handing `fault_reference` a translated table
+//! changes no fault verdict.
 
 use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::Image;
@@ -48,8 +47,8 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 /// Classify one case the way `crisp-fault` does: the fault-free
-/// reference (on the threaded tier when `translated` is given), then
-/// the faulted run against it.
+/// reference (`translated`, when given, is passed through), then the
+/// faulted run against it.
 fn classify(
     image: &Image,
     cfg: SimConfig,
@@ -90,8 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random assembly programs (the `crisp-diff`/`crisp-fault` corpus
-    /// generator: calls, indirect jumps, random branches) are
-    /// bit-identical between the tiers under every fold policy.
+    /// generator: calls, indirect jumps, random branches) run
+    /// identically on both tiers under every fold policy.
     #[test]
     fn threaded_matches_interp_on_random_asm(seed in 0u64..5000) {
         let image = GenProgram::generate(seed, 8).image().unwrap();
@@ -106,7 +105,7 @@ proptest! {
 
     /// Random mini-C programs (structured control flow: loops,
     /// conditionals, dense switches lowering to indirect jump tables)
-    /// are bit-identical between the tiers.
+    /// run identically on both tiers.
     #[test]
     fn threaded_matches_interp_on_random_c(seed in 0u64..5000) {
         let source = generate_c(seed).source;
@@ -123,7 +122,7 @@ proptest! {
     /// Watchdog exhaustion mid-block: whatever the step budget — zero,
     /// one, mid-block, past the end — the threaded tier stops at
     /// exactly the same entry as the interpreter, with identical
-    /// partial state and commit prefix.
+    /// partial state and statistics.
     #[test]
     fn threaded_watchdog_budgets_are_bit_identical(
         seed in 0u64..5000,
@@ -136,11 +135,10 @@ proptest! {
         prop_assert!(d.is_none(), "seed {} limit {}: {}", seed, limit, d.unwrap());
     }
 
-    /// Armed fault-injection campaigns classify identically whichever
-    /// tier runs the fault-free reference: the outcome bucket of every
-    /// (program, fault plan) case is the same when `fault_reference` is
-    /// handed a translated table as when it runs the interpreter, as
-    /// `crisp-fault` does.
+    /// Handing `fault_reference` a translated table changes no verdict:
+    /// the outcome bucket of every (program, fault plan) case is the
+    /// same with the table as without it, as `crisp-fault` runs. The
+    /// bench harness's replay passes one and relies on this.
     #[test]
     fn fault_classification_agrees_across_tiers(seed in 0u64..5000, plan in arb_plan()) {
         let image = GenProgram::generate(seed, 8).image().unwrap();
