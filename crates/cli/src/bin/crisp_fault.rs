@@ -52,8 +52,10 @@
 //! cases of one program as one block, computes the program's
 //! fault-free reference commit log, and classifies both phases of
 //! every case in one [`classify_batch`] call, which forks each faulted
-//! run off one fault-free cycle run per phase as its strike lands and
-//! stops it as soon as its verdict is fixed. The ejects, first match
+//! run, in its own parity phase, off one protected fault-free cycle
+//! run per program window (32 strikes; one for the whole program at up
+//! to 32 `--faults`) as its strike lands and stops it as soon as its
+//! verdict is fixed. The ejects, first match
 //! wins: a cache strike on an empty slot, or a strike at or past the
 //! fault-free halt (or still armed there), takes the fault-free verdict
 //! without forking; a fork stops at its first divergent commit, or once

@@ -134,6 +134,14 @@ impl DecodedCache {
         self.parity
     }
 
+    /// Switch the parity mode, as a run forked off a fault-free one
+    /// does ([`crate::CycleSim::fork`]). Resident lines keep their
+    /// parity words: a check only compares a line's live word with its
+    /// stored one, and those agree on every line a fault did not strike.
+    pub(crate) fn set_parity_mode(&mut self, parity: ParityMode) {
+        self.parity = parity;
+    }
+
     /// Arm (or disarm) the degrade policy: a slot accumulating `limit`
     /// parity detections is taken out of service and its traffic
     /// remapped onto the partner slot.
@@ -291,14 +299,16 @@ impl DecodedCache {
         self.entries[slot % self.entries.len()].is_some()
     }
 
-    /// Whether this cache and `other` behave the same from here on:
-    /// the same resident entries, the same parity state where parity is
-    /// checked, and the same degrade bookkeeping. The fill and eviction
-    /// counters are left out; they never steer a lookup.
+    /// Whether this cache and `other`, a fault-free run's cache, behave
+    /// the same from here on: the same resident entries, the same parity
+    /// words where this cache checks them, and the same degrade
+    /// bookkeeping. A fault-free run never fails a check, so its own
+    /// mode does not matter, and a cache that does not check parity
+    /// never reads its words. The fill and eviction counters are left
+    /// out; they never steer a lookup.
     pub(crate) fn same_future(&self, other: &DecodedCache) -> bool {
         let checked = self.parity == ParityMode::DetectInvalidate;
-        self.parity == other.parity
-            && self.disabled == other.disabled
+        self.disabled == other.disabled
             && self.slot_parity_hits == other.slot_parity_hits
             && self.pending_degraded == other.pending_degraded
             && self.entries.len() == other.entries.len()
@@ -455,5 +465,44 @@ mod tests {
         let looked = c.lookup_verified(0x10);
         assert!(matches!(looked, CacheLookup::Hit(d) if d.next_pc == NextPc::Known(0x12 ^ 1)));
         assert_eq!(c.parity_invalidates, 0);
+    }
+
+    /// A protected cache holding `pcs`, as a fault-free golden's is.
+    fn protected(pcs: &[u32]) -> DecodedCache {
+        let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
+        for &pc in pcs {
+            c.insert(entry(pc));
+        }
+        c
+    }
+
+    #[test]
+    fn unprotected_cache_same_futures_a_protected_one_with_its_entries() {
+        let golden = protected(&[0x10, 0x24]);
+        // A fork switched off parity keeps the golden's parity words; a
+        // cache filled with parity off stores none. Neither reads them.
+        let mut forked = golden.clone();
+        forked.set_parity_mode(ParityMode::Off);
+        let mut filled = DecodedCache::new(32);
+        filled.insert(entry(0x10));
+        filled.insert(entry(0x24));
+        assert!(forked.same_future(&golden));
+        assert!(filled.same_future(&golden));
+        filled.insert(entry(0x10 + 64));
+        assert!(!filled.same_future(&golden), "entries still compare");
+    }
+
+    #[test]
+    fn protected_cache_with_stale_parity_does_not_same_future() {
+        let golden = protected(&[0x10, 0x24]);
+        // A strike that left the entry's decode as it was but its live
+        // parity stale: the next checked read drops the line.
+        let mut struck = golden.clone();
+        let slot = struck.slot_of(0x10);
+        struck.entries[slot].as_mut().unwrap().live_parity ^= 1;
+        assert!(!struck.same_future(&golden));
+        // Unchecked, the same line is served as the golden's is.
+        struck.set_parity_mode(ParityMode::Off);
+        assert!(struck.same_future(&golden));
     }
 }

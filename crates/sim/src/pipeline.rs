@@ -359,21 +359,26 @@ impl<O: PipeObserver> CycleSim<O> {
     /// Fork a faulted run off this fault-free one: a simulator in this
     /// one's exact state (machine, decoded cache, PDU, front end,
     /// predictor, counters and observer) whose configuration adds
-    /// `plan`. The machine is copied into `buf`, a recycled buffer
-    /// ([`Machine::copy_from`]).
+    /// `plan` and runs under `parity`. The machine is copied into
+    /// `buf`, a recycled buffer ([`Machine::copy_from`]).
     ///
     /// Running the fork is exactly running a fresh simulator with
-    /// `plan` from cycle 0: the engine consults a plan only from cycle
-    /// `plan.cycle` on, so before the strike a faulted run is
-    /// cycle-for-cycle the fault-free one. [`crate::classify_batch`]
-    /// steps one fault-free run to each case's strike cycle in turn and
-    /// simulates only the cycles after it.
+    /// `plan` and `parity` from cycle 0: the engine consults a plan only
+    /// from cycle `plan.cycle` on, so before the strike a faulted run is
+    /// cycle-for-cycle the fault-free one, and a fault-free run never
+    /// fails a parity check, so it is the same run in either parity
+    /// mode (`tests/prop_eject.rs`). The fork's decoded cache and
+    /// predictor take `parity` from here on; resident cache lines keep
+    /// their parity words, as a check only compares a line's live word
+    /// with its stored one. [`crate::classify_batch`] steps one
+    /// fault-free run to each case's strike cycle in turn and simulates
+    /// only the cycles after it, in both parity phases.
     ///
     /// # Panics
     ///
     /// If this run has a fault plan of its own, has halted, or is past
     /// `plan.cycle`.
-    pub fn fork(&self, mut buf: Machine, plan: FaultPlan) -> CycleSim<O>
+    pub fn fork(&self, mut buf: Machine, plan: FaultPlan, parity: ParityMode) -> CycleSim<O>
     where
         O: Clone,
     {
@@ -386,9 +391,10 @@ impl<O: PipeObserver> CycleSim<O> {
             plan.cycle
         );
         buf.copy_from(&self.machine);
-        CycleSim {
+        let mut fork = CycleSim {
             machine: buf,
             cfg: SimConfig {
+                parity,
                 fault_plan: Some(plan),
                 ..self.cfg
             },
@@ -398,7 +404,12 @@ impl<O: PipeObserver> CycleSim<O> {
             predictor: self.predictor.clone(),
             obs: self.obs.clone(),
             stats: self.stats.clone(),
+        };
+        fork.cache.set_parity_mode(parity);
+        if let Some(p) = &mut fork.predictor {
+            p.protect(parity, fork.cfg.degrade);
         }
+        fork
     }
 
     /// Whether this run's fault plan has fired: it struck, or it was
@@ -429,14 +440,15 @@ impl<O: PipeObserver> CycleSim<O> {
         &self.cache
     }
 
-    /// Whether this run and `other`, two runs of one configuration up
-    /// to the fault plan that have retired the same commit records,
-    /// evolve identically from here on, `other`'s clock shifted by the
-    /// difference of their cycle counts. The state compared is the
-    /// micro-architectural state that decides behaviour: the front
-    /// end's live latches (see `PipeFront::same_future`), the PDU with
-    /// its ready cycles relative to each run's clock, the decoded cache
-    /// with its parity and degrade state, the predictor tables, and the
+    /// Whether this run and `other`, a fault-free run of the same
+    /// configuration up to the fault plan and the parity mode, having
+    /// retired the same commit records, evolve identically from here
+    /// on, `other`'s clock shifted by the difference of their cycle
+    /// counts. The state compared is the micro-architectural state that
+    /// decides behaviour: the front end's live latches (see
+    /// `PipeFront::same_future`), the PDU with its ready cycles relative
+    /// to each run's clock, the decoded cache with its degrade state and
+    /// the parity words this run checks, the predictor tables, and the
     /// retired instruction count the `max_insns` watchdog reads. Pure
     /// counters (fill and eviction counts, [`CycleStats`]) are left
     /// out.
@@ -457,6 +469,7 @@ impl<O: PipeObserver> CycleSim<O> {
             },
             SimConfig {
                 fault_plan: None,
+                parity: self.cfg.parity,
                 ..other.cfg
             }
         );
@@ -1328,12 +1341,18 @@ mod tests {
                 nth_predictor_field(btb, 2).unwrap(),
             ),
         ];
+        // Every fork comes off a protected golden, the one
+        // `classify_batch` runs, and takes its own parity mode.
+        let golden_cfg = SimConfig {
+            parity: ParityMode::DetectInvalidate,
+            predictor: btb,
+            ..SimConfig::default()
+        };
         let mut injected = 0;
         for parity in [ParityMode::Off, ParityMode::DetectInvalidate] {
             let base = SimConfig {
                 parity,
-                predictor: btb,
-                ..SimConfig::default()
+                ..golden_cfg
             };
             for (cycle, slot, target, field) in strikes {
                 let plan = FaultPlan {
@@ -1354,7 +1373,7 @@ mod tests {
                 .unwrap();
                 let mut golden = CycleSim::with_observer(
                     Machine::load(&img).unwrap(),
-                    base,
+                    golden_cfg,
                     EventRing::new(1 << 16),
                 );
                 while golden.stats.cycles < cycle {
@@ -1365,7 +1384,7 @@ mod tests {
                 let mut buf = Machine::load(&assemble_text("halt").unwrap()).unwrap();
                 buf.mem.write_word(0x2_0000, -1).unwrap();
                 buf.accum = 99;
-                let forked = golden.fork(buf, plan).run_observed().unwrap();
+                let forked = golden.fork(buf, plan, parity).run_observed().unwrap();
                 let what = format!("{parity:?} {plan:?}");
                 assert_eq!(forked.0.machine, fresh.0.machine, "{what}");
                 assert_eq!(forked.0.stats, fresh.0.stats, "{what}");
@@ -1394,6 +1413,7 @@ mod tests {
                 field: crate::soft_error::nth_field(70), // the valid bit
                 target: FaultTarget::Cache,
             },
+            ParityMode::Off,
         );
     }
 

@@ -324,38 +324,35 @@ impl BtbTable {
         ((pc >> 1) as usize) & self.mask
     }
 
-    /// Whether this table and `other` predict and train the same from
-    /// here on: every field but the `parity_scrubs` counter. LRU stamps
-    /// are compared as they stand, so two tables that order their
-    /// entries alike but stamped them at different trains differ.
+    /// Whether this table and `other`, a fault-free run's table, predict
+    /// and train the same from here on: every field but the
+    /// `parity_scrubs` counter and `protected`. Equal entries carry the
+    /// fault-free run's good parity bits, so the scrub drops nothing
+    /// from either table whether it runs or not. LRU stamps are
+    /// compared as they stand, so two tables that order their entries
+    /// alike but stamped them at different trains differ.
     fn same_future(&self, other: &BtbTable) -> bool {
         let BtbTable {
             mask,
             ways,
             sets,
             clock,
-            protected,
+            protected: _,
             way_parity_hits,
             ways_disabled,
             degrade_limit,
             pending_degraded,
             parity_scrubs: _,
         } = self;
-        (
-            *mask,
-            *ways,
-            *clock,
-            *protected,
-            *ways_disabled,
-            *degrade_limit,
-        ) == (
-            other.mask,
-            other.ways,
-            other.clock,
-            other.protected,
-            other.ways_disabled,
-            other.degrade_limit,
-        ) && *way_parity_hits == other.way_parity_hits
+        (*mask, *ways, *clock, *ways_disabled, *degrade_limit)
+            == (
+                other.mask,
+                other.ways,
+                other.clock,
+                other.ways_disabled,
+                other.degrade_limit,
+            )
+            && *way_parity_hits == other.way_parity_hits
             && *pending_degraded == other.pending_degraded
             && *sets == other.sets
     }
@@ -624,8 +621,9 @@ impl HwPredictorState {
         }
     }
 
-    /// Whether this table and `other` predict and train the same from
-    /// here on (the scrub counter aside).
+    /// Whether this table and `other`, a fault-free run's table, predict
+    /// and train the same from here on (the scrub counter and the BTB's
+    /// protection aside; see `BtbTable::same_future`).
     pub(crate) fn same_future(&self, other: &HwPredictorState) -> bool {
         match (self, other) {
             (HwPredictorState::Counters(a), HwPredictorState::Counters(b)) => a == b,
@@ -707,6 +705,21 @@ mod tests {
             t.guess(0x99);
         }
         assert_eq!(format!("{t:?}"), before);
+    }
+
+    #[test]
+    fn btb_same_future_ignores_protection() {
+        let mut golden = BtbTable::new(8, 2);
+        golden.protect(true, Some(1));
+        golden.train(0x10, true);
+        golden.train(0x24, true);
+        // A fork switched off parity: its scrub no longer runs, but the
+        // golden's entries carry good parity, so it would drop nothing.
+        let mut forked = golden.clone();
+        forked.protect(false, Some(1));
+        assert!(forked.same_future(&golden));
+        forked.train(0x10, false);
+        assert!(!forked.same_future(&golden), "entries still compare");
     }
 
     #[test]

@@ -870,11 +870,14 @@ pub fn fault_reference(
 ///
 /// No case simulates its fault-free prefix, and a case whose verdict
 /// is already the fault-free run's stops as soon as that is proven. The
-/// configs are grouped by their configuration without the fault plan,
-/// and the strike-ordered cases of a group are cut into windows of
-/// `WINDOW` (32) cases, each served by one fault-free *golden*
-/// simulator run from cycle 0. A case is settled by the first of these
-/// ejects that applies:
+/// configs are grouped by their configuration without the fault plan
+/// and the parity mode: a fault-free run never fails a parity check, so
+/// it is one run in both modes, and a group's fault-free *golden*
+/// simulator runs protected, for both parity phases' cases. The
+/// strike-ordered cases of a group are cut into windows of `2 *
+/// WINDOW` (64) cases, `WINDOW` strikes in both phases as `crisp-fault`
+/// passes them, and each window is served by one golden run from cycle
+/// 0. A case is settled by the first of these ejects that applies:
 ///
 /// 1. **Empty slot.** A [`FaultTarget::Cache`] strike on a slot that is
 ///    empty in the golden at the strike cycle flips nothing: the case
@@ -883,17 +886,19 @@ pub fn fault_reference(
 ///    end, or whose predictor or PDU strike is still armed then (its
 ///    structure never held state), is the golden run too.
 /// 3. **Fork.** Otherwise the case is forked off the golden
-///    ([`CycleSim::fork`]) on the cycle its strike lands, which is exact
-///    because until then a faulted run is the fault-free one.
+///    ([`CycleSim::fork`]) on the cycle its strike lands, in its own
+///    parity mode, which is exact because until then a faulted run is
+///    the fault-free one.
 /// 4. **Divergence, parity settle.** A fork stops at its first
 ///    divergent commit, or once parity has caught its fault, as above.
 /// 5. **Rejoin.** Every `REJOIN_EVERY` (32) golden commits, each fork is
 ///    run up to the golden's commit count. A fork whose strike has
 ///    fired and whose state then equals the golden's in everything that
-///    decides behaviour (`CycleSim::same_future`: exact `==`, never a
-///    hash) replays the golden's future shifted by Δ, the difference of
-///    their cycle counts. It takes the golden's verdict, except that it
-///    is [`FaultOutcome::Hang`] exactly when the golden's end cycle + Δ
+///    decides behaviour in the fork's parity mode
+///    (`CycleSim::same_future`: exact `==`, never a hash) replays the
+///    golden's future shifted by Δ, the difference of their cycle
+///    counts. It takes the golden's verdict, except that it is
+///    [`FaultOutcome::Hang`] exactly when the golden's end cycle + Δ
 ///    exceeds `max_cycles` (the watchdog stops it first). `max_insns`
 ///    does not shift: both runs retired the same instructions.
 /// 6. **Run out.** Forks still live when the golden ends run on to
@@ -935,6 +940,7 @@ pub fn classify_batch(
     for (i, cfg) in cfgs.iter().enumerate() {
         let golden = SimConfig {
             fault_plan: None,
+            parity: ParityMode::DetectInvalidate,
             ..*cfg
         };
         match groups.iter_mut().find(|(g, _)| *g == golden) {
@@ -944,7 +950,7 @@ pub fn classify_batch(
     }
     for (golden_cfg, mut cases) in groups {
         cases.sort_by_key(|&i| cfgs[i].fault_plan.map_or(u64::MAX, |p| p.cycle));
-        for window in cases.chunks(WINDOW) {
+        for window in cases.chunks(2 * WINDOW) {
             let group = Group {
                 image,
                 cfg: golden_cfg,
@@ -966,15 +972,17 @@ pub fn classify_batch(
 /// (EXPERIMENTS.md, "State-equivalence eject").
 const REJOIN_EVERY: usize = 32;
 
-/// Strike-ordered cases that share one golden run, and so the most
-/// forks alive at once. Every window runs a golden of its own from
-/// cycle 0, so the bound trades golden cycles for resident forks (about
-/// 27 KB each): a `crisp-fault --faults 65536` block would otherwise
-/// hold every unfinished fork of a program at once.
+/// Strikes that share one golden run. A window is `2 * WINDOW`
+/// strike-ordered cases, one per strike and parity phase as
+/// `crisp-fault` passes them, and so the most forks alive at once.
+/// Every window runs a golden of its own from cycle 0, so the bound
+/// trades golden cycles for resident forks (about 27 KB each): a
+/// `crisp-fault --faults 65536` block would otherwise hold every
+/// unfinished fork of a program at once.
 const WINDOW: usize = 32;
 
-/// A config group: the fault-free configuration its golden runs, and
-/// what its cases are judged against.
+/// A config group: the fault-free, protected configuration its golden
+/// runs, and what its cases are judged against.
 struct Group<'a> {
     image: &'a Image,
     cfg: SimConfig,
@@ -1039,7 +1047,8 @@ impl Group<'_> {
                     check_at = golden.observer().matched() + REJOIN_EVERY;
                 }
                 let buf = pool.take_buffer(self.image)?;
-                live.push((i, golden.fork(buf, FaultPlan { cycle: now, ..plan })));
+                let plan = FaultPlan { cycle: now, ..plan };
+                live.push((i, golden.fork(buf, plan, cfgs[i].parity)));
             }
             let next = due.peek().map(|(_, p)| p.cycle);
             if next.is_none() && armed.is_empty() && live.is_empty() {
@@ -1660,12 +1669,31 @@ mod tests {
         }
     }
 
+    /// One case judged without a golden: its own config run from cycle
+    /// 0, stopped at its first divergent commit or parity settle.
+    fn from_cycle_0(
+        image: &Image,
+        cfg: SimConfig,
+        reference: &FaultReference,
+        pool: &mut MachinePool,
+    ) -> FaultOutcome {
+        let log = Arc::clone(reference.log());
+        let mut sim =
+            CycleSim::with_observer(pool.take(image).unwrap(), cfg, PrefixCheck::new(log));
+        let end = sim.run_until(|s| s.observer().decided() || s.parity_settled());
+        let outcome = case_outcome(reference, &sim, end);
+        pool.put(sim.into_machine());
+        outcome
+    }
+
     #[test]
     fn windows_give_the_verdicts_of_one_case_blocks() {
         // A block several windows long, of cache, PDU and predictor
         // strikes in both parity phases, classifies each case as a block
         // of that case alone does: window boundaries, the forks alive
         // beside a case and the rejoin checks they share change nothing.
+        // Both give the verdict of the case's own config run from cycle
+        // 0, so a fork that kept its golden's parity mode would fail.
         let image = crisp_asm::rand_prog::GenProgram::generate(7, 10)
             .image()
             .unwrap();
@@ -1692,10 +1720,19 @@ mod tests {
         let mut pool = MachinePool::default();
         let reference = fault_reference(&image, cfgs[0], None, None, &mut pool).unwrap();
         let block = classify_batch(&image, &cfgs, None, &reference, 1, &mut pool).unwrap();
+        let mut unmasked = 0;
         for (cfg, outcome) in cfgs.iter().zip(block) {
             let alone = classify_batch(&image, &[*cfg], None, &reference, 1, &mut pool).unwrap();
-            assert_eq!(alone, [outcome], "{:?} {:?}", cfg.parity, cfg.fault_plan);
+            let what = format!("{:?} {:?}", cfg.parity, cfg.fault_plan);
+            assert_eq!(alone, [outcome], "{what}");
+            assert_eq!(
+                from_cycle_0(&image, *cfg, &reference, &mut pool),
+                outcome,
+                "{what}"
+            );
+            unmasked += usize::from(outcome != FaultOutcome::Masked);
         }
+        assert!(unmasked > 0, "the block must hold unmasked cases");
     }
 
     #[test]

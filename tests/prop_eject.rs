@@ -27,7 +27,10 @@
 //!    is still armed while its run is the fault-free one, and state
 //!    that differs only in the predictor or in the PDU's PIR pipeline.
 //!    Each fails under a mutant of the kernel that drops that part of the
-//!    check.
+//!    check. Both phases' cases fork off one protected fault-free run,
+//!    which rests on a premise checked on its own: a fault-free run is
+//!    the same run with parity off and on
+//!    (`fault_free_runs_ignore_the_parity_mode`).
 //! 2. `run_lockstep_batched` and `run_lockstep` match a post-hoc
 //!    comparison: a whole `FunctionalSim` run (its commit log and its
 //!    error) against a whole `CycleSim<CommitLog>` run, compared after
@@ -49,9 +52,9 @@ use crisp::isa::FoldPolicy;
 use crisp::sim::{
     classify_batch, diff_reference, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
     predictor_fault_space, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CycleSim,
-    DivergenceKind, FaultInjection, FaultOutcome, FaultPlan, FaultTarget, FunctionalSim,
-    HwPredictor, LockstepBuffers, LockstepOutcome, Machine, MachinePool, ParityMode, RunEnd,
-    SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
+    DegradePolicy, DivergenceKind, FaultInjection, FaultOutcome, FaultPlan, FaultTarget,
+    FunctionalSim, HwPredictor, LockstepBuffers, LockstepOutcome, Machine, MachinePool, ParityMode,
+    RunEnd, SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use crisp_bench::classify_full_run;
 use proptest::prelude::*;
@@ -208,6 +211,30 @@ proptest! {
                 "seed {} {:?} {:?}: eject {:?} vs full run {:?}",
                 seed, cfg.parity, cfg.fault_plan, eject, full
             );
+        }
+    }
+
+    /// Claim 1's premise: a fault-free run never fails a parity check,
+    /// so it is one run under `Off` and `DetectInvalidate`, the same
+    /// commit records on the same cycles, the same end and final
+    /// machine, and the same `CycleStats`, on every sweep configuration
+    /// with the degrade policy off and on. `classify_batch` runs one
+    /// protected golden for both phases' forks on the strength of it.
+    #[test]
+    fn fault_free_runs_ignore_the_parity_mode(seed in 0u64..5000, blocks in 2usize..10) {
+        let image = GenProgram::generate(seed, blocks).image().unwrap();
+        for cfg in sweep_configs() {
+            for degrade in [None, Some(DegradePolicy::default())] {
+                let [off, on] = [ParityMode::Off, ParityMode::DetectInvalidate].map(|parity| {
+                    let cfg = SimConfig { parity, degrade, max_cycles: ROOMY_BUDGET, ..cfg };
+                    let mut sim =
+                        CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, CommitLog::default());
+                    let end = sim.run_until(|_| false);
+                    let log = sim.observer().clone();
+                    (end, log.records, log.cycles, sim.stats.clone(), sim.into_machine())
+                });
+                prop_assert_eq!(off, on, "seed {} under {:?} degrade {:?}", seed, cfg, degrade);
+            }
         }
     }
 
