@@ -49,11 +49,6 @@
 //!                                              reason `watchdog`)
 //!   --parity MODE                front-end parity: off | detect
 //!                                (needs --cycles)
-//!   --degrade N                  disable a cache slot / BTB way after
-//!                                N detected parity errors (degraded
-//!                                runs report `degraded_ways` in the
-//!                                stats; needs --cycles and --parity
-//!                                detect)
 //!   --inject T:C:S:B             arm a single-bit fault into target T
 //!                                (cache | btb | pdu) at cycle C, slot
 //!                                S, bit-site B — the knob behind
@@ -149,7 +144,6 @@ fn run() -> Result<(), String> {
         ("--cpi-breakdown", cpi_breakdown),
         ("--inject", args.sim.fault_plan.is_some()),
         ("--parity", args.sim.parity != ParityMode::Off),
-        ("--degrade", args.sim.degrade.is_some()),
     ];
     if let Some((flag, _)) = cycle_only.iter().find(|&&(_, given)| given && !cycles) {
         return Err(format!("{flag} needs --cycles"));

@@ -9,6 +9,9 @@
 //!   --fold POLICY                fold policy used for listing markers
 //! ```
 //!
+//! Any other flag — the simulator's machine and fault options included —
+//! is rejected as unknown.
+//!
 //! Examples:
 //!
 //! ```sh
@@ -21,7 +24,7 @@ use std::process::ExitCode;
 
 use crisp_asm::{assemble, listing_of};
 use crisp_cc::{compile_crisp_module, compile_vax};
-use crisp_cli::{extract_flag, parse_common, parse_switch, read_input};
+use crisp_cli::{extract_flag, parse_compile, parse_fold, parse_switch, read_input, split_input};
 
 fn main() -> ExitCode {
     match run() {
@@ -41,12 +44,14 @@ fn run() -> Result<(), String> {
     }
     let emit = extract_flag(&mut raw, "--emit")?.unwrap_or("list".into());
     parse_switch(&mut raw, "--")?; // tolerate a bare separator
-    let args = parse_common(raw.into_iter())?;
-    if let Some(flag) = args.rest.first() {
+    let compile = parse_compile(&mut raw)?;
+    let fold_policy = parse_fold(&mut raw)?;
+    let (input, rest) = split_input(raw)?;
+    if let Some(flag) = rest.first() {
         return Err(format!("unknown flag `{flag}`"));
     }
 
-    let source = read_input(&args.input)?;
+    let source = read_input(&input)?;
 
     match emit.as_str() {
         "vax" => {
@@ -54,14 +59,14 @@ fn run() -> Result<(), String> {
             print!("{}", program.listing());
         }
         "list" => {
-            let module = compile_crisp_module(&source, &args.compile).map_err(|e| e.to_string())?;
+            let module = compile_crisp_module(&source, &compile).map_err(|e| e.to_string())?;
             let image = assemble(&module).map_err(|e| e.to_string())?;
-            let text = listing_of(&image, args.sim.fold_policy)
+            let text = listing_of(&image, fold_policy)
                 .map_err(|(addr, e)| format!("disassembly failed at {addr:#x}: {e}"))?;
             print!("{text}");
         }
         "summary" => {
-            let module = compile_crisp_module(&source, &args.compile).map_err(|e| e.to_string())?;
+            let module = compile_crisp_module(&source, &compile).map_err(|e| e.to_string())?;
             let image = assemble(&module).map_err(|e| e.to_string())?;
             println!("code bytes    : {}", image.code_bytes());
             println!("parcels       : {}", image.parcels.len());

@@ -16,8 +16,8 @@ use std::sync::Mutex;
 use crisp_cc::{CompileOptions, PredictionMode};
 use crisp_isa::FoldPolicy;
 use crisp_sim::{
-    DegradePolicy, Engine, FaultPlan, FaultSpace, FaultTarget, HwPredictor, ParityMode,
-    PipelineGeometry, SimConfig, MAX_DEPTH, MIN_DEPTH,
+    Engine, FaultPlan, FaultSpace, FaultTarget, HwPredictor, ParityMode, PipelineGeometry,
+    SimConfig, MAX_DEPTH, MIN_DEPTH,
 };
 
 /// Parsed common command-line options.
@@ -37,72 +37,49 @@ pub struct CommonArgs {
 /// typo cannot ask for an unallocatable cache.
 const MAX_ICACHE_ENTRIES: usize = 1 << 16;
 
-/// Parse the options shared by both tools:
+/// Parse the compiler options both tools read:
 ///
 /// ```text
 /// --no-spread            disable Branch Spreading
 /// --predict MODE         taken | not-taken | btfnt | ftbnt
-/// --predictor HW         live hardware predictor: static |
-///                        counterN[xM] | btb[SxW] | jumptrace[N]
-/// --fold POLICY          none | host1 | host13 | all
-/// --icache N             decoded-cache entries (a power of two,
-///                        at most 65536)
-/// --eu-depth N           execution-unit stages between issue and
-///                        retire (2..=8; 3 is the paper's IR/OR/RR)
-/// --mem-latency N        cycles per 4-parcel instruction fetch (>= 1)
-/// --max-cycles N         watchdog: end the run after N cycles/steps
-/// --max-insns N          watchdog: end the run after N instructions
-/// --parity MODE          front-end parity: off | detect
-/// --degrade N            disable a cache slot / BTB way after N
-///                        detected parity errors (needs --parity
-///                        detect to ever trigger)
-/// --inject T:C:S:B       arm a single-bit fault: target T (cache |
-///                        btb | pdu), cycle C, slot S, bit-site B
-///                        (an index into the target's fault space)
 /// ```
 ///
 /// # Errors
 ///
-/// A message on unknown flags or bad values.
-pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, String> {
-    let mut raw: Vec<String> = args.collect();
-    let raw = &mut raw;
-    let (c, d) = (CompileOptions::default(), SimConfig::default());
-    let positive = |n: &u32| *n > 0;
-    let compile = CompileOptions {
+/// A message on a bad or repeated value.
+pub fn parse_compile(raw: &mut Vec<String>) -> Result<CompileOptions, String> {
+    Ok(CompileOptions {
         spread: !parse_switch(raw, "--no-spread")?,
-        prediction: parse_choice(raw, "--predict", &PREDICTION_MODES)?.unwrap_or(c.prediction),
-    };
-    let icache_want = format!("a power of two in 1..={MAX_ICACHE_ENTRIES}");
-    let mut sim = SimConfig {
-        predictor: parse_predictor(raw)?.unwrap_or(d.predictor),
-        fold_policy: parse_choice(raw, "--fold", &FOLD_POLICIES)?.unwrap_or(d.fold_policy),
-        icache_entries: parse_valid(raw, "--icache", &icache_want, |n: &usize| {
-            n.is_power_of_two() && *n <= MAX_ICACHE_ENTRIES
-        })?
-        .unwrap_or(d.icache_entries),
-        mem_latency: parse_valid(raw, "--mem-latency", "a count >= 1", positive)?
-            .unwrap_or(d.mem_latency),
-        geometry: parse_eu_depth(raw)?.unwrap_or_default(),
-        max_cycles: parse_max_cycles(raw)?.unwrap_or(d.max_cycles),
-        max_insns: parse_valid(raw, "--max-insns", "a count >= 1", |&n: &u64| n > 0)?,
-        parity: parse_choice(raw, "--parity", &PARITY_MODES)?.unwrap_or(d.parity),
-        degrade: parse_valid(raw, "--degrade", "a count >= 1", positive)?
-            .map(|parity_limit| DegradePolicy { parity_limit }),
-        ..d
-    };
-    // `--inject btb:...` enumerates the live predictor's fault sites.
-    if let Some(spec) = extract_flag(raw, "--inject")? {
-        sim.fault_plan = Some(parse_fault_spec(&spec, sim.predictor)?);
-    }
+        prediction: parse_choice(raw, "--predict", &PREDICTION_MODES)?
+            .unwrap_or(CompileOptions::default().prediction),
+    })
+}
+
+/// Parse `--fold POLICY` (none | host1 | host13 | all), defaulting to
+/// the shipped policy.
+///
+/// # Errors
+///
+/// A message on a bad or repeated value.
+pub fn parse_fold(raw: &mut Vec<String>) -> Result<FoldPolicy, String> {
+    Ok(parse_choice(raw, "--fold", &FOLD_POLICIES)?.unwrap_or(SimConfig::default().fold_policy))
+}
+
+/// Split what the flag parsers left into the one input path and the
+/// flags nobody took, for the tool to reject.
+///
+/// # Errors
+///
+/// A second input; when a flag was left over too, the flag is named
+/// instead, since an unknown flag that takes a value leaves the value
+/// looking like an input.
+pub fn split_input(raw: Vec<String>) -> Result<(Option<String>, Vec<String>), String> {
     let mut input = None;
     let mut rest: Vec<String> = Vec::new();
-    for arg in raw.drain(..) {
+    for arg in raw {
         if arg.starts_with("--") {
             rest.push(arg);
         } else if input.is_some() {
-            // An unknown flag that takes a value leaves the value as
-            // the input; blame the flag, not the file.
             return Err(match rest.first() {
                 Some(flag) => format!("unknown flag `{flag}`"),
                 None => format!("unexpected extra input `{arg}`"),
@@ -111,6 +88,57 @@ pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, St
             input = Some(arg);
         }
     }
+    Ok((input, rest))
+}
+
+/// Parse `crisp-run`'s compiler and machine options: those of
+/// [`parse_compile`] and [`parse_fold`], and
+///
+/// ```text
+/// --predictor HW         live hardware predictor: static |
+///                        counterN[xM] | btb[SxW] | jumptrace[N]
+/// --icache N             decoded-cache entries (a power of two,
+///                        at most 65536)
+/// --eu-depth N           execution-unit stages between issue and
+///                        retire (2..=8; 3 is the paper's IR/OR/RR)
+/// --mem-latency N        cycles per 4-parcel instruction fetch (>= 1)
+/// --max-cycles N         watchdog: end the run after N cycles/steps
+/// --max-insns N          watchdog: end the run after N instructions
+/// --parity MODE          front-end parity: off | detect
+/// --inject T:C:S:B       arm a single-bit fault: target T (cache |
+///                        btb | pdu), cycle C, slot S, bit-site B
+///                        (an index into the target's fault space)
+/// ```
+///
+/// # Errors
+///
+/// A message on bad values (see [`split_input`] for unknown flags).
+pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, String> {
+    let mut raw: Vec<String> = args.collect();
+    let raw = &mut raw;
+    let d = SimConfig::default();
+    let compile = parse_compile(raw)?;
+    let icache_want = format!("a power of two in 1..={MAX_ICACHE_ENTRIES}");
+    let mut sim = SimConfig {
+        predictor: parse_predictor(raw)?.unwrap_or(d.predictor),
+        fold_policy: parse_fold(raw)?,
+        icache_entries: parse_valid(raw, "--icache", &icache_want, |n: &usize| {
+            n.is_power_of_two() && *n <= MAX_ICACHE_ENTRIES
+        })?
+        .unwrap_or(d.icache_entries),
+        mem_latency: parse_valid(raw, "--mem-latency", "a count >= 1", |n: &u32| *n > 0)?
+            .unwrap_or(d.mem_latency),
+        geometry: parse_eu_depth(raw)?.unwrap_or_default(),
+        max_cycles: parse_max_cycles(raw)?.unwrap_or(d.max_cycles),
+        max_insns: parse_valid(raw, "--max-insns", "a count >= 1", |&n: &u64| n > 0)?,
+        parity: parse_choice(raw, "--parity", &PARITY_MODES)?.unwrap_or(d.parity),
+        ..d
+    };
+    // `--inject btb:...` enumerates the live predictor's fault sites.
+    if let Some(spec) = extract_flag(raw, "--inject")? {
+        sim.fault_plan = Some(parse_fault_spec(&spec, sim.predictor)?);
+    }
+    let (input, rest) = split_input(std::mem::take(raw))?;
     Ok(CommonArgs {
         input,
         compile,
@@ -766,9 +794,8 @@ mod tests {
 
     #[test]
     fn fault_injection_flags() {
-        let a = parse(&["--parity", "detect", "--degrade", "2", "x.c"]).unwrap();
+        let a = parse(&["--parity", "detect", "x.c"]).unwrap();
         assert_eq!(a.sim.parity, ParityMode::DetectInvalidate);
-        assert_eq!(a.sim.degrade, Some(DegradePolicy { parity_limit: 2 }));
 
         let a = parse(&["--inject", "cache:60:7:0", "x.c"]).unwrap();
         let plan = a.sim.fault_plan.unwrap();
@@ -790,8 +817,6 @@ mod tests {
     #[test]
     fn fault_injection_flag_errors() {
         assert!(parse(&["--parity", "maybe"]).is_err());
-        assert!(parse(&["--degrade", "0"]).is_err());
-        assert!(parse(&["--degrade", "many"]).is_err());
         assert!(parse(&["--inject", "cache:60:7"]).is_err());
         assert!(parse(&["--inject", "dram:60:7:0"]).is_err());
         assert!(parse(&["--inject", "cache:60:7:999"]).is_err());

@@ -171,12 +171,11 @@ fn crisp_run_chrome_trace_and_timeline() {
 
 #[test]
 fn crisp_run_rejects_fault_flags_without_cycles() {
-    // The functional engine has no front end: a requested strike,
-    // parity mode or degrade policy used to be dropped with exit 0.
-    let cases: [(&[&str], &str); 3] = [
+    // The functional engine has no front end: a requested strike or
+    // parity mode used to be dropped with exit 0.
+    let cases: [(&[&str], &str); 2] = [
         (&["--inject", "cache:10:0:5"], "--inject needs --cycles"),
         (&["--parity", "detect"], "--parity needs --cycles"),
-        (&["--degrade", "1"], "--degrade needs --cycles"),
     ];
     for (args, message) in cases {
         let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), args, PROGRAM);
@@ -190,6 +189,14 @@ fn crisp_run_rejects_fault_flags_without_cycles() {
     let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crisp-run"), &args, PROGRAM);
     assert!(ok, "{stderr}");
     assert!(stdout.contains(r#""faults_injected":1"#), "{stdout}");
+    // No graceful-degradation policy is modelled.
+    let (stdout, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crisp-run"),
+        &["--cycles", "--degrade", "1"],
+        PROGRAM,
+    );
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("unknown flag `--degrade`"), "{stderr}");
 }
 
 #[test]
@@ -284,7 +291,7 @@ fn crisp_run_stats_json_carries_accounts_and_trace_footer() {
     let jsonl = std::fs::read_to_string(&trace);
     std::fs::remove_file(&trace).ok();
     assert!(ok, "{stderr}");
-    assert!(stdout.contains(r#""schema_version":6"#), "{stdout}");
+    assert!(stdout.contains(r#""schema_version":7"#), "{stdout}");
     assert!(stdout.contains(r#""accounts":{"useful":"#), "{stdout}");
     assert!(stdout.contains(r#""dropped_events":0"#), "{stdout}");
     assert!(stdout.contains(r#""predicted_by":"static""#), "{stdout}");
@@ -458,6 +465,58 @@ fn unknown_flags_fail_cleanly() {
     let (_, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crispc"), &["--emit", "pdf"], PROGRAM);
     assert!(!ok);
     assert!(stderr.contains("unknown --emit"), "{stderr}");
+}
+
+#[test]
+fn crispc_rejects_simulator_flags() {
+    // crispc compiles only; it used to parse the simulator's machine
+    // and fault options and drop them with exit 0.
+    let cases: [&[&str]; 10] = [
+        &["--predictor", "btb"],
+        &["--icache", "64"],
+        &["--eu-depth", "4"],
+        &["--mem-latency", "2"],
+        &["--max-cycles", "5"],
+        &["--max-insns", "5"],
+        &["--parity", "detect"],
+        &["--inject", "cache:1:2:3"],
+        &["--degrade", "3"],
+        &["--cycles"],
+    ];
+    for args in cases {
+        let (stdout, stderr, ok) = run_tool(env!("CARGO_BIN_EXE_crispc"), args, PROGRAM);
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+    // A file after them: the first flag is blamed, not the file.
+    let (stdout, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crispc"),
+        &[
+            "--parity",
+            "detect",
+            "--icache",
+            "64",
+            "--inject",
+            "cache:1:2:3",
+            "--max-cycles",
+            "5",
+            "t.c",
+        ],
+        "",
+    );
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("unknown flag `--parity`"), "{stderr}");
+    // What crispc does read still works.
+    let (stdout, stderr, ok) = run_tool(
+        env!("CARGO_BIN_EXE_crispc"),
+        &["--fold", "none", "--no-spread", "--predict", "btfnt"],
+        PROGRAM,
+    );
+    assert!(ok, "{stderr}");
+    assert!(!stdout.contains("folds with next"), "{stdout}");
 }
 
 #[test]

@@ -173,32 +173,6 @@ pub enum FaultInjection {
     SkipOrSquash,
 }
 
-/// Graceful-degradation policy for parity-protected front-end state.
-///
-/// When set (and [`ParityMode::DetectInvalidate`] is active — the
-/// policy has no parity hits to count otherwise), a decoded-cache slot
-/// or BTB way that accumulates `parity_limit` parity detections is
-/// taken out of service: the cache remaps the slot onto its partner
-/// and the BTB shrinks its associativity, so a permanently-flaky bit
-/// costs performance instead of an endless detect/refill loop. Each
-/// disablement is surfaced as a [`crate::PipeEvent::Degrade`] event
-/// and counts into the `degraded_ways` stat; a fully-degraded
-/// predictor falls back to the static prediction bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Parity hits on one way/slot before it is disabled (>= 1).
-    pub parity_limit: u32,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> DegradePolicy {
-        // Real flaky cells fail repeatedly; one strike is the most
-        // aggressive useful policy and the best default for fault
-        // campaigns, which inject exactly one particle per run.
-        DegradePolicy { parity_limit: 1 }
-    }
-}
-
 /// Configuration of the cycle-level simulator.
 ///
 /// The defaults model the CRISP chip as described in the paper: the
@@ -245,9 +219,6 @@ pub struct SimConfig {
     /// A planned transient fault to inject into the decoded cache;
     /// `None` models fault-free silicon.
     pub fault_plan: Option<FaultPlan>,
-    /// Graceful degradation of parity-protected ways; `None` (the
-    /// default) keeps every way in service forever.
-    pub degrade: Option<DegradePolicy>,
 }
 
 impl Default for SimConfig {
@@ -264,7 +235,6 @@ impl Default for SimConfig {
             fault: None,
             parity: ParityMode::Off,
             fault_plan: None,
-            degrade: None,
         }
     }
 }
@@ -302,12 +272,6 @@ impl SimConfig {
         );
         if let Err(e) = self.predictor.check() {
             panic!("{e}");
-        }
-        if let Some(d) = self.degrade {
-            assert!(
-                d.parity_limit >= 1,
-                "degrade parity_limit must be at least 1"
-            );
         }
     }
 }
@@ -442,27 +406,6 @@ mod tests {
                 entries: 100,
                 ways: 4,
             },
-            ..SimConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn degrade_defaults_to_one_strike() {
-        assert_eq!(DegradePolicy::default().parity_limit, 1);
-        assert_eq!(SimConfig::default().degrade, None);
-        SimConfig {
-            degrade: Some(DegradePolicy::default()),
-            ..SimConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "parity_limit")]
-    fn validate_rejects_zero_degrade_limit() {
-        SimConfig {
-            degrade: Some(DegradePolicy { parity_limit: 0 }),
             ..SimConfig::default()
         }
         .validate();

@@ -78,18 +78,6 @@ pub struct DecodedCache {
     /// at its fill port — the entry is dropped before it reaches the
     /// array, but it is the same detect-and-discard event.
     pub parity_invalidates: u64,
-    /// Parity detections per slot, feeding the degrade policy.
-    slot_parity_hits: Vec<u32>,
-    /// Slots taken out of service by the degrade policy. A disabled
-    /// slot's traffic remaps onto its partner (index with the low bit
-    /// flipped), so the machine keeps running — with more conflict
-    /// misses — instead of re-filling a faulty slot forever.
-    disabled: Vec<bool>,
-    /// Parity hits on one slot before it is disabled; `None` never
-    /// degrades.
-    degrade_limit: Option<u32>,
-    /// Slots disabled since the engine last drained the queue.
-    pending_degraded: Vec<u32>,
 }
 
 impl DecodedCache {
@@ -121,10 +109,6 @@ impl DecodedCache {
             refills: 0,
             evictions: 0,
             parity_invalidates: 0,
-            slot_parity_hits: vec![0; entries],
-            disabled: vec![false; entries],
-            degrade_limit: None,
-            pending_degraded: Vec::new(),
         }
     }
 
@@ -142,24 +126,6 @@ impl DecodedCache {
         self.parity = parity;
     }
 
-    /// Arm (or disarm) the degrade policy: a slot accumulating `limit`
-    /// parity detections is taken out of service and its traffic
-    /// remapped onto the partner slot.
-    pub fn set_degrade(&mut self, limit: Option<u32>) {
-        self.degrade_limit = limit;
-    }
-
-    /// Drain one pending slot-disablement (for the engine to turn into
-    /// a `Degrade` event + stat); `None` when nothing new degraded.
-    pub fn take_degraded(&mut self) -> Option<u32> {
-        self.pending_degraded.pop()
-    }
-
-    /// Slots currently out of service under the degrade policy.
-    pub fn degraded_slots(&self) -> u64 {
-        self.disabled.iter().filter(|&&d| d).count() as u64
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -171,17 +137,7 @@ impl DecodedCache {
     }
 
     fn index(&self, pc: u32) -> usize {
-        let idx = ((pc >> 1) & self.mask) as usize;
-        if self.disabled[idx] {
-            // Remap onto the partner slot (low index bit flipped). When
-            // the partner is also disabled — or the cache has a single
-            // slot — keep the home index; it simply never hits.
-            let partner = (idx ^ 1) & self.mask as usize;
-            if !self.disabled[partner] {
-                return partner;
-            }
-        }
-        idx
+        ((pc >> 1) & self.mask) as usize
     }
 
     /// The slot index `pc` maps to (exposed for fault planning: a
@@ -218,13 +174,6 @@ impl DecodedCache {
         if parity_failed {
             self.entries[idx] = None;
             self.parity_invalidates += 1;
-            self.slot_parity_hits[idx] += 1;
-            if let Some(limit) = self.degrade_limit {
-                if self.slot_parity_hits[idx] >= limit && !self.disabled[idx] {
-                    self.disabled[idx] = true;
-                    self.pending_degraded.push(idx as u32);
-                }
-            }
             return CacheLookup::ParityError;
         }
         match &self.entries[idx] {
@@ -300,18 +249,14 @@ impl DecodedCache {
     }
 
     /// Whether this cache and `other`, a fault-free run's cache, behave
-    /// the same from here on: the same resident entries, the same parity
-    /// words where this cache checks them, and the same degrade
-    /// bookkeeping. A fault-free run never fails a check, so its own
-    /// mode does not matter, and a cache that does not check parity
-    /// never reads its words. The fill and eviction counters are left
-    /// out; they never steer a lookup.
+    /// the same from here on: the same resident entries, and the same
+    /// parity words where this cache checks them. A fault-free run never
+    /// fails a check, so its own mode does not matter, and a cache that
+    /// does not check parity never reads its words. The fill, eviction
+    /// and invalidate counters are left out; they never steer a lookup.
     pub(crate) fn same_future(&self, other: &DecodedCache) -> bool {
         let checked = self.parity == ParityMode::DetectInvalidate;
-        self.disabled == other.disabled
-            && self.slot_parity_hits == other.slot_parity_hits
-            && self.pending_degraded == other.pending_degraded
-            && self.entries.len() == other.entries.len()
+        self.entries.len() == other.entries.len()
             && self
                 .entries
                 .iter()

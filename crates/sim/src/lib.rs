@@ -66,7 +66,7 @@ pub mod threaded;
 mod trace;
 
 pub use accounting::{BubbleCause, CycleAccounts};
-pub use config::{DegradePolicy, FaultInjection, HwPredictor, SimConfig};
+pub use config::{FaultInjection, HwPredictor, SimConfig};
 pub use diff::{
     diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CommitRecord,
     DiffReference, Divergence, DivergenceKind, LockstepBuffers, LockstepOutcome, PrefixCheck,
@@ -79,7 +79,7 @@ pub use machine::{Machine, MachinePool, Step};
 pub use mem::Memory;
 pub use observe::{
     mispredict_cycles, render_timeline, write_chrome_trace, write_jsonl, write_trace_footer,
-    DegradeUnit, EventRing, NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter,
+    EventRing, NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter,
 };
 pub use pdu::Pdu;
 pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, RunEnd, StageView};

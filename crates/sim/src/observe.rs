@@ -41,7 +41,6 @@
 //! | `cache_evictions`        | `CacheFill { evicted: Some(_), .. }`    |
 //! | `faults_injected`        | `FaultInject`                           |
 //! | `parity_invalidates`     | `ParityError`                           |
-//! | `degraded_ways`          | `Degrade`                               |
 //!
 //! `Commit` events sit outside the counter table: they carry the
 //! architectural state at the shared commit point and back the
@@ -69,24 +68,6 @@ impl StallKind {
         match self {
             StallKind::Miss => "miss",
             StallKind::Indirect => "indirect",
-        }
-    }
-}
-
-/// Which front-end structure the degrade policy took a unit out of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeUnit {
-    /// A decoded-cache slot (traffic remaps onto the partner slot).
-    Cache,
-    /// A BTB way (the set associativity shrinks by one).
-    Btb,
-}
-
-impl DegradeUnit {
-    fn name(self) -> &'static str {
-        match self {
-            DegradeUnit::Cache => "cache",
-            DegradeUnit::Btb => "btb",
         }
     }
 }
@@ -254,17 +235,6 @@ pub enum PipeEvent {
         /// The invalidated cache slot.
         slot: u32,
     },
-    /// The degrade policy ([`crate::SimConfig::degrade`]) took a unit
-    /// out of service after repeated parity detections: the machine
-    /// keeps running — slower — on the surviving capacity.
-    Degrade {
-        /// Cycle of the disablement.
-        cycle: u64,
-        /// Which structure lost capacity.
-        unit: DegradeUnit,
-        /// The disabled cache slot or BTB way position.
-        way: u32,
-    },
     /// `halt` retired; the run is over.
     Halt {
         /// Cycle of the halt.
@@ -323,7 +293,6 @@ impl PipeEvent {
             | PipeEvent::StallEnd { cycle, .. }
             | PipeEvent::FaultInject { cycle, .. }
             | PipeEvent::ParityError { cycle, .. }
-            | PipeEvent::Degrade { cycle, .. }
             | PipeEvent::Halt { cycle }
             | PipeEvent::Commit { cycle, .. } => cycle,
         }
@@ -545,11 +514,6 @@ impl PipeEvent {
             PipeEvent::ParityError { cycle, pc, slot } => write!(
                 s,
                 r#"{{"ev":"parity_error","cycle":{cycle},"pc":{pc},"slot":{slot}}}"#
-            ),
-            PipeEvent::Degrade { cycle, unit, way } => write!(
-                s,
-                r#"{{"ev":"degrade","cycle":{cycle},"unit":"{}","way":{way}}}"#,
-                unit.name()
             ),
             PipeEvent::Halt { cycle } => write!(s, r#"{{"ev":"halt","cycle":{cycle}}}"#),
             PipeEvent::Commit {
@@ -974,11 +938,6 @@ mod tests {
                 pc: 2,
                 slot: 1,
             },
-            PipeEvent::Degrade {
-                cycle: 10,
-                unit: DegradeUnit::Btb,
-                way: 3,
-            },
             PipeEvent::Commit {
                 cycle: 7,
                 pc: 0,
@@ -1018,7 +977,7 @@ mod tests {
         let events = sample_events();
         let variants: std::collections::HashSet<_> =
             events.iter().map(std::mem::discriminant).collect();
-        assert_eq!(variants.len(), 18, "sample_events covers every variant");
+        assert_eq!(variants.len(), 17, "sample_events covers every variant");
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &events).unwrap();
         write_trace_footer(
@@ -1050,11 +1009,10 @@ mod tests {
             r#"{"ev":"stall_end","cycle":9,"kind":"indirect"}"#,
             r#"{"ev":"fault_inject","cycle":9,"slot":1,"pc":2}"#,
             r#"{"ev":"parity_error","cycle":9,"pc":2,"slot":1}"#,
-            r#"{"ev":"degrade","cycle":10,"unit":"btb","way":3}"#,
             r#"{"ev":"commit","cycle":7,"pc":0,"next_pc":12,"branch_pc":2,"folded":true,"taken":true,"accum":-5,"sp":262140,"flag":true,"mw_addr":65536,"mw_val":-42,"halted":false}"#,
             r#"{"ev":"commit","cycle":10,"pc":12,"next_pc":12,"branch_pc":null,"folded":false,"taken":null,"accum":0,"sp":262144,"flag":false,"mw_addr":null,"mw_val":null,"halted":true}"#,
             r#"{"ev":"halt","cycle":10}"#,
-            r#"{"ev":"trace_footer","events":23,"dropped":7}"#,
+            r#"{"ev":"trace_footer","events":22,"dropped":7}"#,
         ];
         assert_eq!(text.lines().collect::<Vec<_>>(), want);
     }

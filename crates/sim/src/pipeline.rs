@@ -28,7 +28,7 @@ use crisp_isa::{Decoded, FoldClass, NextPc};
 use crate::accounting::{BubbleCause, CycleAccounts};
 use crate::config::FaultInjection;
 use crate::geometry::{PipelineGeometry, StageHistogram, MAX_DEPTH, MIN_DEPTH};
-use crate::observe::{DegradeUnit, NullObserver, PipeEvent, PipeObserver, StallKind};
+use crate::observe::{NullObserver, PipeEvent, PipeObserver, StallKind};
 use std::sync::Arc;
 
 use crate::predecode::PredecodedImage;
@@ -275,9 +275,8 @@ impl<O: PipeObserver> CycleSim<O> {
                 ..CycleStats::default()
             },
         };
-        sim.cache.set_degrade(cfg.degrade.map(|d| d.parity_limit));
         if let Some(p) = &mut sim.predictor {
-            p.protect(cfg.parity, cfg.degrade);
+            p.protect(cfg.parity);
         }
         sim.pdu.demand(entry);
         sim
@@ -407,7 +406,7 @@ impl<O: PipeObserver> CycleSim<O> {
         };
         fork.cache.set_parity_mode(parity);
         if let Some(p) = &mut fork.predictor {
-            p.protect(parity, fork.cfg.degrade);
+            p.protect(parity);
         }
         fork
     }
@@ -447,11 +446,10 @@ impl<O: PipeObserver> CycleSim<O> {
     /// counts. The state compared is the micro-architectural state that
     /// decides behaviour: the front end's live latches (see
     /// `PipeFront::same_future`), the PDU with its ready cycles relative
-    /// to each run's clock, the decoded cache with its degrade state and
-    /// the parity words this run checks, the predictor tables, and the
-    /// retired instruction count the `max_insns` watchdog reads. Pure
-    /// counters (fill and eviction counts, [`CycleStats`]) are left
-    /// out.
+    /// to each run's clock, the decoded cache with the parity words this
+    /// run checks, the predictor tables, and the retired instruction
+    /// count the `max_insns` watchdog reads. Pure counters (fill and
+    /// eviction counts, [`CycleStats`]) are left out.
     ///
     /// The machines are not compared: the caller has checked that both
     /// runs' commit cursors match the same reference prefix, and a
@@ -1103,17 +1101,12 @@ impl PipeFront {
                     // replay of the retired branch stream (see
                     // `crate::predictor`).
                     let branch_pc = d.branch_pc.unwrap_or(d.pc);
-                    // A fully-degraded table (every way disabled by the
-                    // degrade policy) answers nothing useful; the engine
-                    // falls back to the compiler's static bit, exactly
-                    // as if no hardware predictor were fitted.
-                    let live_predictor = lane.predictor.as_ref().filter(|p| !p.fully_degraded());
-                    let (guess, guess_miss) = match live_predictor {
+                    let (guess, guess_miss) = match lane.predictor.as_ref() {
                         None => (predict_taken, false),
                         Some(p) => p.guess(branch_pc),
                     };
                     slot.guess_miss = guess_miss;
-                    if O::PIPELINE && live_predictor.is_some() {
+                    if O::PIPELINE && lane.predictor.is_some() {
                         lane.obs.event(PipeEvent::Predict {
                             cycle: cyc,
                             branch_pc,
@@ -1219,35 +1212,6 @@ impl PipeFront {
             lane.stats.parity_invalidates = lane.cache.parity_invalidates;
         }
 
-        // ---- 6. Degrade-policy drain. ---- Gated on the config so the
-        // common (no-degrade) run pays one branch per cycle. Units
-        // disabled this cycle — cache slots at the fetch-port parity
-        // check, BTB ways at the train-port scrub — become events and a
-        // stat here.
-        if lane.cfg.degrade.is_some() {
-            while let Some(way) = lane.cache.take_degraded() {
-                lane.stats.degraded_ways += 1;
-                if O::PIPELINE {
-                    lane.obs.event(PipeEvent::Degrade {
-                        cycle: cyc,
-                        unit: DegradeUnit::Cache,
-                        way,
-                    });
-                }
-            }
-            if let Some(p) = lane.predictor.as_mut() {
-                while let Some(way) = p.take_degraded() {
-                    lane.stats.degraded_ways += 1;
-                    if O::PIPELINE {
-                        lane.obs.event(PipeEvent::Degrade {
-                            cycle: cyc,
-                            unit: DegradeUnit::Btb,
-                            way,
-                        });
-                    }
-                }
-            }
-        }
         if let Some(p) = lane.predictor.as_ref() {
             lane.stats.parity_scrubs = p.parity_scrubs();
         }

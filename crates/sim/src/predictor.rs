@@ -38,7 +38,7 @@
 //! trace-driven score can also charge a taken branch whose stored
 //! target is stale.
 
-use crate::config::{DegradePolicy, HwPredictor};
+use crate::config::HwPredictor;
 use crate::soft_error::{FaultField, Layout, ParityMode, BTB_COUNTER, BTB_TAG};
 
 /// A per-branch direction predictor consulted before each conditional
@@ -183,16 +183,6 @@ pub struct BtbTable {
     /// guess is architecturally safe, so the read port needs no parity
     /// tree — exactly the cheap-hardware argument the paper makes.
     protected: bool,
-    /// Parity detections per way position, feeding the degrade policy.
-    way_parity_hits: Vec<u32>,
-    /// Ways taken out of service by the degrade policy.
-    ways_disabled: usize,
-    /// Parity hits on one way before it is disabled; `None` never
-    /// degrades.
-    degrade_limit: Option<u32>,
-    /// Ways disabled since the engine last drained the queue
-    /// (preallocated to `ways`; see [`BtbTable::take_degraded`]).
-    pending_degraded: Vec<u32>,
     /// Total parity-mismatched entries scrubbed from the table. Kept
     /// separate from the cache's `parity_invalidates`: a scrub drops
     /// hint state without a refill, so it is not an invalidate event.
@@ -217,70 +207,27 @@ impl BtbTable {
             sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             clock: 0,
             protected: false,
-            way_parity_hits: vec![0; ways],
-            ways_disabled: 0,
-            degrade_limit: None,
-            pending_degraded: Vec::with_capacity(ways),
             parity_scrubs: 0,
         }
     }
 
-    /// Enable the train-port parity scrub and (optionally) the degrade
-    /// policy: a way accumulating `degrade_limit` parity hits is taken
-    /// out of service, shrinking the table's associativity.
-    pub fn protect(&mut self, parity: bool, degrade_limit: Option<u32>) {
+    /// Enable (or disable) the train-port parity scrub.
+    pub fn protect(&mut self, parity: bool) {
         self.protected = parity;
-        self.degrade_limit = degrade_limit;
-    }
-
-    /// Ways still in service.
-    fn live_ways(&self) -> usize {
-        self.ways - self.ways_disabled
-    }
-
-    /// Whether every way has been disabled: the table can no longer
-    /// hold entries, so every guess is the miss default and the engine
-    /// should fall back to the static prediction bit.
-    pub fn fully_degraded(&self) -> bool {
-        self.ways_disabled == self.ways
-    }
-
-    /// Drain one pending way-disablement (for the engine to turn into
-    /// a `Degrade` event + stat); `None` when nothing new degraded.
-    pub fn take_degraded(&mut self) -> Option<u32> {
-        self.pending_degraded.pop()
     }
 
     /// Scrub one set through the train-port parity check: every entry
     /// whose stored parity disagrees with its content is dropped (the
     /// BTB is a hint structure — scrubbing costs prediction accuracy,
-    /// never correctness), and repeated hits on one way position can
-    /// disable that way under the degrade policy.
+    /// never correctness).
     fn scrub(&mut self, idx: usize) {
         if !self.protected {
             return;
         }
-        loop {
-            let set = &mut self.sets[idx];
-            let bad = set
-                .iter()
-                .position(|e| e.parity != slot_parity(e.pc, e.counter));
-            let Some(p) = bad else { break };
-            set.remove(p);
-            self.parity_scrubs += 1;
-            let way = p.min(self.ways - 1);
-            self.way_parity_hits[way] += 1;
-            if let Some(limit) = self.degrade_limit {
-                if self.way_parity_hits[way] >= limit && self.ways_disabled < self.ways {
-                    self.ways_disabled += 1;
-                    self.pending_degraded.push(way as u32);
-                    let live = self.live_ways();
-                    for s in &mut self.sets {
-                        s.truncate(live);
-                    }
-                }
-            }
-        }
+        let set = &mut self.sets[idx];
+        let before = set.len();
+        set.retain(|e| e.parity == slot_parity(e.pc, e.counter));
+        self.parity_scrubs += (before - set.len()) as u64;
     }
 
     /// Flip one bit of a resident entry (transient-fault injection).
@@ -338,23 +285,9 @@ impl BtbTable {
             sets,
             clock,
             protected: _,
-            way_parity_hits,
-            ways_disabled,
-            degrade_limit,
-            pending_degraded,
             parity_scrubs: _,
         } = self;
-        (*mask, *ways, *clock, *ways_disabled, *degrade_limit)
-            == (
-                other.mask,
-                other.ways,
-                other.clock,
-                other.ways_disabled,
-                other.degrade_limit,
-            )
-            && *way_parity_hits == other.way_parity_hits
-            && *pending_degraded == other.pending_degraded
-            && *sets == other.sets
+        (*mask, *ways, *clock) == (other.mask, other.ways, other.clock) && *sets == other.sets
     }
 
     /// Read-only prediction: `(direction, table_miss)`. A hit predicts
@@ -377,7 +310,7 @@ impl BtbTable {
         let idx = self.set_index(pc);
         self.scrub(idx);
         let clock = self.clock;
-        let live = self.live_ways();
+        let ways = self.ways;
         let set = &mut self.sets[idx];
         match set.iter_mut().find(|e| e.pc == pc) {
             Some(e) => {
@@ -389,7 +322,7 @@ impl BtbTable {
                 e.used = clock;
                 e.parity = slot_parity(e.pc, e.counter);
             }
-            None if taken && live > 0 => {
+            None if taken => {
                 // Allocate on taken branches only (a BTB of fall-through
                 // branches would be useless), born weakly taken.
                 let entry = BtbSlot {
@@ -398,13 +331,13 @@ impl BtbTable {
                     used: clock,
                     parity: slot_parity(pc, 2),
                 };
-                if set.len() < live {
+                if set.len() < ways {
                     set.push(entry);
                 } else {
                     let lru = set
                         .iter_mut()
                         .min_by_key(|e| e.used)
-                        .expect("live > 0 guarantees an entry at capacity");
+                        .expect("ways >= 1 guarantees an entry at capacity");
                     *lru = entry;
                 }
             }
@@ -566,16 +499,12 @@ impl HwPredictorState {
     }
 
     /// Arm the table's protection: BTB train-port parity scrub under
-    /// [`ParityMode::DetectInvalidate`], plus the way-disable degrade
-    /// policy when one is configured. Counter tables and the jump trace
-    /// carry no parity (a flipped entry is a legal — if wrong —
+    /// [`ParityMode::DetectInvalidate`]. Counter tables and the jump
+    /// trace carry no parity (a flipped entry is a legal — if wrong —
     /// history), so protection is a no-op for them.
-    pub fn protect(&mut self, parity: ParityMode, degrade: Option<DegradePolicy>) {
+    pub fn protect(&mut self, parity: ParityMode) {
         if let HwPredictorState::Btb(t) = self {
-            t.protect(
-                parity == ParityMode::DetectInvalidate,
-                degrade.map(|d| d.parity_limit),
-            );
+            t.protect(parity == ParityMode::DetectInvalidate);
         }
     }
 
@@ -600,24 +529,6 @@ impl HwPredictorState {
             (HwPredictorState::Btb(t), Layout::BtbSlot) => t.corrupt(slot, field),
             (HwPredictorState::JumpTrace(t), Layout::JumpTrace) => t.corrupt(slot, field.bit),
             _ => None,
-        }
-    }
-
-    /// Drain one pending way-disablement from the degrade policy;
-    /// `None` when nothing new degraded (or the table has no ways).
-    pub fn take_degraded(&mut self) -> Option<u32> {
-        match self {
-            HwPredictorState::Btb(t) => t.take_degraded(),
-            _ => None,
-        }
-    }
-
-    /// Whether the degrade policy has taken every way out of service —
-    /// the engine should fall back to the static prediction bit.
-    pub fn fully_degraded(&self) -> bool {
-        match self {
-            HwPredictorState::Btb(t) => t.fully_degraded(),
-            _ => false,
         }
     }
 
@@ -710,13 +621,13 @@ mod tests {
     #[test]
     fn btb_same_future_ignores_protection() {
         let mut golden = BtbTable::new(8, 2);
-        golden.protect(true, Some(1));
+        golden.protect(true);
         golden.train(0x10, true);
         golden.train(0x24, true);
         // A fork switched off parity: its scrub no longer runs, but the
         // golden's entries carry good parity, so it would drop nothing.
         let mut forked = golden.clone();
-        forked.protect(false, Some(1));
+        forked.protect(false);
         assert!(forked.same_future(&golden));
         forked.train(0x10, false);
         assert!(!forked.same_future(&golden), "entries still compare");

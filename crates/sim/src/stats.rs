@@ -252,13 +252,14 @@ pub mod resolve_stage {
 /// shadow over the same retired branch stream, giving the
 /// per-predictor mispredict split), and the `btb_miss` bucket inside
 /// `accounts`; version 5 adds `parity_scrubs` (corrupted BTB entries
-/// dropped at the train port) and `degraded_ways` (cache slots / BTB
-/// ways taken out of service by [`crate::DegradePolicy`]); version 6
-/// extends the functional-run object ([`RunStats::to_json`], which now
-/// also announces the version) with the threaded-tier counters
+/// dropped at the train port) and a count of front-end units taken out
+/// of service by a graceful-degradation policy; version 6 extends the
+/// functional-run object ([`RunStats::to_json`], which now also
+/// announces the version) with the threaded-tier counters
 /// `blocks_translated`, `superinstr_dispatches` and `deopt_falls` (see
-/// [`crate::ThreadedSim`]).
-pub const STATS_SCHEMA_VERSION: u32 = 6;
+/// [`crate::ThreadedSim`]); version 7 drops the degradation count with
+/// the policy.
+pub const STATS_SCHEMA_VERSION: u32 = 7;
 
 /// Counters produced by the cycle engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -308,10 +309,6 @@ pub struct CycleStats {
     /// (see [`crate::BtbTable::parity_scrubs`]). Separate from
     /// `parity_invalidates`: a scrub drops hint state without a refill.
     pub parity_scrubs: u64,
-    /// Cache slots and BTB ways taken out of service by the degrade
-    /// policy ([`crate::DegradePolicy`]); each one also produced a
-    /// [`crate::PipeEvent::Degrade`] event.
-    pub degraded_ways: u64,
     /// Whether the run ended on a watchdog limit rather than `halt`
     /// (see [`crate::HaltReason`]).
     pub watchdog: bool,
@@ -370,7 +367,7 @@ impl CycleStats {
                 r#""miss_stall_cycles":{},"indirect_stall_cycles":{},"pdu_decodes":{},"#,
                 r#""cache_inserts":{},"cache_refills":{},"cache_evictions":{},"#,
                 r#""parity_invalidates":{},"faults_injected":{},"#,
-                r#""parity_scrubs":{},"degraded_ways":{},"watchdog":{},"#,
+                r#""parity_scrubs":{},"watchdog":{},"#,
                 r#""predicted_by":"{}","static_bit_mispredicts":{},"#,
                 r#""accounts":{},"dropped_events":{},"#,
                 r#""cycles_per_issued":{:.6},"apparent_cpi":{:.6}}}"#
@@ -395,7 +392,6 @@ impl CycleStats {
             self.parity_invalidates,
             self.faults_injected,
             self.parity_scrubs,
-            self.degraded_ways,
             self.watchdog,
             self.predicted_by,
             self.static_bit_mispredicts,
@@ -497,12 +493,8 @@ impl fmt::Display for CycleStats {
             "soft errors          : {} injected / {} parity invalidates",
             self.faults_injected, self.parity_invalidates
         )?;
-        if self.parity_scrubs > 0 || self.degraded_ways > 0 {
-            writeln!(
-                f,
-                "degradation          : {} BTB scrubs / {} ways disabled",
-                self.parity_scrubs, self.degraded_ways
-            )?;
+        if self.parity_scrubs > 0 {
+            writeln!(f, "BTB parity scrubs    : {}", self.parity_scrubs)?;
         }
         if self.watchdog {
             writeln!(f, "watchdog             : expired before halt")?;
@@ -685,27 +677,20 @@ mod tests {
         );
         assert!(json.contains(r#""apparent_cpi":0.833333"#), "{json}");
         assert!(
-            json.contains(r#""parity_scrubs":0,"degraded_ways":0"#),
+            json.contains(r#""parity_scrubs":0,"watchdog":false"#),
             "{json}"
         );
         assert!(json.starts_with('{') && json.ends_with('}'));
-        // Degradation counters appear in the report only when nonzero.
-        assert!(!text.contains("degradation"), "{text}");
-        let degraded = CycleStats {
+        // The scrub counter appears in the report only when nonzero.
+        assert!(!text.contains("BTB parity scrubs"), "{text}");
+        let scrubbed = CycleStats {
             parity_scrubs: 4,
-            degraded_ways: 2,
             ..CycleStats::default()
         };
-        let dtext = degraded.to_string();
-        assert!(
-            dtext.contains("degradation          : 4 BTB scrubs / 2 ways disabled"),
-            "{dtext}"
-        );
-        let djson = degraded.to_json();
-        assert!(
-            djson.contains(r#""parity_scrubs":4,"degraded_ways":2"#),
-            "{djson}"
-        );
+        let stext = scrubbed.to_string();
+        assert!(stext.contains("BTB parity scrubs    : 4\n"), "{stext}");
+        let sjson = scrubbed.to_json();
+        assert!(sjson.contains(r#""parity_scrubs":4,"#), "{sjson}");
     }
 
     #[test]

@@ -42,8 +42,8 @@ fn strip_field(json: &str, key: &str) -> String {
 /// Strip the fields added after the vectors were generated —
 /// `schema_version` (v2), the `accounts`/`dropped_events` pair (v3),
 /// the `predicted_by`/`static_bit_mispredicts` predictor split (v4),
-/// the `parity_scrubs`/`degraded_ways` degradation counters (v5) and
-/// the `blocks_translated`/`superinstr_dispatches`/`deopt_falls`
+/// the `parity_scrubs` counter (v5) and the
+/// `blocks_translated`/`superinstr_dispatches`/`deopt_falls`
 /// threaded-tier counters (v6). They deliberately sit outside the
 /// frozen surface: additive observability, not architectural behaviour
 /// (and the accounting's own invariants are enforced by
@@ -56,7 +56,6 @@ fn normalize_stats(json: &str) -> String {
         "predicted_by",
         "static_bit_mispredicts",
         "parity_scrubs",
-        "degraded_ways",
         "blocks_translated",
         "superinstr_dispatches",
         "deopt_falls",

@@ -26,9 +26,8 @@ use crisp::cc::{compile_crisp, CompileOptions};
 use crisp::isa::FoldPolicy;
 use crisp::sim::{
     nth_field, nth_pdu_field, nth_predictor_field, predictor_fault_space, sweep_configs, CommitLog,
-    CycleSim, DegradePolicy, EventRing, FaultPlan, FaultTarget, FunctionalSim, HwPredictor,
-    Machine, ParityMode, PipeEvent, PipeObserver, PipelineGeometry, SimConfig, FAULT_SPACE,
-    PDU_FAULT_SPACE,
+    CycleSim, EventRing, FaultPlan, FaultTarget, FunctionalSim, HwPredictor, Machine, ParityMode,
+    PipeEvent, PipeObserver, PipelineGeometry, SimConfig, FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use crisp::workloads::figure3_with_count;
 use proptest::prelude::*;
@@ -68,14 +67,13 @@ fn kind(ev: &PipeEvent) -> &'static str {
         PipeEvent::StallEnd { .. } => "StallEnd",
         PipeEvent::FaultInject { .. } => "FaultInject",
         PipeEvent::ParityError { .. } => "ParityError",
-        PipeEvent::Degrade { .. } => "Degrade",
         PipeEvent::Halt { .. } => "Halt",
         PipeEvent::Commit { .. } => "Commit",
     }
 }
 
 /// Every event variant, for the census.
-const ALL_KINDS: [&str; 18] = [
+const ALL_KINDS: [&str; 17] = [
     "FetchHit",
     "FetchMiss",
     "Decode",
@@ -91,7 +89,6 @@ const ALL_KINDS: [&str; 18] = [
     "StallEnd",
     "FaultInject",
     "ParityError",
-    "Degrade",
     "Halt",
     "Commit",
 ];
@@ -115,8 +112,7 @@ fn corpus() -> Vec<Image> {
     out
 }
 
-/// Parity-protected, one-strike-degrade fault plans on every faultable
-/// structure, one parity-off cache strike, and a deep pipe — on top of
+/// Parity-protected fault plans on every faultable structure, one parity-off cache strike, and a deep pipe — on top of
 /// the differential sweep.
 fn configs() -> Vec<SimConfig> {
     let btb = HwPredictor::Btb {
@@ -129,7 +125,6 @@ fn configs() -> Vec<SimConfig> {
         let protected = SimConfig {
             predictor: btb,
             parity: ParityMode::DetectInvalidate,
-            degrade: Some(DegradePolicy { parity_limit: 1 }),
             icache_entries: 8,
             max_cycles: 100_000,
             ..SimConfig::default()

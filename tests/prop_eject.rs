@@ -52,9 +52,9 @@ use crisp::isa::FoldPolicy;
 use crisp::sim::{
     classify_batch, diff_reference, fault_reference, nth_field, nth_pdu_field, nth_predictor_field,
     predictor_fault_space, run_lockstep, run_lockstep_batched, sweep_configs, CommitLog, CycleSim,
-    DegradePolicy, DivergenceKind, FaultInjection, FaultOutcome, FaultPlan, FaultTarget,
-    FunctionalSim, HwPredictor, LockstepBuffers, LockstepOutcome, Machine, MachinePool, ParityMode,
-    RunEnd, SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
+    DivergenceKind, FaultInjection, FaultOutcome, FaultPlan, FaultTarget, FunctionalSim,
+    HwPredictor, LockstepBuffers, LockstepOutcome, Machine, MachinePool, ParityMode, RunEnd,
+    SimConfig, SimError, FAULT_SPACE, PDU_FAULT_SPACE,
 };
 use crisp_bench::classify_full_run;
 use proptest::prelude::*;
@@ -217,24 +217,22 @@ proptest! {
     /// Claim 1's premise: a fault-free run never fails a parity check,
     /// so it is one run under `Off` and `DetectInvalidate`, the same
     /// commit records on the same cycles, the same end and final
-    /// machine, and the same `CycleStats`, on every sweep configuration
-    /// with the degrade policy off and on. `classify_batch` runs one
-    /// protected golden for both phases' forks on the strength of it.
+    /// machine, and the same `CycleStats`, on every sweep configuration.
+    /// `classify_batch` runs one protected golden for both phases'
+    /// forks on the strength of it.
     #[test]
     fn fault_free_runs_ignore_the_parity_mode(seed in 0u64..5000, blocks in 2usize..10) {
         let image = GenProgram::generate(seed, blocks).image().unwrap();
         for cfg in sweep_configs() {
-            for degrade in [None, Some(DegradePolicy::default())] {
-                let [off, on] = [ParityMode::Off, ParityMode::DetectInvalidate].map(|parity| {
-                    let cfg = SimConfig { parity, degrade, max_cycles: ROOMY_BUDGET, ..cfg };
-                    let mut sim =
-                        CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, CommitLog::default());
-                    let end = sim.run_until(|_| false);
-                    let log = sim.observer().clone();
-                    (end, log.records, log.cycles, sim.stats.clone(), sim.into_machine())
-                });
-                prop_assert_eq!(off, on, "seed {} under {:?} degrade {:?}", seed, cfg, degrade);
-            }
+            let [off, on] = [ParityMode::Off, ParityMode::DetectInvalidate].map(|parity| {
+                let cfg = SimConfig { parity, max_cycles: ROOMY_BUDGET, ..cfg };
+                let mut sim =
+                    CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, CommitLog::default());
+                let end = sim.run_until(|_| false);
+                let log = sim.observer().clone();
+                (end, log.records, log.cycles, sim.stats.clone(), sim.into_machine())
+            });
+            prop_assert_eq!(off, on, "seed {} under {:?}", seed, cfg);
         }
     }
 

@@ -1,5 +1,5 @@
-//! Architectural safety of predictor-state faults, plus graceful
-//! degradation of parity-protected front-end ways.
+//! Architectural safety of predictor-state faults, plus parity
+//! recovery of struck front-end entries.
 //!
 //! The predictor contract says a prediction — right or wrong — only
 //! ever costs cycles: the Next-PC guess is checked at resolve and a
@@ -13,18 +13,18 @@
 //! commit stream stays bit-identical to the fault-free functional
 //! oracle.
 //!
-//! The degradation properties pin the `DegradePolicy` path: with a
-//! one-strike policy, a detected parity error disables the struck
-//! cache slot (or BTB way), the `degraded_ways` stat goes nonzero, and
-//! the run still retires the fault-free result — a flaky bit costs
-//! performance, never correctness.
+//! The recovery tests pin the parity path on a hot loop: a detected
+//! strike on a decoded-cache slot is invalidated and redecoded, one on
+//! a BTB entry is scrubbed at the train port, and either way the run
+//! retires the fault-free result — a transient flip costs cycles,
+//! never correctness.
 
 use crisp::asm::rand_prog::GenProgram;
 use crisp::asm::{assemble, Item, Module};
 use crisp::isa::{BinOp, Cond, FoldPolicy, Instr, Operand};
 use crisp::sim::{
-    classify_fault, nth_field, nth_predictor_field, predictor_fault_space, CycleSim, DegradePolicy,
-    EventRing, FaultOutcome, FaultPlan, FaultTarget, HwPredictor, Machine, ParityMode, PipeEvent,
+    classify_fault, nth_field, nth_predictor_field, predictor_fault_space, CycleSim, EventRing,
+    FaultOutcome, FaultPlan, FaultTarget, HwPredictor, Machine, ParityMode, PipeEvent,
     PipelineGeometry, SimConfig,
 };
 use proptest::prelude::*;
@@ -112,48 +112,6 @@ proptest! {
             field, predictor, seed
         );
     }
-
-    /// Degradation composes with the invariant: a one-strike policy on
-    /// top of parity protection may disable ways mid-run, and the
-    /// commit stream still matches the oracle exactly.
-    #[test]
-    fn degraded_runs_stay_architecturally_correct(
-        seed in 0u64..5000,
-        cycle in 0u64..400,
-        slot in 0u32..32,
-        p_idx in 0usize..6,
-        site in any::<u64>(),
-        strike_predictor in any::<bool>(),
-    ) {
-        let predictor = predictors()[p_idx];
-        let (field, target) = if strike_predictor {
-            let space = predictor_fault_space(predictor);
-            (
-                nth_predictor_field(predictor, site % space).unwrap(),
-                FaultTarget::Predictor,
-            )
-        } else {
-            (
-                crisp::sim::nth_field(site),
-                FaultTarget::Cache,
-            )
-        };
-        let image = GenProgram::generate(seed, 8).image().unwrap();
-        let cfg = SimConfig {
-            predictor,
-            parity: ParityMode::DetectInvalidate,
-            degrade: Some(DegradePolicy { parity_limit: 1 }),
-            fault_plan: Some(FaultPlan { cycle, slot, field, target }),
-            max_cycles: 200_000,
-            ..SimConfig::default()
-        };
-        let outcome = classify_fault(&image, cfg).unwrap();
-        prop_assert_eq!(
-            outcome, FaultOutcome::Masked,
-            "{:?} fault {:?} escaped under a one-strike degrade policy (seed {})",
-            target, field, seed
-        );
-    }
 }
 
 /// A 50-iteration counted loop: hot decoded entries re-fetched every
@@ -185,16 +143,15 @@ fn counted_loop() -> Module {
     m
 }
 
-/// A detected cache fault under a one-strike policy disables the
-/// struck slot: `degraded_ways` goes nonzero, the `Degrade` event is
-/// emitted (and reconciles with the counter), the partner slot takes
-/// over, and the run still retires the fault-free result.
+/// A detected cache fault invalidates the struck slot: every
+/// `ParityError` event is counted in `parity_invalidates`, the PDU
+/// redecodes the entry, and the run still retires the fault-free
+/// result.
 #[test]
-fn one_strike_policy_disables_the_struck_cache_slot() {
+fn detected_cache_strike_retires_the_fault_free_result() {
     let image = assemble(&counted_loop()).unwrap();
     let base_cfg = SimConfig {
         parity: ParityMode::DetectInvalidate,
-        degrade: Some(DegradePolicy { parity_limit: 1 }),
         max_cycles: 100_000,
         ..SimConfig::default()
     };
@@ -202,9 +159,12 @@ fn one_strike_policy_disables_the_struck_cache_slot() {
         .run()
         .unwrap();
     assert!(baseline.halted);
-    assert_eq!(baseline.stats.degraded_ways, 0, "no fault, no degradation");
+    assert_eq!(
+        baseline.stats.parity_invalidates, 0,
+        "no fault, no detection"
+    );
 
-    let mut degraded_runs = 0u64;
+    let mut detected_runs = 0u64;
     for slot in 0..32u32 {
         let cfg = SimConfig {
             fault_plan: Some(FaultPlan {
@@ -218,39 +178,34 @@ fn one_strike_policy_disables_the_struck_cache_slot() {
         let sim =
             CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, EventRing::new(1 << 16));
         let (run, ring) = sim.run_observed().unwrap();
-        assert!(run.halted, "slot {slot}: degraded run must still halt");
+        assert!(run.halted, "slot {slot}: struck run must still halt");
         assert_eq!(run.machine.accum, baseline.machine.accum, "slot {slot}");
         assert_eq!(run.machine.mem, baseline.machine.mem, "slot {slot}");
 
-        let degrade_events = ring
+        let parity_events = ring
             .into_vec()
             .iter()
-            .filter(|e| matches!(e, PipeEvent::Degrade { .. }))
+            .filter(|e| matches!(e, PipeEvent::ParityError { .. }))
             .count() as u64;
-        assert_eq!(degrade_events, run.stats.degraded_ways, "slot {slot}");
-        if run.stats.parity_invalidates > 0 {
-            // One strike, one disabled slot.
-            assert_eq!(run.stats.degraded_ways, 1, "slot {slot}");
-            degraded_runs += 1;
-        } else {
-            assert_eq!(run.stats.degraded_ways, 0, "slot {slot}");
-        }
+        assert_eq!(parity_events, run.stats.parity_invalidates, "slot {slot}");
+        // One strike, at most one detection.
+        assert!(run.stats.parity_invalidates <= 1, "slot {slot}");
+        detected_runs += run.stats.parity_invalidates;
     }
     assert!(
-        degraded_runs >= 1,
-        "the hot-loop strike must disable a slot in at least one run"
+        detected_runs >= 1,
+        "the hot-loop strike must be detected in at least one run"
     );
 }
 
-/// A detected BTB parity scrub under a one-strike policy disables the
-/// struck way and the predictor keeps working (or falls back to the
-/// static bit when fully degraded) — the loop still retires the
-/// fault-free result.
+/// A detected BTB strike is scrubbed at the train port and the
+/// predictor keeps working — the loop still retires the fault-free
+/// result.
 #[test]
-fn one_strike_policy_disables_the_struck_btb_way() {
+fn scrubbed_btb_strike_retires_the_fault_free_result() {
     let image = assemble(&counted_loop()).unwrap();
     // A single-set, single-way BTB: any resident-entry strike hits the
-    // one way, and disabling it forces the static-bit fallback.
+    // one way.
     let predictor = HwPredictor::Btb {
         entries: 1,
         ways: 1,
@@ -258,7 +213,6 @@ fn one_strike_policy_disables_the_struck_btb_way() {
     let base_cfg = SimConfig {
         predictor,
         parity: ParityMode::DetectInvalidate,
-        degrade: Some(DegradePolicy { parity_limit: 1 }),
         max_cycles: 100_000,
         ..SimConfig::default()
     };
@@ -267,9 +221,8 @@ fn one_strike_policy_disables_the_struck_btb_way() {
         .unwrap();
     assert!(baseline.halted);
     assert_eq!(baseline.stats.parity_scrubs, 0);
-    assert_eq!(baseline.stats.degraded_ways, 0);
 
-    let mut degraded_runs = 0u64;
+    let mut scrubbed_runs = 0u64;
     for cycle in [40u64, 60, 80, 100, 120] {
         let cfg = SimConfig {
             fault_plan: Some(FaultPlan {
@@ -280,26 +233,18 @@ fn one_strike_policy_disables_the_struck_btb_way() {
             }),
             ..base_cfg
         };
-        let sim =
-            CycleSim::with_observer(Machine::load(&image).unwrap(), cfg, EventRing::new(1 << 16));
-        let (run, ring) = sim.run_observed().unwrap();
-        assert!(run.halted, "cycle {cycle}: degraded run must still halt");
+        let run = CycleSim::new(Machine::load(&image).unwrap(), cfg)
+            .run()
+            .unwrap();
+        assert!(run.halted, "cycle {cycle}: struck run must still halt");
         assert_eq!(run.machine.accum, baseline.machine.accum, "cycle {cycle}");
         assert_eq!(run.machine.mem, baseline.machine.mem, "cycle {cycle}");
-
-        let degrade_events = ring
-            .into_vec()
-            .iter()
-            .filter(|e| matches!(e, PipeEvent::Degrade { .. }))
-            .count() as u64;
-        assert_eq!(degrade_events, run.stats.degraded_ways, "cycle {cycle}");
-        if run.stats.parity_scrubs > 0 {
-            assert_eq!(run.stats.degraded_ways, 1, "cycle {cycle}");
-            degraded_runs += 1;
-        }
+        // One strike, at most one scrub.
+        assert!(run.stats.parity_scrubs <= 1, "cycle {cycle}");
+        scrubbed_runs += run.stats.parity_scrubs;
     }
     assert!(
-        degraded_runs >= 1,
-        "the hot-loop BTB strike must scrub and disable the way at least once"
+        scrubbed_runs >= 1,
+        "the hot-loop BTB strike must be scrubbed at least once"
     );
 }

@@ -242,10 +242,6 @@ fn tally(events: &[PipeEvent], geo: PipelineGeometry) -> Result<Tally, TestCaseE
             // Live-predictor lookups; their trace-model equivalence has
             // its own harness (tests/prop_predictor_xval.rs).
             PipeEvent::Predict { .. } => {}
-            // Way-disable under a DegradePolicy; none of the configs
-            // here set one, so this arm is exercised by the dedicated
-            // degradation tests instead.
-            PipeEvent::Degrade { .. } => {}
         }
     }
     prop_assert!(open.is_none(), "unterminated stall at end of run");
