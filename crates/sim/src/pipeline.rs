@@ -447,9 +447,10 @@ impl<O: PipeObserver> CycleSim<O> {
     /// decides behaviour: the front end's live latches (see
     /// `PipeFront::same_future`), the PDU with its ready cycles relative
     /// to each run's clock, the decoded cache with the parity words this
-    /// run checks, the predictor tables, and the retired instruction
-    /// count the `max_insns` watchdog reads. Pure counters (fill and
-    /// eviction counts, [`CycleStats`]) are left out.
+    /// run checks, the predictor tables (the BTB's up to entries no
+    /// lookup in this machine's memory can find), and the retired
+    /// instruction count the `max_insns` watchdog reads. Pure counters
+    /// (fill and eviction counts, [`CycleStats`]) are left out.
     ///
     /// The machines are not compared: the caller has checked that both
     /// runs' commit cursors match the same reference prefix, and a
@@ -478,7 +479,7 @@ impl<O: PipeObserver> CycleSim<O> {
                 .same_future(self.stats.cycles, &other.pdu, other.stats.cycles)
             && self.cache.same_future(&other.cache)
             && match (&self.predictor, &other.predictor) {
-                (Some(p), Some(q)) => p.same_future(q),
+                (Some(p), Some(q)) => p.same_future(q, self.machine.mem.size()),
                 (p, q) => p.is_none() && q.is_none(),
             }
     }

@@ -272,13 +272,24 @@ impl BtbTable {
     }
 
     /// Whether this table and `other`, a fault-free run's table, predict
-    /// and train the same from here on: every field but the
-    /// `parity_scrubs` counter and `protected`. Equal entries carry the
-    /// fault-free run's good parity bits, so the scrub drops nothing
-    /// from either table whether it runs or not. LRU stamps are
-    /// compared as they stand, so two tables that order their entries
-    /// alike but stamped them at different trains differ.
-    fn same_future(&self, other: &BtbTable) -> bool {
+    /// and train the same from here on, in a machine of `mem_size`
+    /// bytes. The geometry and the LRU clock must match, and each set
+    /// must hold the fault-free set's entries (counter, LRU stamp and
+    /// parity bit alike, in any order) plus only *dead* entries, each
+    /// older than every fault-free entry of its set. A dead entry is
+    /// one no lookup or train can find: it sits outside its address's
+    /// set (a flipped set-index bit), or its address lies at or past
+    /// the end of memory, where no decoded branch can sit (a flipped
+    /// high tag bit). An odd address is not dead, as wild control flow
+    /// can fetch one. The rule is exact by induction over `guess`,
+    /// `train` and the scrub: a dead entry is never hit; a hit stamps
+    /// the same entry with the same clock on both sides; where the
+    /// fault-free set is full the struck set holds no dead entry, and
+    /// where only the struck set is full its LRU victim is a dead
+    /// entry; a scrub only drops entries. Live entries carry the
+    /// fault-free run's good parity bits, so `protected` and the
+    /// `parity_scrubs` counter are left out.
+    fn same_future(&self, other: &BtbTable, mem_size: u32) -> bool {
         let BtbTable {
             mask,
             ways,
@@ -287,7 +298,24 @@ impl BtbTable {
             protected: _,
             parity_scrubs: _,
         } = self;
-        (*mask, *ways, *clock) == (other.mask, other.ways, other.clock) && *sets == other.sets
+        (*mask, *ways, *clock) == (other.mask, other.ways, other.clock)
+            && sets
+                .iter()
+                .zip(&other.sets)
+                .enumerate()
+                .all(|(s, (set, golden))| {
+                    let dead = |e: &&BtbSlot| self.set_index(e.pc) != s || e.pc >= mem_size;
+                    // Each golden entry is one of `set`'s live entries; a
+                    // fault-free set holds each address once, so equal
+                    // counts make the match one to one.
+                    set == golden
+                        || (golden.iter().all(|g| !dead(&g) && set.contains(g))
+                            && set.iter().filter(|e| !dead(e)).count() == golden.len()
+                            && set
+                                .iter()
+                                .filter(dead)
+                                .all(|e| golden.iter().all(|g| e.used < g.used)))
+                })
     }
 
     /// Read-only prediction: `(direction, table_miss)`. A hit predicts
@@ -533,12 +561,14 @@ impl HwPredictorState {
     }
 
     /// Whether this table and `other`, a fault-free run's table, predict
-    /// and train the same from here on (the scrub counter and the BTB's
-    /// protection aside; see `BtbTable::same_future`).
-    pub(crate) fn same_future(&self, other: &HwPredictorState) -> bool {
+    /// and train the same from here on, in a machine of `mem_size`
+    /// bytes: the counter and jump-trace tables bit for bit, the BTB up
+    /// to dead entries, its scrub counter and its protection (see
+    /// `BtbTable::same_future`).
+    pub(crate) fn same_future(&self, other: &HwPredictorState, mem_size: u32) -> bool {
         match (self, other) {
             (HwPredictorState::Counters(a), HwPredictorState::Counters(b)) => a == b,
-            (HwPredictorState::Btb(a), HwPredictorState::Btb(b)) => a.same_future(b),
+            (HwPredictorState::Btb(a), HwPredictorState::Btb(b)) => a.same_future(b, mem_size),
             (HwPredictorState::JumpTrace(a), HwPredictorState::JumpTrace(b)) => a == b,
             _ => false,
         }
@@ -574,6 +604,7 @@ impl Predictor for HwPredictorState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_table_learns_and_saturates() {
@@ -628,9 +659,150 @@ mod tests {
         // golden's entries carry good parity, so it would drop nothing.
         let mut forked = golden.clone();
         forked.protect(false);
-        assert!(forked.same_future(&golden));
+        assert!(forked.same_future(&golden, MEM));
         forked.train(0x10, false);
-        assert!(!forked.same_future(&golden), "entries still compare");
+        assert!(!forked.same_future(&golden, MEM), "entries still compare");
+    }
+
+    /// The memory size the `same_future` tests run in.
+    const MEM: u32 = 0x1000;
+
+    /// An 8 × 4 fault-free table holding 0x10 (stamp 1) and 0x30
+    /// (stamp 2) in set 0, and a copy of it whose entry for `pc` has
+    /// tag bit `bit` flipped, as a strike leaves it.
+    fn struck_pair(pc: u32, bit: u8) -> (BtbTable, BtbTable) {
+        let mut golden = BtbTable::new(8, 4);
+        golden.train(0x10, true);
+        golden.train(0x30, true);
+        let mut struck = golden.clone();
+        let e = struck.sets[0].iter_mut().find(|e| e.pc == pc).unwrap();
+        e.pc ^= 1 << bit;
+        (golden, struck)
+    }
+
+    /// Trains both tables with the same outcome.
+    fn train_both(a: &mut BtbTable, b: &mut BtbTable, pc: u32, taken: bool) {
+        a.train(pc, taken);
+        b.train(pc, taken);
+    }
+
+    #[test]
+    fn btb_same_future_ignores_misplaced_junk_older_than_every_entry() {
+        // Tag bit 1 moves 0x10's entry to an address of set 1, where no
+        // lookup of set 0 finds it. Two taken trains re-allocate 0x10
+        // and bring its counter back to the fault-free run's.
+        let (mut golden, mut struck) = struck_pair(0x10, 1);
+        assert!(!struck.same_future(&golden, MEM), "0x10 is missing");
+        train_both(&mut golden, &mut struck, 0x10, true);
+        assert!(!struck.same_future(&golden, MEM), "counter 2 against 3");
+        train_both(&mut golden, &mut struck, 0x10, true);
+        assert!(struck.same_future(&golden, MEM));
+    }
+
+    #[test]
+    fn btb_same_future_refuses_junk_stamped_after_a_live_entry() {
+        // 0x30's junk (stamp 2) is younger than 0x10 (stamp 1), so the
+        // struck set's LRU victim would be 0x10, not the junk.
+        let (mut golden, mut struck) = struck_pair(0x30, 1);
+        for _ in 0..2 {
+            train_both(&mut golden, &mut struck, 0x30, true);
+        }
+        assert_eq!(struck.sets[0].len(), 3);
+        assert!(!struck.same_future(&golden, MEM));
+        train_both(&mut golden, &mut struck, 0x50, true);
+        train_both(&mut golden, &mut struck, 0x70, true);
+        assert_eq!(golden.guess(0x10), (true, false));
+        assert_eq!(struck.guess(0x10), (false, true), "0x10 evicted");
+    }
+
+    #[test]
+    fn btb_same_future_refuses_in_set_junk_below_the_memory_size() {
+        // Tag bit 8 keeps 0x10's entry in set 0, as 0x110, which a
+        // branch at 0x110 would hit.
+        let (mut golden, mut struck) = struck_pair(0x10, 8);
+        for _ in 0..2 {
+            train_both(&mut golden, &mut struck, 0x10, true);
+        }
+        assert!(!struck.same_future(&golden, MEM));
+        assert_eq!(struck.guess(0x110), (true, false));
+        assert_eq!(golden.guess(0x110), (false, true));
+    }
+
+    #[test]
+    fn btb_same_future_ignores_junk_at_or_past_the_memory_size() {
+        // Tag bit 12 keeps 0x10's entry in set 0, as 0x1010.
+        let (mut golden, mut struck) = struck_pair(0x10, 12);
+        for _ in 0..2 {
+            train_both(&mut golden, &mut struck, 0x10, true);
+        }
+        assert!(struck.same_future(&golden, 0x1000), "past the end");
+        assert!(struck.same_future(&golden, 0x1010), "at the end");
+        assert!(!struck.same_future(&golden, 0x1011), "inside memory");
+    }
+
+    #[test]
+    fn btb_same_future_refuses_a_missing_golden_entry() {
+        // The junk is dead, but 0x30 has not been re-allocated yet.
+        let (golden, struck) = struck_pair(0x30, 12);
+        assert!(!struck.same_future(&golden, MEM));
+        assert_eq!(golden.guess(0x30), (true, false));
+        assert_eq!(struck.guess(0x30), (false, true));
+    }
+
+    #[test]
+    fn btb_same_future_ignores_entry_order() {
+        let (golden, _) = struck_pair(0x10, 1);
+        let mut reordered = golden.clone();
+        reordered.sets[0].reverse();
+        assert_ne!(reordered.sets, golden.sets);
+        assert!(reordered.same_future(&golden, MEM));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The induction behind `BtbTable::same_future`: once a struck
+        /// table is judged to share the fault-free table's future, one
+        /// train stream over both keeps every guess equal and the pair
+        /// judged the same. The tables are 4 sets × 3 ways over 16
+        /// branch addresses below a 64-byte memory, so sets overflow and
+        /// tag bits 1–2 misplace an entry, bits 3–5 keep it live and
+        /// bits 6–31 put it past the end; the struck table runs with or
+        /// without the scrub.
+        #[test]
+        fn btb_dead_entries_never_change_the_future(
+            prefix in prop::collection::vec((0u32..16, any::<bool>()), 1..24),
+            slot in any::<u32>(),
+            bit in 0u32..32,
+            protect in any::<bool>(),
+            stream in prop::collection::vec((0u32..16, any::<bool>()), 1..64),
+        ) {
+            const MEM: u32 = 64;
+            let mut golden = BtbTable::new(4, 3);
+            golden.protect(true);
+            for &(k, taken) in &prefix {
+                golden.train(2 * k, taken);
+            }
+            let mut struck = golden.clone();
+            struck.protect(protect);
+            let btb = HwPredictor::Btb { entries: 4, ways: 3 };
+            let field = crate::soft_error::nth_predictor_field(btb, u64::from(bit)).unwrap();
+            prop_assert_eq!(field.to_string(), format!("btb-tag bit {bit}"));
+            if struck.corrupt(slot, field).is_none() {
+                return Ok(());
+            }
+            let mut joined = false;
+            for &(k, taken) in &stream {
+                joined |= struck.same_future(&golden, MEM);
+                if joined {
+                    prop_assert!(struck.same_future(&golden, MEM));
+                    for pc in (0..16).map(|k| 2 * k) {
+                        prop_assert_eq!(struck.guess(pc), golden.guess(pc));
+                    }
+                }
+                train_both(&mut golden, &mut struck, 2 * k, taken);
+            }
+        }
     }
 
     #[test]

@@ -895,9 +895,10 @@ pub fn fault_reference(
 ///    run up to the golden's commit count. A fork whose strike has
 ///    fired and whose state then equals the golden's in everything that
 ///    decides behaviour in the fork's parity mode
-///    (`CycleSim::same_future`: exact `==`, never a hash) replays the
-///    golden's future shifted by Δ, the difference of their cycle
-///    counts. It takes the golden's verdict, except that it is
+///    (`CycleSim::same_future`: exact behavioural equivalence, never a
+///    hash; a BTB may differ only by entries no lookup can find)
+///    replays the golden's future shifted by Δ, the difference of their
+///    cycle counts. It takes the golden's verdict, except that it is
 ///    [`FaultOutcome::Hang`] exactly when the golden's end cycle + Δ
 ///    exceeds `max_cycles` (the watchdog stops it first). `max_insns`
 ///    does not shift: both runs retired the same instructions.

@@ -20,14 +20,16 @@
 //!    difference is the one `classify_batch` documents: a protected run
 //!    whose caught fault would have pushed it past the watchdog is
 //!    `Masked`, not `Hang`. A block whose fault-free cycle run does not
-//!    fit the budget is `Err(StepLimit)`, and no other block is. Four
+//!    fit the budget is `Err(StepLimit)`, and no other block is. Six
 //!    pinned cases, found by search, hold the rejoin eject at points
 //!    random draws rarely reach: both sides of the shifted watchdog
 //!    (`rejoined_case_hangs_past_the_shifted_budget`), a strike that
-//!    is still armed while its run is the fault-free one, and state
-//!    that differs only in the predictor or in the PDU's PIR pipeline.
-//!    Each fails under a mutant of the kernel that drops that part of the
-//!    check. Both phases' cases fork off one protected fault-free run,
+//!    is still armed while its run is the fault-free one, state that
+//!    differs only in the predictor or in the PDU's PIR pipeline, and
+//!    a BTB entry whose struck tag no lookup can find, or one that a
+//!    later lookup does find. Each fails under a mutant of the kernel
+//!    that drops or loosens that part of the check, except the dead
+//!    entry's, which pins the shifted watchdog on the BTB's rejoin. Both phases' cases fork off one protected fault-free run,
 //!    which rests on a premise checked on its own: a fault-free run is
 //!    the same run with parity off and on
 //!    (`fault_free_runs_ignore_the_parity_mode`).
@@ -430,23 +432,23 @@ fn eject_and_full_run_agree(seed: u64, plan: FaultPlan, max_cycles: u64, expecte
     assert_eq!(ejected, [expected], "budget {max_cycles}");
 }
 
-/// Claim 1 on both sides of the shifted watchdog: on seed 10 (fault-free
-/// halt at cycle 216) an unprotected strike on tag bit 31 of cache slot
-/// 16 at cycle 164 costs 3 cycles and then rejoins the fault-free run,
-/// found by search. It halts at cycle 219, so a 219-cycle budget masks
-/// it and a 218-cycle one hangs it, although the fault-free run fits
+/// Claim 1 on both sides of the shifted watchdog: on seed 0 (fault-free
+/// halt at cycle 771) an unprotected strike on tag bit 31 of cache slot
+/// 0 at cycle 80 costs 3 cycles and then rejoins the fault-free run,
+/// found by search. It halts at cycle 774, so a 774-cycle budget masks
+/// it and a 773-cycle one hangs it, although the fault-free run fits
 /// both.
 #[test]
 fn rejoined_case_hangs_past_the_shifted_budget() {
     let plan = FaultPlan {
-        cycle: 164,
-        slot: 16,
+        cycle: 80,
+        slot: 0,
         field: nth_field(180),
         target: FaultTarget::Cache,
     };
     assert_eq!(plan.field.to_string(), "tag bit 31");
-    eject_and_full_run_agree(10, plan, 219, FaultOutcome::Masked);
-    eject_and_full_run_agree(10, plan, 218, FaultOutcome::Hang);
+    eject_and_full_run_agree(0, plan, 774, FaultOutcome::Masked);
+    eject_and_full_run_agree(0, plan, 773, FaultOutcome::Hang);
 }
 
 /// Claim 1 for a strike that stays armed while its run is the
@@ -471,8 +473,11 @@ fn armed_strike_does_not_rejoin_before_it_fires() {
 /// seed 11 (fault-free halt at cycle 1709) an unprotected strike on
 /// BTB tag bit 20 at cycle 11 leaves the program's state otherwise the
 /// fault-free run's, and costs 3 cycles of worse predictions, found by
-/// search. A kernel that left the predictor out of the comparison would
-/// rejoin it at no cost and miss the hang one cycle short of its halt.
+/// search. Its junk entry lies past the end of memory, so no lookup
+/// finds it, and once the branch it belonged to is trained back the
+/// case rejoins 3 cycles late. A kernel that left the predictor out of
+/// the comparison would rejoin it before those cycles are spent and
+/// miss the hang one cycle short of its halt.
 #[test]
 fn predictor_state_keeps_a_case_from_rejoining() {
     let predictor = PREDICTORS[0];
@@ -485,6 +490,46 @@ fn predictor_state_keeps_a_case_from_rejoining() {
     assert_eq!(plan.field.to_string(), "btb-tag bit 20");
     eject_and_full_run_agree(11, plan, 1712, FaultOutcome::Masked);
     eject_and_full_run_agree(11, plan, 1711, FaultOutcome::Hang);
+}
+
+/// Claim 1 for a BTB entry no lookup can find: on seed 0 (fault-free
+/// halt at cycle 771) an unprotected strike on BTB tag bit 1 at cycle
+/// 80 moves an entry's address into another set, found by search. Once
+/// the branch is trained back, the case's table differs from the
+/// fault-free one only by that dead entry, and it rejoins 3 cycles
+/// late. It halts at cycle 774, so a 774-cycle budget masks it and a
+/// 773-cycle one hangs it.
+#[test]
+fn dead_btb_entry_rejoins_at_a_cycle_shift() {
+    let plan = FaultPlan {
+        cycle: 80,
+        slot: 1,
+        field: nth_predictor_field(PREDICTORS[0], 1).unwrap(),
+        target: FaultTarget::Predictor,
+    };
+    assert_eq!(plan.field.to_string(), "btb-tag bit 1");
+    eject_and_full_run_agree(0, plan, 774, FaultOutcome::Masked);
+    eject_and_full_run_agree(0, plan, 773, FaultOutcome::Hang);
+}
+
+/// Claim 1 for a BTB entry a later lookup finds: on seed 242 (fault-free
+/// halt at cycle 609) an unprotected strike on BTB tag bit 5 at cycle
+/// 320 leaves the entry in its own set at an address inside memory,
+/// which a branch of the program then hits, found by search. The run
+/// halts at cycle 614. A kernel that counted every tag-flipped entry as
+/// dead would rejoin it 2 cycles late, not 5, and miss the hang at a
+/// 613-cycle budget.
+#[test]
+fn live_btb_junk_keeps_a_case_from_rejoining() {
+    let plan = FaultPlan {
+        cycle: 320,
+        slot: 2,
+        field: nth_predictor_field(PREDICTORS[0], 5).unwrap(),
+        target: FaultTarget::Predictor,
+    };
+    assert_eq!(plan.field.to_string(), "btb-tag bit 5");
+    eject_and_full_run_agree(242, plan, 614, FaultOutcome::Masked);
+    eject_and_full_run_agree(242, plan, 613, FaultOutcome::Hang);
 }
 
 /// Claim 1 for an entry corrupted in the PDU's PIR pipeline: on seed 193
