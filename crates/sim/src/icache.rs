@@ -1,21 +1,20 @@
 use crisp_isa::Decoded;
 
-use crate::soft_error::{entry_bits, parity32, strike, FaultField, ParityMode};
+use crate::soft_error::{strike, FaultField, ParityMode};
 
-/// One resident cache line: the decoded entry plus its parity state.
+/// One resident cache line: the decoded entry plus its parity delta.
 ///
-/// `stored_parity` is the parity word written at fill time over the
-/// canonical [`entry_bits`] image. `live_parity` tracks the parity of
-/// the bits *physically* in the array: it equals `stored_parity` until
-/// a fault flips a storage bit, at which point the two differ in the
-/// flipped bit's column. Keeping both models a real parity check —
-/// single-bit faults always detect, while an even number of flips in
-/// one column cancels (parity's standard blind spot).
+/// A hardware check compares the parity word written at fill time with
+/// the parity of the bits now in the array. Parity is linear in the
+/// flipped bits, so the two differ by exactly the XOR of the columns
+/// that faults flipped since the fill: `delta`. A fill clears it, and
+/// the check fails when it is nonzero — single-bit faults always
+/// detect, while an even number of flips in one column cancels
+/// (parity's standard blind spot).
 #[derive(Debug, Clone, Copy)]
 struct CacheLine {
     d: Decoded,
-    stored_parity: u32,
-    live_parity: u32,
+    delta: u32,
 }
 
 /// The result of a parity-checked cache read.
@@ -47,17 +46,17 @@ pub enum CacheLookup<'a> {
 /// and Alternate Next-PC fields — the structure that makes branch
 /// folding possible.
 ///
-/// Under [`ParityMode::DetectInvalidate`] every fill also stores a
-/// parity word over the entry image; [`DecodedCache::lookup_verified`]
-/// checks it and turns a corrupted slot into an invalidate-plus-miss.
-/// Because the cache is never written back — entries are pure decode
-/// products of instruction memory — invalidate-and-redecode is a
-/// complete recovery.
+/// Each line carries the parity columns a fault flipped since its fill.
+/// Under [`ParityMode::DetectInvalidate`], which the caller passes from
+/// its run's [`crate::SimConfig::parity`],
+/// [`DecodedCache::lookup_verified`] checks them and turns a corrupted
+/// slot into an invalidate-plus-miss. Because the cache is never
+/// written back — entries are pure decode products of instruction
+/// memory — invalidate-and-redecode is a complete recovery.
 #[derive(Debug, Clone)]
 pub struct DecodedCache {
     entries: Vec<Option<CacheLine>>,
     mask: u32,
-    parity: ParityMode,
     /// Fills that made a new PC resident: into an empty slot or over a
     /// different tag. A same-PC re-decode is a [`refill`], not an
     /// insert, so `inserts` counts distinct decoded entries becoming
@@ -81,22 +80,12 @@ pub struct DecodedCache {
 }
 
 impl DecodedCache {
-    /// Create an unprotected cache with `entries` slots (must be a
-    /// power of two).
+    /// Create a cache with `entries` slots (must be a power of two).
     ///
     /// # Panics
     ///
     /// Panics when `entries` is zero or not a power of two.
     pub fn new(entries: usize) -> DecodedCache {
-        DecodedCache::with_parity(entries, ParityMode::Off)
-    }
-
-    /// Create a cache with `entries` slots and the given parity mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `entries` is zero or not a power of two.
-    pub fn with_parity(entries: usize, parity: ParityMode) -> DecodedCache {
         assert!(
             entries.is_power_of_two() && entries >= 1,
             "cache size must be a power of two"
@@ -104,26 +93,11 @@ impl DecodedCache {
         DecodedCache {
             entries: vec![None; entries],
             mask: entries as u32 - 1,
-            parity,
             inserts: 0,
             refills: 0,
             evictions: 0,
             parity_invalidates: 0,
         }
-    }
-
-    /// The configured parity mode (the PDU's fill port checks it to
-    /// decide whether a corrupted in-flight entry is droppable).
-    pub fn parity_mode(&self) -> ParityMode {
-        self.parity
-    }
-
-    /// Switch the parity mode, as a run forked off a fault-free one
-    /// does ([`crate::CycleSim::fork`]). Resident lines keep their
-    /// parity words: a check only compares a line's live word with its
-    /// stored one, and those agree on every line a fault did not strike.
-    pub(crate) fn set_parity_mode(&mut self, parity: ParityMode) {
-        self.parity = parity;
     }
 
     /// Number of slots.
@@ -155,7 +129,7 @@ impl DecodedCache {
     }
 
     /// Look up the entry decoded at `pc`, checking parity first when
-    /// [`ParityMode::DetectInvalidate`] is configured.
+    /// `parity` is [`ParityMode::DetectInvalidate`].
     ///
     /// The parity check runs *before* the tag compare — corrupted bits
     /// cannot be trusted to include a correct tag — so a slot whose
@@ -163,14 +137,13 @@ impl DecodedCache {
     /// invalidated and reported as [`CacheLookup::ParityError`] no
     /// matter which PC probed it. The caller then takes the ordinary
     /// miss path and the PDU redecodes the entry from memory.
-    pub fn lookup_verified(&mut self, pc: u32) -> CacheLookup<'_> {
+    pub fn lookup_verified(&mut self, pc: u32, parity: ParityMode) -> CacheLookup<'_> {
         let idx = self.index(pc);
         // The invalidate (needing `&mut`) happens before the borrow of
         // the line is handed out, so the hit path can return a
         // reference into the slot.
         let parity_failed = matches!(&self.entries[idx], Some(line)
-            if self.parity == ParityMode::DetectInvalidate
-                && line.live_parity != line.stored_parity);
+            if parity == ParityMode::DetectInvalidate && line.delta != 0);
         if parity_failed {
             self.entries[idx] = None;
             self.parity_invalidates += 1;
@@ -202,15 +175,7 @@ impl DecodedCache {
             }
             None => self.inserts += 1,
         }
-        let parity = match self.parity {
-            ParityMode::Off => 0,
-            ParityMode::DetectInvalidate => parity32(&entry_bits(&d)),
-        };
-        self.entries[idx] = Some(CacheLine {
-            d,
-            stored_parity: parity,
-            live_parity: parity,
-        });
+        self.entries[idx] = Some(CacheLine { d, delta: 0 });
         evicted
     }
 
@@ -221,16 +186,16 @@ impl DecodedCache {
     ///
     /// A `valid` fault clears the slot (a live valid bit can only flip
     /// to invalid). Any other fault re-encodes the entry, flips the
-    /// mapped bit, and stores the total re-decode; the slot's
-    /// `live_parity` is updated to the parity of the flipped bits, so a
-    /// later [`DecodedCache::lookup_verified`] sees exactly what a
-    /// hardware parity check would.
+    /// mapped bit, and stores the total re-decode; the flipped parity
+    /// column is XORed into the slot's delta, so a later
+    /// [`DecodedCache::lookup_verified`] sees exactly what a hardware
+    /// parity check would.
     pub fn corrupt(&mut self, slot: usize, field: FaultField) -> Option<u32> {
         let idx = slot % self.entries.len();
         let line = self.entries[idx].as_mut()?;
         let pc = line.d.pc;
         match strike(&mut line.d, field) {
-            Some(delta) => line.live_parity ^= delta,
+            Some(column) => line.delta ^= column,
             None => self.entries[idx] = None,
         }
         Some(pc)
@@ -248,14 +213,16 @@ impl DecodedCache {
         self.entries[slot % self.entries.len()].is_some()
     }
 
-    /// Whether this cache and `other`, a fault-free run's cache, behave
-    /// the same from here on: the same resident entries, and the same
-    /// parity words where this cache checks them. A fault-free run never
-    /// fails a check, so its own mode does not matter, and a cache that
-    /// does not check parity never reads its words. The fill, eviction
-    /// and invalidate counters are left out; they never steer a lookup.
-    pub(crate) fn same_future(&self, other: &DecodedCache) -> bool {
-        let checked = self.parity == ParityMode::DetectInvalidate;
+    /// Whether this cache, read under `parity`, and `other`, a
+    /// fault-free run's cache, behave the same from here on: the same
+    /// resident entries, and the same parity deltas when `parity`
+    /// checks them. A fault-free run's deltas are all 0, so a checked
+    /// line is the fault-free one only if no fault struck it since its
+    /// fill; an unchecked cache never reads its deltas. The fill,
+    /// eviction and invalidate counters are left out; they never steer
+    /// a lookup.
+    pub(crate) fn same_future(&self, other: &DecodedCache, parity: ParityMode) -> bool {
+        let checked = parity == ParityMode::DetectInvalidate;
         self.entries.len() == other.entries.len()
             && self
                 .entries
@@ -263,12 +230,7 @@ impl DecodedCache {
                 .zip(&other.entries)
                 .all(|(a, b)| match (a, b) {
                     (None, None) => true,
-                    (Some(a), Some(b)) => {
-                        a.d == b.d
-                            && (!checked
-                                || (a.stored_parity, a.live_parity)
-                                    == (b.stored_parity, b.live_parity))
-                    }
+                    (Some(a), Some(b)) => a.d == b.d && (!checked || a.delta == b.delta),
                     _ => false,
                 })
     }
@@ -279,6 +241,8 @@ mod tests {
     use super::*;
     use crate::soft_error::nth_field;
     use crisp_isa::{ExecOp, FoldClass, NextPc};
+
+    const DETECT: ParityMode = ParityMode::DetectInvalidate;
 
     fn entry(pc: u32) -> Decoded {
         Decoded {
@@ -357,7 +321,7 @@ mod tests {
 
     #[test]
     fn corrupt_flips_a_field_and_parity_catches_it() {
-        let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
+        let mut c = DecodedCache::new(32);
         c.insert(entry(0x10));
         let slot = c.slot_of(0x10);
         // Next-PC payload bit 0.
@@ -365,19 +329,22 @@ mod tests {
         // The stored entry changed but the tag still matches ...
         assert_eq!(c.lookup(0x10).unwrap().next_pc, NextPc::Known(0x12 ^ 1));
         // ... and the verified lookup detects, invalidates, counts.
-        assert_eq!(c.lookup_verified(0x10), CacheLookup::ParityError);
+        assert_eq!(c.lookup_verified(0x10, DETECT), CacheLookup::ParityError);
         assert_eq!(c.parity_invalidates, 1);
         assert!(!c.contains(0x10));
-        assert_eq!(c.lookup_verified(0x10), CacheLookup::Miss);
+        assert_eq!(c.lookup_verified(0x10, DETECT), CacheLookup::Miss);
         // A refill restores clean parity.
         c.insert(entry(0x10));
-        assert_eq!(c.lookup_verified(0x10), CacheLookup::Hit(&entry(0x10)));
+        assert_eq!(
+            c.lookup_verified(0x10, DETECT),
+            CacheLookup::Hit(&entry(0x10))
+        );
         assert_eq!(c.parity_invalidates, 1);
     }
 
     #[test]
     fn corrupt_tag_is_caught_before_tag_compare() {
-        let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
+        let mut c = DecodedCache::new(32);
         c.insert(entry(0x10));
         let slot = c.slot_of(0x10);
         // Flip tag bit 31: the entry now claims a different PC.
@@ -385,7 +352,7 @@ mod tests {
         // The probe at the original PC still reaches the slot, and the
         // parity check fires before the (now wrong) tag can turn the
         // access into a silent miss that leaves the corpse resident.
-        assert_eq!(c.lookup_verified(0x10), CacheLookup::ParityError);
+        assert_eq!(c.lookup_verified(0x10, DETECT), CacheLookup::ParityError);
         assert!(c.is_empty());
     }
 
@@ -407,14 +374,54 @@ mod tests {
         c.corrupt(c.slot_of(0x10), nth_field(2));
         // ParityMode::Off: the corrupted entry hits as if nothing
         // happened — the SDC path the fault campaign measures.
-        let looked = c.lookup_verified(0x10);
+        let looked = c.lookup_verified(0x10, ParityMode::Off);
         assert!(matches!(looked, CacheLookup::Hit(d) if d.next_pc == NextPc::Known(0x12 ^ 1)));
         assert_eq!(c.parity_invalidates, 0);
     }
 
-    /// A protected cache holding `pcs`, as a fault-free golden's is.
-    fn protected(pcs: &[u32]) -> DecodedCache {
-        let mut c = DecodedCache::with_parity(32, ParityMode::DetectInvalidate);
+    /// A cache holding `entry(0x10)` with an Alternate Next-PC, struck at
+    /// cache sites `a` and then `b`.
+    fn struck_twice(a: u64, b: u64) -> DecodedCache {
+        let mut c = DecodedCache::new(32);
+        c.insert(Decoded {
+            alt_pc: Some(NextPc::Known(0x40)),
+            ..entry(0x10)
+        });
+        let slot = c.slot_of(0x10);
+        assert_eq!(c.corrupt(slot, nth_field(a)), Some(0x10));
+        assert_eq!(c.corrupt(slot, nth_field(b)), Some(0x10));
+        c
+    }
+
+    /// The parity column a cache site flips.
+    fn column(i: u64) -> u32 {
+        nth_field(i).bit().unwrap().1 % 32
+    }
+
+    #[test]
+    fn two_flips_in_one_column_escape_the_check() {
+        // Next-PC payload bit 0 and Alternate Next-PC payload bit 0 sit
+        // 32 bits apart in one image word: parity's blind spot.
+        assert_eq!((column(2), column(37)), (0, 0));
+        let mut c = struck_twice(2, 37);
+        let looked = c.lookup_verified(0x10, DETECT);
+        assert!(matches!(looked, CacheLookup::Hit(d)
+            if d.next_pc == NextPc::Known(0x13) && d.alt_pc == Some(NextPc::Known(0x41))));
+        assert_eq!(c.parity_invalidates, 0);
+    }
+
+    #[test]
+    fn two_flips_in_different_columns_are_detected() {
+        // Next-PC payload bits 0 and 1.
+        assert_eq!((column(2), column(3)), (0, 1));
+        let mut c = struck_twice(2, 3);
+        assert_eq!(c.lookup_verified(0x10, DETECT), CacheLookup::ParityError);
+        assert_eq!(c.parity_invalidates, 1);
+    }
+
+    /// A cache holding `pcs`, as a fault-free run leaves it.
+    fn filled(pcs: &[u32]) -> DecodedCache {
+        let mut c = DecodedCache::new(32);
         for &pc in pcs {
             c.insert(entry(pc));
         }
@@ -422,32 +429,31 @@ mod tests {
     }
 
     #[test]
-    fn unprotected_cache_same_futures_a_protected_one_with_its_entries() {
-        let golden = protected(&[0x10, 0x24]);
-        // A fork switched off parity keeps the golden's parity words; a
-        // cache filled with parity off stores none. Neither reads them.
-        let mut forked = golden.clone();
-        forked.set_parity_mode(ParityMode::Off);
-        let mut filled = DecodedCache::new(32);
-        filled.insert(entry(0x10));
-        filled.insert(entry(0x24));
-        assert!(forked.same_future(&golden));
-        assert!(filled.same_future(&golden));
-        filled.insert(entry(0x10 + 64));
-        assert!(!filled.same_future(&golden), "entries still compare");
+    fn same_future_compares_entries_in_either_mode() {
+        let golden = filled(&[0x10, 0x24]);
+        let mut other = filled(&[0x24, 0x10]);
+        for parity in [ParityMode::Off, DETECT] {
+            assert!(other.same_future(&golden, parity), "{parity:?}");
+        }
+        other.insert(entry(0x10 + 64));
+        for parity in [ParityMode::Off, DETECT] {
+            assert!(!other.same_future(&golden, parity), "{parity:?}");
+        }
     }
 
     #[test]
-    fn protected_cache_with_stale_parity_does_not_same_future() {
-        let golden = protected(&[0x10, 0x24]);
-        // A strike that left the entry's decode as it was but its live
-        // parity stale: the next checked read drops the line.
+    fn struck_line_same_futures_only_unchecked() {
+        let golden = filled(&[0x10, 0x24]);
+        // A strike that left the entry's decode as it was but flipped a
+        // parity column: the next checked read drops the line.
         let mut struck = golden.clone();
         let slot = struck.slot_of(0x10);
-        struck.entries[slot].as_mut().unwrap().live_parity ^= 1;
-        assert!(!struck.same_future(&golden));
+        struck.entries[slot].as_mut().unwrap().delta ^= 1;
+        assert!(!struck.same_future(&golden, DETECT));
         // Unchecked, the same line is served as the golden's is.
-        struck.set_parity_mode(ParityMode::Off);
-        assert!(struck.same_future(&golden));
+        assert!(struck.same_future(&golden, ParityMode::Off));
+        // A refill clears the delta.
+        struck.insert(entry(0x10));
+        assert!(struck.same_future(&golden, DETECT));
     }
 }

@@ -52,10 +52,11 @@ pub struct Pdu {
     mem_timer: u32,
     /// Decoded entries in the PIR pipeline: `(ready_cycle, entry,
     /// parity_delta)`. The delta is the XOR of fault-flipped parity
-    /// columns since decode — zero for a clean entry. The fill port
-    /// compares it against zero exactly as the cache compares live
-    /// against stored parity, so a corrupted in-flight entry is caught
-    /// (and dropped) before it pollutes the cache.
+    /// columns since decode — zero for a clean entry — the same word a
+    /// cache line keeps. Under [`ParityMode::DetectInvalidate`] the
+    /// fill port checks it as a cache read does, so a corrupted
+    /// in-flight entry is caught (and dropped) before it pollutes the
+    /// cache.
     inflight: VecDeque<(u64, Decoded, u32)>,
     /// Waiting for a redirect (indirect target, decode failure, loop
     /// closure, or prefetch-depth bound).
@@ -217,18 +218,20 @@ impl Pdu {
 
     /// Advance one clock cycle: drain the PIR pipeline into the cache,
     /// progress the memory access, and decode at most one instruction.
+    /// The fill port does not check parity.
     pub fn tick(&mut self, cycle: u64, mem: &Memory, cache: &mut DecodedCache) {
-        self.tick_observed(cycle, mem, cache, &mut NullObserver);
+        self.tick_observed(cycle, mem, cache, ParityMode::Off, &mut NullObserver);
     }
 
-    /// [`Pdu::tick`] reporting decode, fold, fold-failure and
-    /// cache-fill events to `obs`. With [`NullObserver`] this is
-    /// exactly `tick`.
+    /// [`Pdu::tick`] in a run of parity mode `parity`, reporting
+    /// decode, fold, fold-failure and cache-fill events to `obs`. With
+    /// [`ParityMode::Off`] and [`NullObserver`] this is exactly `tick`.
     pub fn tick_observed<O: PipeObserver>(
         &mut self,
         cycle: u64,
         mem: &Memory,
         cache: &mut DecodedCache,
+        parity: ParityMode,
         obs: &mut O,
     ) {
         // 1. PIR pipeline → cache.
@@ -243,7 +246,7 @@ impl Pdu {
             // invalidated on lookup. The EU's next demand redecodes the
             // entry from memory. With parity off the corrupted entry is
             // inserted as-is — the SDC path the campaign measures.
-            if delta != 0 && cache.parity_mode() == ParityMode::DetectInvalidate {
+            if delta != 0 && parity == ParityMode::DetectInvalidate {
                 cache.parity_invalidates += 1;
                 if O::PIPELINE {
                     obs.event(PipeEvent::ParityError {

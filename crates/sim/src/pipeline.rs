@@ -258,7 +258,7 @@ impl<O: PipeObserver> CycleSim<O> {
         let mut sim = CycleSim {
             machine,
             cfg,
-            cache: DecodedCache::with_parity(cfg.icache_entries, cfg.parity),
+            cache: DecodedCache::new(cfg.icache_entries),
             pdu: Pdu::new(
                 cfg.fold_policy,
                 cfg.mem_latency,
@@ -275,9 +275,6 @@ impl<O: PipeObserver> CycleSim<O> {
                 ..CycleStats::default()
             },
         };
-        if let Some(p) = &mut sim.predictor {
-            p.protect(cfg.parity);
-        }
         sim.pdu.demand(entry);
         sim
     }
@@ -366,12 +363,12 @@ impl<O: PipeObserver> CycleSim<O> {
     /// from cycle `plan.cycle` on, so before the strike a faulted run is
     /// cycle-for-cycle the fault-free one, and a fault-free run never
     /// fails a parity check, so it is the same run in either parity
-    /// mode (`tests/prop_eject.rs`). The fork's decoded cache and
-    /// predictor take `parity` from here on; resident cache lines keep
-    /// their parity words, as a check only compares a line's live word
-    /// with its stored one. [`crate::classify_batch`] steps one
-    /// fault-free run to each case's strike cycle in turn and simulates
-    /// only the cycles after it, in both parity phases.
+    /// mode (`tests/prop_eject.rs`). The mode lives only in the fork's
+    /// configuration, which every parity check reads, and the copied
+    /// cache lines, PDU latches and BTB entries carry only what faults
+    /// flipped — nothing, before the strike. [`crate::classify_batch`]
+    /// steps one fault-free run to each case's strike cycle in turn and
+    /// simulates only the cycles after it, in both parity phases.
     ///
     /// # Panics
     ///
@@ -390,7 +387,7 @@ impl<O: PipeObserver> CycleSim<O> {
             plan.cycle
         );
         buf.copy_from(&self.machine);
-        let mut fork = CycleSim {
+        CycleSim {
             machine: buf,
             cfg: SimConfig {
                 parity,
@@ -403,12 +400,7 @@ impl<O: PipeObserver> CycleSim<O> {
             predictor: self.predictor.clone(),
             obs: self.obs.clone(),
             stats: self.stats.clone(),
-        };
-        fork.cache.set_parity_mode(parity);
-        if let Some(p) = &mut fork.predictor {
-            p.protect(parity);
         }
-        fork
     }
 
     /// Whether this run's fault plan has fired: it struck, or it was
@@ -446,9 +438,9 @@ impl<O: PipeObserver> CycleSim<O> {
     /// counts. The state compared is the micro-architectural state that
     /// decides behaviour: the front end's live latches (see
     /// `PipeFront::same_future`), the PDU with its ready cycles relative
-    /// to each run's clock, the decoded cache with the parity words this
-    /// run checks, the predictor tables (the BTB's up to entries no
-    /// lookup in this machine's memory can find), and the retired
+    /// to each run's clock, the decoded cache with its parity deltas
+    /// when this run checks them, the predictor tables (the BTB's up to
+    /// entries no lookup in this machine's memory can find), and the retired
     /// instruction count the `max_insns` watchdog reads. Pure counters
     /// (fill and eviction counts, [`CycleStats`]) are left out.
     ///
@@ -477,7 +469,7 @@ impl<O: PipeObserver> CycleSim<O> {
             && self
                 .pdu
                 .same_future(self.stats.cycles, &other.pdu, other.stats.cycles)
-            && self.cache.same_future(&other.cache)
+            && self.cache.same_future(&other.cache, self.cfg.parity)
             && match (&self.predictor, &other.predictor) {
                 (Some(p), Some(q)) => p.same_future(q, self.machine.mem.size()),
                 (p, q) => p.is_none() && q.is_none(),
@@ -936,7 +928,11 @@ impl PipeFront {
                         lane.stats.static_bit_mispredicts += 1;
                     }
                     if let Some(p) = lane.predictor.as_mut() {
-                        p.train(slot.d.branch_pc.unwrap_or(slot.d.pc), taken);
+                        p.train(
+                            slot.d.branch_pc.unwrap_or(slot.d.pc),
+                            taken,
+                            lane.cfg.parity,
+                        );
                     }
                     if !slot.resolved {
                         // Resolved only now — the folded-compare case.
@@ -1042,7 +1038,7 @@ impl PipeFront {
             // the one purposeful copy-out of the borrow
             // `lookup_verified` returns, mirroring the hardware latch
             // at the cache read port.
-            let looked_up = match lane.cache.lookup_verified(pc) {
+            let looked_up = match lane.cache.lookup_verified(pc, lane.cfg.parity) {
                 CacheLookup::Hit(d) => Some(*d),
                 CacheLookup::ParityError => {
                     // A protected entry failed its parity check at read
@@ -1204,8 +1200,13 @@ impl PipeFront {
         // PIR pipeline) cannot change the cache or any counter, so the
         // captured-loop steady state skips it outright.
         if !lane.pdu.is_idle() {
-            lane.pdu
-                .tick_observed(cyc, &lane.machine.mem, &mut *lane.cache, &mut *lane.obs);
+            lane.pdu.tick_observed(
+                cyc,
+                &lane.machine.mem,
+                &mut *lane.cache,
+                lane.cfg.parity,
+                &mut *lane.obs,
+            );
             lane.stats.pdu_decodes = lane.pdu.decodes;
             lane.stats.cache_inserts = lane.cache.inserts;
             lane.stats.cache_refills = lane.cache.refills;

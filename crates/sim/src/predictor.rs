@@ -144,24 +144,20 @@ impl Predictor for CounterTable {
 }
 
 /// One resident BTB entry: a branch address with its 2-bit direction
-/// counter, LRU stamp and a parity bit over the tag + counter. No
-/// target — see the module docs.
+/// counter, LRU stamp and parity delta. No target — see the module
+/// docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbSlot {
     pc: u32,
     counter: u8,
     used: u64,
-    /// Odd parity over `pc` and `counter`, kept correct by every
-    /// legitimate write; a transient flip leaves it stale, which the
-    /// train-port scrub detects.
-    parity: bool,
-}
-
-/// The parity bit a well-formed [`BtbSlot`] carries: odd popcount of
-/// the tag and the counter (the LRU stamp is replacement metadata, not
-/// prediction state, so it is outside the protected word).
-fn slot_parity(pc: u32, counter: u8) -> bool {
-    (pc.count_ones() + u32::from(counter).count_ones()) & 1 == 1
+    /// Whether the entry's one parity bit over the tag and the counter
+    /// disagrees with their content: every legitimate write re-encodes
+    /// the bit and clears this, and each flip of a tag or counter bit
+    /// toggles it, which the train-port scrub detects. The LRU stamp is
+    /// replacement metadata, not prediction state, so it is outside the
+    /// protected word.
+    flipped: bool,
 }
 
 /// The direction half of a set-associative branch target buffer with
@@ -178,11 +174,6 @@ pub struct BtbTable {
     sets: Vec<Vec<BtbSlot>>,
     /// LRU clock, advanced once per [`BtbTable::train`].
     clock: u64,
-    /// Whether the train port checks slot parity (see
-    /// [`BtbTable::protect`]). Reads stay unchecked: a wrong direction
-    /// guess is architecturally safe, so the read port needs no parity
-    /// tree — exactly the cheap-hardware argument the paper makes.
-    protected: bool,
     /// Total parity-mismatched entries scrubbed from the table. Kept
     /// separate from the cache's `parity_invalidates`: a scrub drops
     /// hint state without a refill, so it is not an invalidate event.
@@ -206,36 +197,32 @@ impl BtbTable {
             ways,
             sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             clock: 0,
-            protected: false,
             parity_scrubs: 0,
         }
     }
 
-    /// Enable (or disable) the train-port parity scrub.
-    pub fn protect(&mut self, parity: bool) {
-        self.protected = parity;
-    }
-
-    /// Scrub one set through the train-port parity check: every entry
-    /// whose stored parity disagrees with its content is dropped (the
-    /// BTB is a hint structure — scrubbing costs prediction accuracy,
-    /// never correctness).
-    fn scrub(&mut self, idx: usize) {
-        if !self.protected {
-            return;
-        }
+    /// Scrub the set `pc` trains through the train-port parity check:
+    /// every entry whose parity bit disagrees with its content is
+    /// dropped (the BTB is a hint structure — scrubbing costs
+    /// prediction accuracy, never correctness). Reads stay unchecked: a
+    /// wrong direction guess is architecturally safe, so the read port
+    /// needs no parity tree — exactly the cheap-hardware argument the
+    /// paper makes.
+    fn scrub(&mut self, pc: u32) {
+        let idx = self.set_index(pc);
         let set = &mut self.sets[idx];
         let before = set.len();
-        set.retain(|e| e.parity == slot_parity(e.pc, e.counter));
+        set.retain(|e| !e.flipped);
         self.parity_scrubs += (before - set.len()) as u64;
     }
 
     /// Flip one bit of a resident entry (transient-fault injection).
     /// `slot` indexes the resident entries in set order, modulo
     /// occupancy; returns the struck entry's branch address, or `None`
-    /// when the table holds no state to corrupt. Stored parity is
-    /// deliberately left stale — that is what makes the strike
-    /// detectable.
+    /// when the table holds no state to corrupt. A tag or counter flip
+    /// leaves the entry's parity bit stale — that is what makes the
+    /// strike detectable — so it toggles `flipped`; two flips in one
+    /// entry cancel, as one parity bit covers both fields.
     pub fn corrupt(&mut self, slot: u32, field: FaultField) -> Option<u32> {
         let total: usize = self.sets.iter().map(Vec::len).sum();
         if total == 0 || field.layout != Layout::BtbSlot {
@@ -262,8 +249,10 @@ impl BtbTable {
             // eviction: undetectable, and trivially safe.
             _ => {
                 set.remove(n);
+                return Some(pc);
             }
         }
+        set[n].flipped ^= true;
         Some(pc)
     }
 
@@ -275,7 +264,7 @@ impl BtbTable {
     /// and train the same from here on, in a machine of `mem_size`
     /// bytes. The geometry and the LRU clock must match, and each set
     /// must hold the fault-free set's entries (counter, LRU stamp and
-    /// parity bit alike, in any order) plus only *dead* entries, each
+    /// parity delta alike, in any order) plus only *dead* entries, each
     /// older than every fault-free entry of its set. A dead entry is
     /// one no lookup or train can find: it sits outside its address's
     /// set (a flipped set-index bit), or its address lies at or past
@@ -287,15 +276,14 @@ impl BtbTable {
     /// fault-free set is full the struck set holds no dead entry, and
     /// where only the struck set is full its LRU victim is a dead
     /// entry; a scrub only drops entries. Live entries carry the
-    /// fault-free run's good parity bits, so `protected` and the
-    /// `parity_scrubs` counter are left out.
+    /// fault-free run's clear parity deltas, so a scrub in either run
+    /// drops none of them, and the `parity_scrubs` counter is left out.
     fn same_future(&self, other: &BtbTable, mem_size: u32) -> bool {
         let BtbTable {
             mask,
             ways,
             sets,
             clock,
-            protected: _,
             parity_scrubs: _,
         } = self;
         (*mask, *ways, *clock) == (other.mask, other.ways, other.clock)
@@ -330,13 +318,14 @@ impl BtbTable {
 
     /// Train with the actual outcome: move a hit entry's counter and
     /// LRU stamp; allocate on a taken miss (evicting LRU at capacity).
-    /// Under [`BtbTable::protect`] the write port first scrubs the set
-    /// of parity-mismatched entries, so corrupted state is dropped
-    /// before it can be trained.
+    /// Either write re-encodes the entry's parity bit. This port does
+    /// not check parity; under [`ParityMode::DetectInvalidate`],
+    /// [`HwPredictorState::train`] first scrubs the set of
+    /// parity-mismatched entries, so corrupted state is dropped before
+    /// it can be trained.
     pub fn train(&mut self, pc: u32, taken: bool) {
         self.clock += 1;
         let idx = self.set_index(pc);
-        self.scrub(idx);
         let clock = self.clock;
         let ways = self.ways;
         let set = &mut self.sets[idx];
@@ -348,7 +337,7 @@ impl BtbTable {
                     e.counter.saturating_sub(1)
                 };
                 e.used = clock;
-                e.parity = slot_parity(e.pc, e.counter);
+                e.flipped = false;
             }
             None if taken => {
                 // Allocate on taken branches only (a BTB of fall-through
@@ -357,7 +346,7 @@ impl BtbTable {
                     pc,
                     counter: 2,
                     used: clock,
-                    parity: slot_parity(pc, 2),
+                    flipped: false,
                 };
                 if set.len() < ways {
                     set.push(entry);
@@ -516,23 +505,23 @@ impl HwPredictorState {
         }
     }
 
-    /// Train with the actual outcome.
+    /// Train with the actual outcome, in a run of parity mode `parity`:
+    /// under [`ParityMode::DetectInvalidate`] the BTB's train port
+    /// first scrubs the trained set of parity-mismatched entries.
+    /// Counter tables and the jump trace carry no parity (a flipped
+    /// entry is a legal — if wrong — history), so the mode does not
+    /// touch them.
     #[inline]
-    pub fn train(&mut self, pc: u32, taken: bool) {
+    pub fn train(&mut self, pc: u32, taken: bool, parity: ParityMode) {
         match self {
             HwPredictorState::Counters(t) => t.train(pc, taken),
-            HwPredictorState::Btb(t) => t.train(pc, taken),
+            HwPredictorState::Btb(t) => {
+                if parity == ParityMode::DetectInvalidate {
+                    t.scrub(pc);
+                }
+                t.train(pc, taken);
+            }
             HwPredictorState::JumpTrace(t) => t.train(pc, taken),
-        }
-    }
-
-    /// Arm the table's protection: BTB train-port parity scrub under
-    /// [`ParityMode::DetectInvalidate`]. Counter tables and the jump
-    /// trace carry no parity (a flipped entry is a legal — if wrong —
-    /// history), so protection is a no-op for them.
-    pub fn protect(&mut self, parity: ParityMode) {
-        if let HwPredictorState::Btb(t) = self {
-            t.protect(parity == ParityMode::DetectInvalidate);
         }
     }
 
@@ -563,7 +552,7 @@ impl HwPredictorState {
     /// Whether this table and `other`, a fault-free run's table, predict
     /// and train the same from here on, in a machine of `mem_size`
     /// bytes: the counter and jump-trace tables bit for bit, the BTB up
-    /// to dead entries, its scrub counter and its protection (see
+    /// to dead entries and its scrub counter (see
     /// `BtbTable::same_future`).
     pub(crate) fn same_future(&self, other: &HwPredictorState, mem_size: u32) -> bool {
         match (self, other) {
@@ -588,8 +577,9 @@ impl Predictor for HwPredictorState {
         self.guess(pc).0
     }
 
+    /// Trains with parity off: a branch trace has no parity mode.
     fn update(&mut self, pc: u32, taken: bool) {
-        self.train(pc, taken);
+        self.train(pc, taken, ParityMode::Off);
     }
 
     fn name(&self) -> String {
@@ -649,19 +639,64 @@ mod tests {
         assert_eq!(format!("{t:?}"), before);
     }
 
+    const DETECT: ParityMode = ParityMode::DetectInvalidate;
+
+    /// The BTB fault site `i`: tag bits 0–31, then counter bits 0–1.
+    fn btb_field(i: u64) -> FaultField {
+        let btb = HwPredictor::Btb {
+            entries: 8,
+            ways: 4,
+        };
+        crate::soft_error::nth_predictor_field(btb, i).unwrap()
+    }
+
+    /// An 8 × 4 BTB that has trained one taken branch at 0x10 (set 0).
+    fn btb_holding_0x10() -> HwPredictorState {
+        let mut t = HwPredictorState::Btb(BtbTable::new(8, 4));
+        t.train(0x10, true, DETECT);
+        t
+    }
+
     #[test]
-    fn btb_same_future_ignores_protection() {
-        let mut golden = BtbTable::new(8, 2);
-        golden.protect(true);
+    fn btb_scrub_drops_a_struck_entry() {
+        let mut t = btb_holding_0x10();
+        // Counter bit 0: weakly taken becomes strongly taken.
+        assert_eq!(t.corrupt(0, btb_field(32)), Some(0x10));
+        assert_eq!(t.guess(0x10), (true, false), "reads are unchecked");
+        // A not-taken train of 0x30 (set 0) scrubs without allocating.
+        t.train(0x30, false, ParityMode::Off);
+        assert_eq!(t.parity_scrubs(), 0, "parity off never scrubs");
+        t.train(0x30, false, DETECT);
+        assert_eq!(t.parity_scrubs(), 1);
+        assert_eq!(t.guess(0x10), (false, true));
+    }
+
+    #[test]
+    fn btb_tag_and_counter_flips_in_one_entry_escape_the_scrub() {
+        let mut t = btb_holding_0x10();
+        // Tag bit 4 turns 0x10 into 0x00, still in set 0; counter bit 0
+        // makes it strongly taken. One parity bit covers both fields, so
+        // the two flips cancel.
+        assert_eq!(t.corrupt(0, btb_field(4)), Some(0x10));
+        assert_eq!(t.corrupt(0, btb_field(32)), Some(0x00));
+        t.train(0x30, false, DETECT);
+        assert_eq!(t.parity_scrubs(), 0);
+        assert_eq!(t.guess(0x00), (true, false));
+    }
+
+    #[test]
+    fn btb_hit_train_clears_a_counter_strike() {
+        // Counter bit 0 of a strongly-taken entry: 3 becomes 2. A taken
+        // hit under parity-off training saturates it back, and the write
+        // re-encodes the parity bit, so the entry is the fault-free one.
+        let mut golden = BtbTable::new(8, 4);
         golden.train(0x10, true);
-        golden.train(0x24, true);
-        // A fork switched off parity: its scrub no longer runs, but the
-        // golden's entries carry good parity, so it would drop nothing.
-        let mut forked = golden.clone();
-        forked.protect(false);
-        assert!(forked.same_future(&golden, MEM));
-        forked.train(0x10, false);
-        assert!(!forked.same_future(&golden, MEM), "entries still compare");
+        golden.train(0x10, true);
+        let mut struck = golden.clone();
+        assert_eq!(struck.corrupt(0, btb_field(32)), Some(0x10));
+        assert!(!struck.same_future(&golden, MEM));
+        train_both(&mut golden, &mut struck, 0x10, true);
+        assert!(struck.same_future(&golden, MEM));
     }
 
     /// The memory size the `same_future` tests run in.
@@ -767,8 +802,9 @@ mod tests {
         /// judged the same. The tables are 4 sets × 3 ways over 16
         /// branch addresses below a 64-byte memory, so sets overflow and
         /// tag bits 1–2 misplace an entry, bits 3–5 keep it live and
-        /// bits 6–31 put it past the end; the struck table runs with or
-        /// without the scrub.
+        /// bits 6–31 put it past the end. The fault-free table trains
+        /// protected, as a campaign's golden does, and the struck table
+        /// with or without the scrub.
         #[test]
         fn btb_dead_entries_never_change_the_future(
             prefix in prop::collection::vec((0u32..16, any::<bool>()), 1..24),
@@ -779,12 +815,11 @@ mod tests {
         ) {
             const MEM: u32 = 64;
             let mut golden = BtbTable::new(4, 3);
-            golden.protect(true);
             for &(k, taken) in &prefix {
+                golden.scrub(2 * k);
                 golden.train(2 * k, taken);
             }
             let mut struck = golden.clone();
-            struck.protect(protect);
             let btb = HwPredictor::Btb { entries: 4, ways: 3 };
             let field = crate::soft_error::nth_predictor_field(btb, u64::from(bit)).unwrap();
             prop_assert_eq!(field.to_string(), format!("btb-tag bit {bit}"));
@@ -799,6 +834,10 @@ mod tests {
                     for pc in (0..16).map(|k| 2 * k) {
                         prop_assert_eq!(struck.guess(pc), golden.guess(pc));
                     }
+                }
+                golden.scrub(2 * k);
+                if protect {
+                    struck.scrub(2 * k);
                 }
                 train_both(&mut golden, &mut struck, 2 * k, taken);
             }

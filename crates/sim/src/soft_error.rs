@@ -65,16 +65,20 @@ use crate::{
 };
 use crisp_asm::Image;
 
-/// Whether decoded-cache entries carry a parity word.
+/// Whether a run checks the front end's parity: decoded-cache reads,
+/// the PDU's cache fill port and the BTB's train port. A run's mode is
+/// its [`SimConfig::parity`], the one place it is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParityMode {
     /// No protection: a corrupted entry is consumed as-is (the fault
     /// may be masked, corrupt data, divert control flow, or hang).
     #[default]
     Off,
-    /// Each fill stores a parity word over the entry image; the EU
-    /// checks it at cache-read time and, on mismatch, invalidates the
-    /// slot and refetches — the entry is redecoded from memory.
+    /// Each entry is covered by a [`parity32`] word over its image; the
+    /// EU checks it at cache-read time and, on mismatch, invalidates
+    /// the slot and refetches — the entry is redecoded from memory. The
+    /// model keeps only the columns a fault flipped since the fill,
+    /// which is exactly where the stored and live words differ.
     DetectInvalidate,
 }
 

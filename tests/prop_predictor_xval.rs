@@ -92,7 +92,7 @@ fn xval_run(image: &crisp::asm::Image, cfg: SimConfig) -> u64 {
             }
             PipeEvent::BranchRetire {
                 branch_pc, taken, ..
-            } => replay.train(branch_pc, taken),
+            } => replay.train(branch_pc, taken, cfg.parity),
             _ => {}
         }
     }

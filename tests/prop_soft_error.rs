@@ -5,7 +5,10 @@
 //! and fault plans:
 //!
 //! 1. the parity word detects *every* single-bit flip of a canonical
-//!    decoded-entry image (the whole fault space maps to real bits);
+//!    decoded-entry image (the whole fault space maps to real bits).
+//!    Each flip changes `parity32` in exactly one column, so the cycle
+//!    engine keeps only the flipped columns per entry (its parity
+//!    delta) instead of a stored and a live word;
 //! 2. under `ParityMode::DetectInvalidate` every injected single-bit
 //!    fault is recovered — the cycle engine's commit log still matches
 //!    the fault-free functional reference (outcome `Masked`);
@@ -42,7 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Claim 1: flipping any single bit of a canonical entry image
-    /// changes its parity word, for every field in the fault space.
+    /// changes its parity word in exactly the bit's column, for every
+    /// field in the fault space.
     #[test]
     fn parity_detects_every_single_bit_flip(
         words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
@@ -63,9 +67,10 @@ proptest! {
             };
             let mut flipped = bits;
             flipped[word] ^= 1u64 << bit;
-            prop_assert!(
-                parity32(&flipped) != clean,
-                "flip of {:?} (word {} bit {}) escaped parity", field, word, bit
+            prop_assert_eq!(
+                parity32(&flipped) ^ clean,
+                1 << (bit % 32),
+                "flip of {:?} (word {} bit {}) must strike its own column", field, word, bit
             );
         }
     }
