@@ -422,7 +422,7 @@ impl PipeObserver for PrefixCheck {
 
 /// How a reference's functional run ended.
 #[derive(Debug)]
-enum ReferenceEnd {
+pub(crate) enum ReferenceEnd {
     /// It retired `halt`, leaving this final architectural state.
     Halted(Machine),
     /// The step after its last record raised this error.
@@ -442,12 +442,9 @@ pub struct DiffReference {
 }
 
 impl DiffReference {
-    /// A reference that halted after `log`, in `machine`'s state.
-    pub(crate) fn halted(log: CommitLog, machine: Machine) -> DiffReference {
-        DiffReference {
-            log: Arc::new(log),
-            end: ReferenceEnd::Halted(machine),
-        }
+    /// How the reference's run ended.
+    pub(crate) fn end(&self) -> &ReferenceEnd {
+        &self.end
     }
 
     /// The reference commit stream.

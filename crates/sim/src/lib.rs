@@ -82,7 +82,7 @@ pub use observe::{
     EventRing, NullObserver, PipeEvent, PipeObserver, StallKind, TraceFooter,
 };
 pub use pdu::Pdu;
-pub use pipeline::{CycleRun, CycleSim, PipelineSnapshot, RunEnd, StageView};
+pub use pipeline::{CycleRun, CycleSim, RunEnd};
 pub use predecode::{PredecodedImage, DECODE_WINDOW};
 pub use predictor::{BtbTable, CounterTable, HwPredictorState, JumpTraceTable, Predictor};
 pub use profile::{BranchProfiler, SiteStats};

@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use crisp_isa::{decode_and_fold, encoding, fold_failure, Decoded, FoldPolicy, IsaError, NextPc};
 
-use crate::observe::{NullObserver, PipeEvent, PipeObserver};
+use crate::observe::{PipeEvent, PipeObserver};
 use crate::predecode::PredecodedImage;
 use crate::soft_error::{strike, FaultField, ParityMode};
 use crate::{DecodedCache, Memory};
@@ -216,16 +216,10 @@ impl Pdu {
         self.failure.as_ref()
     }
 
-    /// Advance one clock cycle: drain the PIR pipeline into the cache,
-    /// progress the memory access, and decode at most one instruction.
-    /// The fill port does not check parity.
-    pub fn tick(&mut self, cycle: u64, mem: &Memory, cache: &mut DecodedCache) {
-        self.tick_observed(cycle, mem, cache, ParityMode::Off, &mut NullObserver);
-    }
-
-    /// [`Pdu::tick`] in a run of parity mode `parity`, reporting
-    /// decode, fold, fold-failure and cache-fill events to `obs`. With
-    /// [`ParityMode::Off`] and [`NullObserver`] this is exactly `tick`.
+    /// Advance one clock cycle in a run of parity mode `parity`: drain
+    /// the PIR pipeline into the cache, progress the memory access, and
+    /// decode at most one instruction, reporting decode, fold,
+    /// fold-failure and cache-fill events to `obs`.
     pub fn tick_observed<O: PipeObserver>(
         &mut self,
         cycle: u64,
@@ -443,6 +437,7 @@ impl Pdu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullObserver;
     use crate::Machine;
     use crisp_asm::assemble_text;
 
@@ -450,12 +445,17 @@ mod tests {
         Machine::load(&assemble_text(src).unwrap()).unwrap()
     }
 
+    /// One PDU cycle with the fill port unchecked and nothing observing.
+    fn tick(pdu: &mut Pdu, cycle: u64, mem: &Memory, cache: &mut DecodedCache) {
+        pdu.tick_observed(cycle, mem, cache, ParityMode::Off, &mut NullObserver);
+    }
+
     fn run_pdu(m: &Machine, cycles: u64) -> (Pdu, DecodedCache) {
         let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..cycles {
-            pdu.tick(c, &m.mem, &mut cache);
+            tick(&mut pdu, c, &m.mem, &mut cache);
         }
         (pdu, cache)
     }
@@ -535,11 +535,11 @@ mod tests {
         pdu.demand(0);
         // Cycle 0: parcels arrive and the first entry decodes; it
         // becomes visible pipe_delay cycles later.
-        pdu.tick(0, &m.mem, &mut cache);
+        tick(&mut pdu, 0, &m.mem, &mut cache);
         assert!(!cache.contains(0));
-        pdu.tick(1, &m.mem, &mut cache);
+        tick(&mut pdu, 1, &m.mem, &mut cache);
         assert!(!cache.contains(0));
-        pdu.tick(2, &m.mem, &mut cache);
+        tick(&mut pdu, 2, &m.mem, &mut cache);
         assert!(cache.contains(0), "ready at cycle 2 with pipe_delay 2");
     }
 
@@ -550,11 +550,11 @@ mod tests {
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..3 {
-            pdu.tick(c, &m.mem, &mut cache);
+            tick(&mut pdu, c, &m.mem, &mut cache);
             assert!(!cache.contains(0), "cycle {c}");
         }
-        pdu.tick(3, &m.mem, &mut cache); // access completes after 4 cycles
-        pdu.tick(4, &m.mem, &mut cache);
+        tick(&mut pdu, 3, &m.mem, &mut cache); // access completes after 4 cycles
+        tick(&mut pdu, 4, &m.mem, &mut cache);
         assert!(cache.contains(0));
     }
 
@@ -588,12 +588,12 @@ mod tests {
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..10 {
-            pdu.tick(c, &m.mem, &mut cache);
+            tick(&mut pdu, c, &m.mem, &mut cache);
         }
         assert!(cache.contains(0));
         pdu.demand(4); // `far`
         for c in 10..20 {
-            pdu.tick(c, &m.mem, &mut cache);
+            tick(&mut pdu, c, &m.mem, &mut cache);
         }
         assert!(cache.contains(4));
     }
@@ -608,7 +608,7 @@ mod tests {
         let mut cache = DecodedCache::new(32);
         pdu.demand(0);
         for c in 0..2000 {
-            pdu.tick(c, &m.mem, &mut cache);
+            tick(&mut pdu, c, &m.mem, &mut cache);
         }
         assert!(pdu.is_parked());
         assert!(pdu.decodes <= 33, "decodes = {}", pdu.decodes);
@@ -644,8 +644,8 @@ mod tests {
             raw.demand(0);
             fast.demand(0);
             for c in 0..60 {
-                raw.tick(c, &m.mem, &mut raw_cache);
-                fast.tick(c, &m.mem, &mut fast_cache);
+                tick(&mut raw, c, &m.mem, &mut raw_cache);
+                tick(&mut fast, c, &m.mem, &mut fast_cache);
                 let mut pc = 0;
                 while pc < m.text_end() {
                     assert_eq!(

@@ -57,11 +57,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::config::HwPredictor;
-use crate::diff::{judge, CommitLog, CommitRecord, DiffReference, DivergenceKind, PrefixCheck};
-use crate::error::HaltReason;
+use crate::diff::{
+    diff_reference, judge, CommitLog, CommitRecord, DiffReference, DivergenceKind, PrefixCheck,
+    ReferenceEnd,
+};
 use crate::{
-    CycleSim, FunctionalSim, Machine, MachinePool, PredecodedImage, RunEnd, SimConfig, SimError,
-    TranslatedImage,
+    CycleSim, Machine, MachinePool, PredecodedImage, RunEnd, SimConfig, SimError, TranslatedImage,
 };
 use crisp_asm::Image;
 
@@ -787,19 +788,20 @@ impl FaultReference {
     }
 }
 
-/// Run the fault-free reference for [`classify_batch`] on the
-/// interpreter, observed by a [`CommitLog`]. The predecode table is
-/// `predecoded`, else the one under `translated`, else built here. A
-/// `translated` table only ever supplies that predecode table: it is
-/// given by the bench harness's replay and by
-/// `tests/prop_threaded.rs`, which checks that passing one changes no
-/// verdict.
+/// Run the fault-free reference for [`classify_batch`]: the
+/// interpreter's [`diff_reference`] run over `cfg.max_cycles` steps.
+/// The predecode table is `predecoded`, else the one under
+/// `translated`, else built here. A `translated` table only ever
+/// supplies that predecode table: it is given by the bench harness's
+/// replay and by `tests/prop_threaded.rs`, which checks that passing one
+/// changes no verdict.
 ///
 /// # Errors
 ///
-/// The image does not load, or the reference does not halt within
-/// `cfg.max_cycles` steps ([`SimError::StepLimit`]) — the same
-/// harness-level failures as [`classify_fault`].
+/// The image does not load; the reference raises an error within its
+/// first `cfg.max_cycles` steps (that error); or it does not halt
+/// within them ([`SimError::StepLimit`]) — the same harness-level
+/// failures as [`classify_fault`].
 ///
 /// # Panics
 ///
@@ -813,13 +815,6 @@ pub fn fault_reference(
     pool: &mut MachinePool,
 ) -> Result<FaultReference, SimError> {
     cfg.validate();
-    if let Some(t) = predecoded {
-        assert_eq!(
-            t.policy(),
-            cfg.fold_policy,
-            "predecoded table policy must match cfg.fold_policy"
-        );
-    }
     if let Some(t) = translated {
         assert_eq!(
             t.policy(),
@@ -827,21 +822,23 @@ pub fn fault_reference(
             "translated table policy must match cfg.fold_policy"
         );
     }
-    let machine = pool.take(image)?;
-    let mut log = CommitLog::default();
-    let run = match predecoded.or(translated.map(|t| t.predecoded())) {
-        Some(t) => FunctionalSim::with_predecoded(machine, Arc::clone(t)),
-        None => FunctionalSim::with_policy(machine, cfg.fold_policy),
-    }
-    .max_steps(cfg.max_cycles)
-    .run_observed(&mut log)?;
-    if run.halt_reason != HaltReason::Halted {
-        pool.put(run.machine);
-        return Err(SimError::StepLimit {
+    let table = predecoded.or(translated.map(|t| t.predecoded()));
+    let reference = diff_reference(image, cfg.fold_policy, cfg.max_cycles, table, pool)?;
+    // `diff_reference` runs a few steps past the budget to chase errors;
+    // only an end within `max_cycles` steps counts here. Each step
+    // retires one record, the halt included; a failing step none.
+    let steps = reference.log().records.len() as u64;
+    let err = match reference.end() {
+        ReferenceEnd::Halted(_) if steps <= cfg.max_cycles => return Ok(FaultReference(reference)),
+        ReferenceEnd::Error(e) if steps < cfg.max_cycles => e.clone(),
+        _ => SimError::StepLimit {
             limit: cfg.max_cycles,
-        });
+        },
+    };
+    if let Some(m) = reference.into_machine() {
+        pool.put(m);
     }
-    Ok(FaultReference(DiffReference::halted(log, run.machine)))
+    Err(err)
 }
 
 /// Classify a block of faulted runs against one precomputed reference,
@@ -1773,5 +1770,31 @@ mod tests {
             classify_fault(&image, unprotected),
             Ok(FaultOutcome::ControlDivergence)
         );
+    }
+
+    #[test]
+    fn fault_reference_keeps_its_step_budget_edge() {
+        // The reference runs `ERROR_CHASE` steps past the budget; only an
+        // end within `max_cycles` steps may count.
+        let reference = |src: &str, max_cycles: u64| {
+            let image = crisp_asm::assemble_text(src).unwrap();
+            let cfg = SimConfig {
+                max_cycles,
+                ..SimConfig::default()
+            };
+            fault_reference(&image, cfg, None, None, &mut MachinePool::default())
+                .map(|r| r.log().records.len())
+        };
+        // Three steps, the third the halt.
+        let halts = "mov 0(sp),$1\n add 0(sp),$2\n halt";
+        assert_eq!(reference(halts, 3), Ok(3));
+        assert_eq!(reference(halts, 2), Err(SimError::StepLimit { limit: 2 }));
+        // The second step fails to decode.
+        let fails = "jmp bad\nbad: .word 0x0000B800";
+        assert!(matches!(
+            reference(fails, 2),
+            Err(SimError::Decode { pc: 2, .. })
+        ));
+        assert_eq!(reference(fails, 1), Err(SimError::StepLimit { limit: 1 }));
     }
 }

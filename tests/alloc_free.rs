@@ -6,9 +6,9 @@
 //! fixed capacity during warm-up. The same holds for the functional
 //! engine's step loop once its decode sources are warm. A counting
 //! `#[global_allocator]` makes the claim checkable: warm the cycle
-//! engine up, then step it thousands of times and assert the allocation
-//! counter never moves; and a functional run thousands of steps longer
-//! than another must allocate nothing more.
+//! engine up, then run it thousands of cycles further and assert the
+//! allocation counter never moves; and a functional run thousands of
+//! steps longer than another must allocate nothing more.
 //!
 //! (This is an integration test so the counting allocator owns the
 //! whole binary; the assertions measure deltas, so allocations made by
@@ -19,7 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crisp::cc::{compile_crisp, CompileOptions};
-use crisp::sim::{CycleSim, FunctionalSim, Machine, NullObserver, PredecodedImage, SimConfig};
+use crisp::sim::{
+    CycleSim, FunctionalSim, Machine, NullObserver, PredecodedImage, RunEnd, SimConfig,
+};
 use crisp::workloads::figure3_with_count;
 
 struct CountingAlloc;
@@ -80,10 +82,11 @@ const WARMUP_CYCLES: u64 = 3_000;
 const MEASURED_CYCLES: u64 = 5_000;
 
 fn assert_cycle_loop_alloc_free(mut sim: CycleSim, label: &str) {
-    for _ in 0..WARMUP_CYCLES {
-        let snap = sim.step().expect("cycle steps");
-        assert!(!snap.halted, "{label}: program halted during warm-up");
-    }
+    assert_eq!(
+        sim.run_until(|s| s.stats.cycles >= WARMUP_CYCLES),
+        Ok(RunEnd::Stopped),
+        "{label}: program halted during warm-up"
+    );
     // The counter is process-global and the libtest coordinator thread
     // occasionally allocates mid-window while reporting a previous
     // (mutex-serialized) test's result. The simulator is deterministic,
@@ -91,11 +94,15 @@ fn assert_cycle_loop_alloc_free(mut sim: CycleSim, label: &str) {
     // measure up to three windows and fail only if none is clean.
     let mut leaked = 0;
     for _window in 0..3 {
+        let end = sim.stats.cycles + MEASURED_CYCLES;
         let before = allocs();
-        for _ in 0..MEASURED_CYCLES {
-            sim.step().expect("cycle steps");
-        }
+        let stopped = sim.run_until(|s| s.stats.cycles >= end);
         leaked = allocs() - before;
+        assert_eq!(
+            stopped,
+            Ok(RunEnd::Stopped),
+            "{label}: measured window too long"
+        );
         if leaked == 0 {
             break;
         }
@@ -105,7 +112,6 @@ fn assert_cycle_loop_alloc_free(mut sim: CycleSim, label: &str) {
         "{label}: {leaked} heap allocations in {MEASURED_CYCLES} steady-state cycles \
          (persisted across every measured window)"
     );
-    assert!(!sim.machine().halted, "{label}: measured window too long");
 }
 
 #[test]
