@@ -476,7 +476,7 @@ impl<'a> CrispGen<'a> {
                 let lf = self.fresh_label("cfalse");
                 let le = self.fresh_label("cend");
                 let t = self.alloc_temp(f);
-                self.branch_cond(f, c, &lf, false)?;
+                self.branch_cond(f, c, &lf, false, &[])?;
                 let va = self.eval(f, a)?;
                 let to = self.operand(f, Val::Temp(t));
                 let vo = self.operand(f, va);
@@ -538,7 +538,7 @@ impl<'a> CrispGen<'a> {
     fn truth_value(&mut self, f: &mut FuncCtx, e: Expr) -> Result<Val, CcError> {
         let lf = self.fresh_label("false");
         let le = self.fresh_label("end");
-        self.branch_cond(f, &e, &lf, false)?;
+        self.branch_cond(f, &e, &lf, false, &[])?;
         self.emit(Instr::Op2 {
             op: BinOp::Mov,
             dst: Operand::Accum,
@@ -556,14 +556,18 @@ impl<'a> CrispGen<'a> {
     }
 
     /// Compile `e` as a condition: branch to `target` when the truth of
-    /// `e` equals `jump_if`. Prediction bits are set later by the
-    /// prediction pass; they default to taken.
+    /// `e` equals `jump_if`, emitting `fill` between the compare and the
+    /// branch (callers guarantee legality; [`Self::simple_cond`] keeps
+    /// fill away from literals, `&&` and `||`, which compile it nowhere).
+    /// Prediction bits are set later by the prediction pass; they
+    /// default to taken.
     fn branch_cond(
         &mut self,
         f: &mut FuncCtx,
         e: &Expr,
         target: &str,
         jump_if: bool,
+        fill: &[&Stmt],
     ) -> Result<(), CcError> {
         match e {
             Expr::Lit(v) => {
@@ -575,7 +579,7 @@ impl<'a> CrispGen<'a> {
                 Ok(())
             }
             Expr::Unary(crate::ast::UnaryOp::LogNot, inner) => {
-                self.branch_cond(f, inner, target, !jump_if)
+                self.branch_cond(f, inner, target, !jump_if, fill)
             }
             Expr::Binary(op, a, b) if op.is_comparison() => {
                 let mut va = self.eval(f, a)?;
@@ -593,6 +597,9 @@ impl<'a> CrispGen<'a> {
                 });
                 self.free(f, va);
                 self.free(f, vb);
+                for s in fill {
+                    self.stmt(f, s)?;
+                }
                 self.items.push(Item::IfJmpTo {
                     on_true: jump_if,
                     predict_taken: true,
@@ -603,23 +610,23 @@ impl<'a> CrispGen<'a> {
             Expr::Binary(BinaryOp::LogAnd, a, b) => {
                 if jump_if {
                     let skip = self.fresh_label("and");
-                    self.branch_cond(f, a, &skip, false)?;
-                    self.branch_cond(f, b, target, true)?;
+                    self.branch_cond(f, a, &skip, false, &[])?;
+                    self.branch_cond(f, b, target, true, &[])?;
                     self.items.push(Item::Label(skip));
                 } else {
-                    self.branch_cond(f, a, target, false)?;
-                    self.branch_cond(f, b, target, false)?;
+                    self.branch_cond(f, a, target, false, &[])?;
+                    self.branch_cond(f, b, target, false, &[])?;
                 }
                 Ok(())
             }
             Expr::Binary(BinaryOp::LogOr, a, b) => {
                 if jump_if {
-                    self.branch_cond(f, a, target, true)?;
-                    self.branch_cond(f, b, target, true)?;
+                    self.branch_cond(f, a, target, true, &[])?;
+                    self.branch_cond(f, b, target, true, &[])?;
                 } else {
                     let skip = self.fresh_label("or");
-                    self.branch_cond(f, a, &skip, true)?;
-                    self.branch_cond(f, b, target, false)?;
+                    self.branch_cond(f, a, &skip, true, &[])?;
+                    self.branch_cond(f, b, target, false, &[])?;
                     self.items.push(Item::Label(skip));
                 }
                 Ok(())
@@ -630,12 +637,17 @@ impl<'a> CrispGen<'a> {
                 let v = self.eval(f, e)?;
                 let v = self.legalize_src(f, Operand::Imm(0), v);
                 let vo = self.operand(f, v);
+                // The fill must not clobber the accumulator while it
+                // still holds the tested value — compare first.
                 self.emit(Instr::Cmp {
                     cond: Cond::Eq,
                     a: vo,
                     b: Operand::Imm(0),
                 });
                 self.free(f, v);
+                for s in fill {
+                    self.stmt(f, s)?;
+                }
                 // flag true ⟺ e == 0 ⟺ e is false.
                 self.items.push(Item::IfJmpTo {
                     on_true: !jump_if,
@@ -873,7 +885,7 @@ impl<'a> CrispGen<'a> {
     ) -> Result<(), CcError> {
         let lelse = self.fresh_label("else");
         let lend = self.fresh_label("endif");
-        self.branch_cond_fill(f, cond, &lelse, false, fill)?;
+        self.branch_cond(f, cond, &lelse, false, fill)?;
         self.stmt(f, then)?;
         if let Some(els) = els {
             self.items.push(Item::JmpTo {
@@ -884,70 +896,6 @@ impl<'a> CrispGen<'a> {
             self.items.push(Item::Label(lend));
         } else {
             self.items.push(Item::Label(lelse));
-        }
-        Ok(())
-    }
-
-    /// `branch_cond` for a simple condition, with fill statements
-    /// emitted between the compare and the branch.
-    fn branch_cond_fill(
-        &mut self,
-        f: &mut FuncCtx,
-        e: &Expr,
-        target: &str,
-        jump_if: bool,
-        fill: &[&Stmt],
-    ) -> Result<(), CcError> {
-        match e {
-            Expr::Unary(crate::ast::UnaryOp::LogNot, inner) => {
-                return self.branch_cond_fill(f, inner, target, !jump_if, fill)
-            }
-            Expr::Binary(op, a, b) if op.is_comparison() => {
-                let mut va = self.eval(f, a)?;
-                if Self::clobbers_accum(b) {
-                    va = self.shelter(f, va);
-                }
-                let vb = self.eval(f, b)?;
-                let (va, vb) = self.legalize_two(f, va, vb);
-                let ao = self.operand(f, va);
-                let bo = self.operand(f, vb);
-                self.emit(Instr::Cmp {
-                    cond: Self::cond_of(*op),
-                    a: ao,
-                    b: bo,
-                });
-                self.free(f, va);
-                self.free(f, vb);
-                for s in fill {
-                    self.stmt(f, s)?;
-                }
-                self.items.push(Item::IfJmpTo {
-                    on_true: jump_if,
-                    predict_taken: true,
-                    label: target.to_owned(),
-                });
-            }
-            _ => {
-                let v = self.eval(f, e)?;
-                let v = self.legalize_src(f, Operand::Imm(0), v);
-                let vo = self.operand(f, v);
-                // The fill must not clobber the accumulator while it
-                // still holds the tested value — compare first.
-                self.emit(Instr::Cmp {
-                    cond: Cond::Eq,
-                    a: vo,
-                    b: Operand::Imm(0),
-                });
-                self.free(f, v);
-                for s in fill {
-                    self.stmt(f, s)?;
-                }
-                self.items.push(Item::IfJmpTo {
-                    on_true: !jump_if,
-                    predict_taken: true,
-                    label: target.to_owned(),
-                });
-            }
         }
         Ok(())
     }
@@ -985,26 +933,7 @@ impl<'a> CrispGen<'a> {
                 Ok(())
             }
             Stmt::Expr(e) => self.eval_discard(f, e),
-            Stmt::If(cond, then, els) => {
-                if Self::simple_cond(cond) {
-                    return self.gen_if(f, cond, then, els.as_deref(), &[]);
-                }
-                let lelse = self.fresh_label("else");
-                let lend = self.fresh_label("endif");
-                self.branch_cond(f, cond, &lelse, false)?;
-                self.stmt(f, then)?;
-                if let Some(els) = els {
-                    self.items.push(Item::JmpTo {
-                        label: lend.clone(),
-                    });
-                    self.items.push(Item::Label(lelse));
-                    self.stmt(f, els)?;
-                    self.items.push(Item::Label(lend));
-                } else {
-                    self.items.push(Item::Label(lelse));
-                }
-                Ok(())
-            }
+            Stmt::If(cond, then, els) => self.gen_if(f, cond, then, els.as_deref(), &[]),
             Stmt::While(cond, body) => {
                 let ltest = self.fresh_label("wtest");
                 let lbody = self.fresh_label("wbody");
@@ -1019,7 +948,7 @@ impl<'a> CrispGen<'a> {
                 f.continue_labels.pop();
                 f.break_labels.pop();
                 self.items.push(Item::Label(ltest));
-                self.branch_cond(f, cond, &lbody, true)?;
+                self.branch_cond(f, cond, &lbody, true, &[])?;
                 self.items.push(Item::Label(lexit));
                 Ok(())
             }
@@ -1034,7 +963,7 @@ impl<'a> CrispGen<'a> {
                 f.continue_labels.pop();
                 f.break_labels.pop();
                 self.items.push(Item::Label(ltest));
-                self.branch_cond(f, cond, &lbody, true)?;
+                self.branch_cond(f, cond, &lbody, true, &[])?;
                 self.items.push(Item::Label(lexit));
                 Ok(())
             }
@@ -1088,7 +1017,7 @@ impl<'a> CrispGen<'a> {
                 match cond {
                     Some(c) => {
                         self.items.push(Item::Label(ltest));
-                        self.branch_cond(f, c, &lbody, true)?;
+                        self.branch_cond(f, c, &lbody, true, &[])?;
                     }
                     None => self.items.push(Item::JmpTo { label: lbody }),
                 }

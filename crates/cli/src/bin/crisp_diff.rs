@@ -13,7 +13,7 @@
 //!   --programs N      generated assembly programs (default 1000)
 //!   --c-programs N    generated mini-C programs (default 50)
 //!   --max-blocks N    block budget per generated program (default 10)
-//!   --jobs N          worker threads (default: available cores)
+//!   --jobs N          worker threads (default: available cores, at most 1024)
 //!   --max-cycles N    watchdog budget per lockstep run (overrides
 //!                     every sweep configuration)
 //!   --eu-depth N      execution-unit depth for every sweep
@@ -50,7 +50,7 @@ use crisp_cc::{compile_crisp, generate_c, CompileOptions, PredictionMode};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
     extract_flag, parse_count, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
-    parse_predictor, parse_switch, resume_checkpoint, MAX_PROGRAMS,
+    parse_predictor, parse_switch, resume_checkpoint, MAX_JOBS, MAX_PROGRAMS,
 };
 use crisp_sim::{
     diff_reference, run_lockstep, run_lockstep_batched, sweep_configs, Divergence, FaultInjection,
@@ -166,11 +166,8 @@ fn run() -> Result<ExitCode, String> {
     let programs = parse_count(&mut raw, "--programs", default_programs, MAX_PROGRAMS)?;
     let c_programs = parse_count(&mut raw, "--c-programs", default_c, MAX_PROGRAMS)?;
     let max_blocks: usize = parse_num(&mut raw, "--max-blocks", 10)?;
-    let jobs: usize = parse_num(
-        &mut raw,
-        "--jobs",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = parse_count(&mut raw, "--jobs", cores as u64, MAX_JOBS)? as usize;
     let max_cycles = parse_max_cycles(&mut raw)?;
     let geometry = parse_eu_depth(&mut raw)?;
     let predictor = parse_predictor(&mut raw)?;

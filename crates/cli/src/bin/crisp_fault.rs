@@ -31,7 +31,7 @@
 //!   --programs N      generated programs (default 8)
 //!   --faults N        faults injected per program (default 64)
 //!   --max-blocks N    block budget per generated program (default 10)
-//!   --jobs N          worker threads (default: available cores)
+//!   --jobs N          worker threads (default: available cores, at most 1024)
 //!   --max-cycles N    watchdog budget per run (default 200000)
 //!   --eu-depth N      execution-unit depth for every run (2..=8;
 //!                     default 3, the paper's IR/OR/RR)
@@ -77,7 +77,8 @@ use crisp_asm::rand_prog::{GenProgram, Rng};
 use crisp_cli::campaign::{run_campaign, CampaignSpec, CaseResult};
 use crisp_cli::{
     extract_flag, parse_count, parse_eu_depth, parse_heartbeat, parse_max_cycles, parse_num,
-    parse_predictor, parse_switch, resume_checkpoint, target_space, Checkpoint, MAX_PROGRAMS,
+    parse_predictor, parse_switch, resume_checkpoint, target_space, Checkpoint, MAX_JOBS,
+    MAX_PROGRAMS,
 };
 use crisp_sim::{
     classify_batch, fault_reference, report_rows, FaultOutcome, FaultPlan, FaultSpace, FaultTarget,
@@ -301,11 +302,8 @@ fn run() -> Result<ExitCode, String> {
         ..
     } = campaign;
     let target_spec = &campaign.target_spec;
-    let jobs: usize = parse_num(
-        &mut raw,
-        "--jobs",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = parse_count(&mut raw, "--jobs", cores as u64, MAX_JOBS)? as usize;
     let targets = parse_targets(target_spec, predictor)?;
     let resume_path = extract_flag(&mut raw, "--resume")?;
     let report_path = extract_flag(&mut raw, "--report")?;

@@ -310,6 +310,11 @@ pub fn parse_num<T: std::str::FromStr>(
 /// in use (the benchmark's 1024 programs).
 pub const MAX_PROGRAMS: u64 = 1 << 20;
 
+/// Largest `--jobs`: each worker is an operating-system thread with a
+/// slot in the campaign monitor, so a typo must not ask for millions of
+/// them. 1024 is far past the core count of any host in use.
+pub const MAX_JOBS: u64 = 1024;
+
 /// [`parse_num`] for a count with an upper bound.
 ///
 /// # Errors

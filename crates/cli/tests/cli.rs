@@ -673,37 +673,58 @@ fn crisp_fault_rejects_a_case_count_that_overflows() {
 
 #[test]
 fn campaign_counts_past_their_bounds_are_usage_errors() {
-    // Each count sizes an up-front allocation, so 2^60 must fail as a
-    // usage error (exit 1), not panic with "capacity overflow" (101).
+    // Each count sizes an up-front allocation (and `--jobs` a thread
+    // each), so a huge value must fail as a usage error (exit 1), not
+    // panic with "capacity overflow" or a multiply overflow (101). Only
+    // values past a bound are tried: they are rejected before any
+    // worker starts.
     const HUGE: &str = "1152921504606846976";
-    let cases: [(&str, &[&str], &str); 4] = [
+    let fault = env!("CARGO_BIN_EXE_crisp-fault");
+    let diff = env!("CARGO_BIN_EXE_crisp-diff");
+    let cases: [(&str, &[&str], &str); 8] = [
         (
-            env!("CARGO_BIN_EXE_crisp-fault"),
-            &["--programs", HUGE, "--faults", "1"],
+            fault,
+            &["--programs", HUGE, "--faults", "1", "--jobs", "1"],
             "--programs: 1152921504606846976 is more than the bound of 1048576",
         ),
         (
-            env!("CARGO_BIN_EXE_crisp-fault"),
-            &["--programs", "1", "--faults", HUGE],
+            fault,
+            &["--programs", "1", "--faults", HUGE, "--jobs", "1"],
             "--faults: 1152921504606846976 is more than the bound of 65536",
         ),
         (
-            env!("CARGO_BIN_EXE_crisp-diff"),
-            &["--programs", HUGE, "--c-programs", "0"],
+            diff,
+            &["--programs", HUGE, "--c-programs", "0", "--jobs", "1"],
             "--programs: 1152921504606846976 is more than the bound of 1048576",
         ),
         (
-            env!("CARGO_BIN_EXE_crisp-diff"),
-            &["--programs", "0", "--c-programs", HUGE],
+            diff,
+            &["--programs", "0", "--c-programs", HUGE, "--jobs", "1"],
             "--c-programs: 1152921504606846976 is more than the bound of 1048576",
+        ),
+        (
+            fault,
+            &["--smoke", "--jobs", "18446744073709551615"],
+            "--jobs: 18446744073709551615 is more than the bound of 1024",
+        ),
+        (
+            fault,
+            &["--smoke", "--jobs", "1025"],
+            "--jobs: 1025 is more than the bound of 1024",
+        ),
+        (
+            diff,
+            &["--smoke", "--jobs", "18446744073709551615"],
+            "--jobs: 18446744073709551615 is more than the bound of 1024",
+        ),
+        (
+            diff,
+            &["--smoke", "--jobs", "1025"],
+            "--jobs: 1025 is more than the bound of 1024",
         ),
     ];
     for (exe, args, message) in cases {
-        let out = Command::new(exe)
-            .args(args)
-            .args(["--jobs", "1"])
-            .output()
-            .expect("tool runs");
+        let out = Command::new(exe).args(args).output().expect("tool runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");

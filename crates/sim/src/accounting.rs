@@ -57,8 +57,6 @@
 //!
 //! [`CycleStats::cpi_breakdown`]: crate::CycleStats::cpi_breakdown
 
-use std::fmt;
-
 use crate::geometry::{PipelineGeometry, StageHistogram, MAX_DEPTH, MIN_DEPTH};
 
 /// Why a pipeline retire slot carried no useful work on some cycle.
@@ -209,26 +207,6 @@ impl CycleAccounts {
     }
 }
 
-/// The share table: each bucket with its cycle count and percentage of
-/// the total. [`crate::CycleStats::cpi_breakdown`] adds the per-bucket
-/// CPI contribution on top of this.
-impl fmt::Display for CycleAccounts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total = self.total();
-        let denom = total.max(1) as f64;
-        writeln!(f, "{:<24} {:>12} {:>8}", "bucket", "cycles", "share")?;
-        for (label, cycles) in self.rows() {
-            writeln!(
-                f,
-                "{label:<24} {cycles:>12} {:>7.2}%",
-                cycles as f64 * 100.0 / denom
-            )?;
-        }
-        writeln!(f, "{:<24} {total:>12} {:>7.2}%", "total", 100.0)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,15 +269,6 @@ mod tests {
             .rows()
             .iter()
             .any(|(l, n)| l == "  resolved at E2" && *n == 1));
-    }
-
-    #[test]
-    fn display_shares_sum_to_total() {
-        let text = sample().to_string();
-        assert!(text.contains("useful issue"), "{text}");
-        assert!(text.contains("resolved at RR"), "{text}");
-        assert!(text.contains("100.00%"), "{text}");
-        assert!(text.lines().last().unwrap().starts_with("total"), "{text}");
     }
 
     #[test]

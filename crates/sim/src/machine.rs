@@ -63,25 +63,18 @@ impl Machine {
                 available: size,
             });
         }
-        let mut mem = Memory::new(size);
-        for (i, &parcel) in image.parcels.iter().enumerate() {
-            mem.write_parcel(image.code_base + i as u32 * 2, parcel)?;
-        }
-        for (base, words) in &image.data {
-            for (i, &w) in words.iter().enumerate() {
-                mem.write_word(base + i as u32 * 4, w)?;
-            }
-        }
-        Ok(Machine {
-            mem,
-            sp: image.stack_top.unwrap_or(Image::DEFAULT_STACK_TOP),
+        let mut machine = Machine {
+            mem: Memory::new(size),
+            sp: 0,
             accum: 0,
             psw: Psw::new(),
-            pc: image.entry,
+            pc: 0,
             halted: false,
-            text_base: image.code_base,
-            text_end: image.code_base + image.parcels.len() as u32 * 2,
-        })
+            text_base: 0,
+            text_end: 0,
+        };
+        machine.write_image(image)?;
+        Ok(machine)
     }
 
     /// Build a machine with the default 256 KiB memory and load `image`.
@@ -117,20 +110,21 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Machine::with_memory`].
+    /// Same conditions as [`Machine::load`].
     pub fn reset_from(&mut self, image: &Image) -> Result<(), SimError> {
         let size = DEFAULT_MEMORY_BYTES.max(image.min_memory_bytes());
-        if image.min_memory_bytes() > size {
-            return Err(SimError::ImageTooLarge {
-                required: image.min_memory_bytes(),
-                available: size,
-            });
-        }
         if self.mem.size() != size {
             self.mem = Memory::new(size);
         } else {
             self.mem.zero();
         }
+        self.write_image(image)
+    }
+
+    /// Write `image` into this machine's zeroed memory and point every
+    /// register at its start state: the one image load behind
+    /// [`Machine::with_memory`] and [`Machine::reset_from`].
+    fn write_image(&mut self, image: &Image) -> Result<(), SimError> {
         for (i, &parcel) in image.parcels.iter().enumerate() {
             self.mem
                 .write_parcel(image.code_base + i as u32 * 2, parcel)?;

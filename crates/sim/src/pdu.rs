@@ -71,8 +71,6 @@ pub struct Pdu {
     predecoded: Option<Arc<PredecodedImage>>,
     /// Instructions decoded (including wrong-path work).
     pub decodes: u64,
-    /// Entries that folded a branch.
-    pub folds: u64,
 }
 
 impl Pdu {
@@ -93,7 +91,6 @@ impl Pdu {
             since_demand: 0,
             predecoded: None,
             decodes: 0,
-            folds: 0,
         }
     }
 
@@ -365,7 +362,6 @@ impl Pdu {
         obs: &mut O,
     ) {
         self.decodes += 1;
-        self.folds += u64::from(d.folded);
         self.since_demand += 1;
         if O::PIPELINE {
             obs.event(PipeEvent::Decode {
@@ -437,7 +433,7 @@ impl Pdu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::NullObserver;
+    use crate::observe::{EventRing, NullObserver};
     use crate::Machine;
     use crisp_asm::assemble_text;
 
@@ -448,6 +444,13 @@ mod tests {
     /// One PDU cycle with the fill port unchecked and nothing observing.
     fn tick(pdu: &mut Pdu, cycle: u64, mem: &Memory, cache: &mut DecodedCache) {
         pdu.tick_observed(cycle, mem, cache, ParityMode::Off, &mut NullObserver);
+    }
+
+    /// The folds a PDU performed, counted from its `Fold` events.
+    fn folds(ring: &EventRing) -> usize {
+        ring.events()
+            .filter(|e| matches!(e, PipeEvent::Fold { .. }))
+            .count()
     }
 
     fn run_pdu(m: &Machine, cycles: u64) -> (Pdu, DecodedCache) {
@@ -521,10 +524,16 @@ mod tests {
             halt
             ",
         );
-        let (pdu, cache) = run_pdu(&m, 20);
+        let mut pdu = Pdu::new(FoldPolicy::Host13, 1, 2, 32);
+        let mut cache = DecodedCache::new(32);
+        let mut ring = EventRing::new(1 << 10);
+        pdu.demand(0);
+        for c in 0..20 {
+            pdu.tick_observed(c, &m.mem, &mut cache, ParityMode::Off, &mut ring);
+        }
         let d = cache.lookup(0).expect("entry decoded");
         assert!(d.folded);
-        assert!(pdu.folds >= 1);
+        assert!(folds(&ring) >= 1);
     }
 
     #[test]
@@ -641,11 +650,14 @@ mod tests {
             fast.set_predecoded(Arc::clone(&table));
             let mut raw_cache = DecodedCache::new(32);
             let mut fast_cache = DecodedCache::new(32);
+            let mut raw_ring = EventRing::new(1 << 10);
+            let mut fast_ring = EventRing::new(1 << 10);
             raw.demand(0);
             fast.demand(0);
             for c in 0..60 {
-                tick(&mut raw, c, &m.mem, &mut raw_cache);
-                tick(&mut fast, c, &m.mem, &mut fast_cache);
+                let off = ParityMode::Off;
+                raw.tick_observed(c, &m.mem, &mut raw_cache, off, &mut raw_ring);
+                fast.tick_observed(c, &m.mem, &mut fast_cache, off, &mut fast_ring);
                 let mut pc = 0;
                 while pc < m.text_end() {
                     assert_eq!(
@@ -658,7 +670,7 @@ mod tests {
                 assert_eq!(raw.is_parked(), fast.is_parked(), "{policy:?} cycle {c}");
             }
             assert_eq!(raw.decodes, fast.decodes, "{policy:?}");
-            assert_eq!(raw.folds, fast.folds, "{policy:?}");
+            assert_eq!(folds(&raw_ring), folds(&fast_ring), "{policy:?}");
         }
     }
 

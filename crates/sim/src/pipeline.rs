@@ -20,8 +20,9 @@
 //!   engineers for.
 //!
 //! Architectural state commits atomically at RR retire; wrong-path
-//! entries occupy stages and are cancelled by clearing their valid bit
-//! (legal because the ISA has no side effects before result write).
+//! entries occupy stages until a mispredict cancels them by clearing
+//! their valid bit — here, by emptying their latch (legal because the
+//! ISA has no side effects before result write).
 
 use crisp_isa::{Decoded, FoldClass, NextPc};
 
@@ -37,11 +38,12 @@ use crate::soft_error::{FaultPlan, FaultTarget, ParityMode};
 use crate::stats::resolve_stage;
 use crate::{CacheLookup, CycleStats, DecodedCache, HaltReason, Machine, Pdu, SimConfig, SimError};
 
-/// One EU pipeline stage latch.
+/// One EU pipeline stage latch's contents. A latch holds an
+/// `Option<Slot>`, and that `Option` is the hardware's valid bit: a
+/// cancelled entry is an empty latch.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     d: Decoded,
-    valid: bool,
     /// For conditional entries: direction already determined (either at
     /// cache-read time or by an early compare).
     resolved: bool,
@@ -129,9 +131,9 @@ struct PipeFront {
     fault_done: bool,
     /// Bubble provenance, parallel to `stages` and clocked forward with
     /// them: why the latch at each position carries no useful work.
-    /// Meaningful only where the stage latch is empty or invalid — a
-    /// valid slot's entry is stale and ignored (and overwritten if the
-    /// slot is later squashed).
+    /// Meaningful only where the stage latch is empty — a full latch's
+    /// entry is stale and ignored (and overwritten if the slot is later
+    /// squashed).
     causes: [BubbleCause; MAX_DEPTH],
     /// Bubble cause of the mispredict that cancelled this cycle's
     /// fetch; read only while `kill_fetch` is set within a cycle, to
@@ -230,11 +232,6 @@ impl<O: PipeObserver> CycleSim<O> {
         &self.obs
     }
 
-    /// The observer, mutably (e.g. to drain an event ring mid-run).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
     /// Run until `halt`, returning both the run result and the
     /// observer with everything it collected.
     ///
@@ -331,11 +328,17 @@ impl<O: PipeObserver> CycleSim<O> {
         self.front.fault_done
     }
 
-    /// Whether a strike on `target` armed now would fire at the start
-    /// of the next cycle: the rule of the cycle's fault-injection step.
-    /// Cache slots always exist; predictor tables and PDU fold slots
-    /// must hold state first, and a run without a predictor table
-    /// spends a predictor strike at once.
+    /// Whether a strike on `target` armed now lands at the start of the
+    /// next cycle, spending the plan: the cycle's fault-injection step
+    /// asks exactly this.
+    ///
+    /// Cache slots always exist, so a cache strike always lands — on an
+    /// empty slot it is a no-op, the particle landing in invalid state.
+    /// Predictor tables and PDU fold slots are often empty at any given
+    /// instant: such a strike stays armed until the structure first
+    /// holds state (a particle that never finds a victim is a trivially
+    /// masked run). The static bit has no hardware state at all, so a
+    /// run without a predictor table spends a predictor strike at once.
     pub(crate) fn strike_lands(&self, target: FaultTarget) -> bool {
         match target {
             FaultTarget::Cache => true,
@@ -460,8 +463,8 @@ impl<O: PipeObserver> CycleSim<O> {
     /// issue stage; at the default geometry `pos` 1 is OR and 0 is IR),
     /// if its direction is now certain. Its resolve-point index — and
     /// mispredict penalty — is `pos + 1`. The caller guarantees no
-    /// older pre-retire stage still holds a valid compare (the
-    /// incremental blocker walk in `cycle_once`).
+    /// older pre-retire stage still holds a compare (the incremental
+    /// blocker walk in `cycle_once`).
     #[inline]
     fn try_resolve(&mut self, cyc: u64, pos: usize, kill_fetch: &mut bool) {
         // Resolve in place: the slot stays latched in its stage and only
@@ -475,7 +478,7 @@ impl<O: PipeObserver> CycleSim<O> {
         let FoldClass::Cond { on_true, .. } = slot.d.fold else {
             return;
         };
-        if !slot.valid || slot.resolved || slot.d.modifies_cc {
+        if slot.resolved || slot.d.modifies_cc {
             return;
         }
         let taken = self.machine.psw.flag == on_true;
@@ -485,45 +488,75 @@ impl<O: PipeObserver> CycleSim<O> {
         let branch_pc = slot.d.branch_pc.unwrap_or(slot.d.pc);
         let mispredicted = taken != slot.followed;
         let guess_miss = slot.guess_miss;
-        let stage_idx = pos + 1;
+        if self.resolve(cyc, branch_pc, pos + 1, mispredicted) {
+            self.recover(cyc, pos, guess_miss, other, seq, kill_fetch);
+        }
+    }
+
+    /// Resolve a conditional branch at resolve point `stage` (fetch 0,
+    /// then one per EU stage): report it, and count it if the fetch unit
+    /// followed the wrong path. Returns `mispredicted`.
+    #[inline]
+    fn resolve(&mut self, cyc: u64, branch_pc: u32, stage: usize, mispredicted: bool) -> bool {
         if O::PIPELINE {
             self.obs.event(PipeEvent::BranchResolve {
                 cycle: cyc,
                 branch_pc,
-                stage: stage_idx as u8,
+                stage: stage as u8,
                 mispredicted,
             });
         }
         if mispredicted {
-            self.stats.mispredicts_by_stage.bump(stage_idx);
-            // A wrong guess that was only a predictor-table miss default
-            // is cold/capacity behaviour, not trained-direction error:
-            // its recovery bubbles get their own bucket.
-            let cause = if guess_miss {
-                BubbleCause::BtbMiss
-            } else {
-                BubbleCause::Branch(stage_idx as u8)
-            };
-            let mut flushed = 0;
-            // Everything younger is wrong-path: the stages behind this
-            // one (oldest first, matching retire-time squash order) and
-            // this cycle's fetch.
-            for q in (0..pos).rev() {
-                if kill_slot(
-                    &mut self.front.stages[q],
-                    &mut flushed,
-                    cyc,
-                    (q + 1) as u8,
-                    &mut self.obs,
-                ) {
-                    self.front.causes[q] = cause;
-                }
-            }
-            *kill_fetch = true;
-            self.front.fetch_kill_cause = cause;
-            self.stats.flushed_slots += flushed;
-            self.front.redirect_to(other, seq);
+            self.stats.mispredicts_by_stage.bump(stage);
         }
+        mispredicted
+    }
+
+    /// Recover from the mispredict of the branch (fetch sequence number
+    /// `seq`) at stage `pos`, resolve point `pos + 1`. Everything
+    /// younger is wrong-path: the stages behind it, squashed oldest
+    /// first, and this cycle's fetch. Their bubbles are charged to the
+    /// branch, and fetch is redirected to `to`.
+    fn recover(
+        &mut self,
+        cyc: u64,
+        pos: usize,
+        guess_miss: bool,
+        to: NextPc,
+        seq: u64,
+        kill_fetch: &mut bool,
+    ) {
+        // A wrong guess that was only a predictor-table miss default is
+        // cold/capacity behaviour, not trained-direction error: its
+        // recovery bubbles get their own bucket.
+        let cause = if guess_miss {
+            BubbleCause::BtbMiss
+        } else {
+            BubbleCause::Branch((pos + 1) as u8)
+        };
+        for q in (0..pos).rev() {
+            // The planted SkipOrSquash bug skips the stage just behind
+            // retire (OR on the paper's machine). An early resolve
+            // flushes only stages younger than its own, which sits
+            // before retire, so the skip can fire only at retire.
+            if q == self.front.depth - 2 && self.cfg.fault == Some(FaultInjection::SkipOrSquash) {
+                continue;
+            }
+            if let Some(s) = self.front.stages[q].take() {
+                self.stats.flushed_slots += 1;
+                if O::PIPELINE {
+                    self.obs.event(PipeEvent::Squash {
+                        cycle: cyc,
+                        pc: s.d.pc,
+                        stage: (q + 1) as u8,
+                    });
+                }
+                self.front.causes[q] = cause;
+            }
+        }
+        *kill_fetch = true;
+        self.front.fetch_kill_cause = cause;
+        self.front.redirect_to(to, seq);
     }
 
     /// Advance the machine by one clock cycle. Returns `true` on halt.
@@ -562,14 +595,14 @@ impl<O: PipeObserver> CycleSim<O> {
         let mut kill_fetch = false;
 
         // ---- Top-down cycle accounting. ---- Attribute this cycle by
-        // what the retire latch is about to do: a valid entry retiring
+        // what the retire latch is about to do: an entry retiring
         // is useful work; anything else is a bubble whose cause rode
         // along in `causes`. Done before anything mutates the latches,
         // so every exit path below (including halt) is covered and the
         // conservation invariant holds cycle-by-cycle.
         match &self.front.stages[depth - 1] {
-            Some(slot) if slot.valid => self.stats.accounts.useful += 1,
-            _ => self.stats.accounts.bubble(self.front.causes[depth - 1]),
+            Some(_) => self.stats.accounts.useful += 1,
+            None => self.stats.accounts.bubble(self.front.causes[depth - 1]),
         }
         debug_assert_eq!(
             self.stats.accounts.total(),
@@ -579,41 +612,15 @@ impl<O: PipeObserver> CycleSim<O> {
 
         // ---- 0. Transient-fault injection (soft-error model). ----
         if let Some(plan) = self.cfg.fault_plan {
-            if !self.front.fault_done && cyc >= plan.cycle {
+            if !self.front.fault_done && cyc >= plan.cycle && self.strike_lands(plan.target) {
+                self.front.fault_done = true;
                 let struck = match plan.target {
-                    // A strike on an empty cache slot is a no-op: the
-                    // particle lands in invalid state. The plan is spent
-                    // either way — cache slots always exist, so the
-                    // strike happened even if nothing flipped.
-                    FaultTarget::Cache => {
-                        self.front.fault_done = true;
-                        self.cache.corrupt(plan.slot as usize, plan.field)
-                    }
-                    // Predictor tables and PDU fold slots are often
-                    // empty at any given instant: the strike stays
-                    // armed until the structure first holds state (a
-                    // particle that never finds a victim is a trivially
-                    // masked run). The static bit has no hardware state
-                    // at all, so the plan is spent immediately.
-                    FaultTarget::Predictor => match self.predictor.as_mut() {
-                        Some(p) if p.has_state() => {
-                            self.front.fault_done = true;
-                            p.corrupt(plan.slot, plan.field)
-                        }
-                        Some(_) => None,
-                        None => {
-                            self.front.fault_done = true;
-                            None
-                        }
-                    },
-                    FaultTarget::Pdu => {
-                        if self.pdu.inflight_len() > 0 {
-                            self.front.fault_done = true;
-                            self.pdu.corrupt(plan.slot, plan.field)
-                        } else {
-                            None
-                        }
-                    }
+                    FaultTarget::Cache => self.cache.corrupt(plan.slot as usize, plan.field),
+                    FaultTarget::Predictor => self
+                        .predictor
+                        .as_mut()
+                        .and_then(|p| p.corrupt(plan.slot, plan.field)),
+                    FaultTarget::Pdu => self.pdu.corrupt(plan.slot, plan.field),
                 };
                 if let Some(pc) = struck {
                     self.stats.faults_injected += 1;
@@ -632,100 +639,57 @@ impl<O: PipeObserver> CycleSim<O> {
         // The slot is read in place (it is overwritten when the stages
         // clock forward below) rather than moved out: retirement happens
         // every cycle and the slot is the widest structure in the loop.
-        // The split gives simultaneous access to the retire latch and
-        // the younger stages it may squash.
-        let (younger, retire) = self.front.stages.split_at_mut(depth - 1);
-        if let Some(slot) = &retire[0] {
-            if slot.valid {
-                let step = self.machine.execute_observed(&slot.d, cyc, &mut self.obs)?;
-                self.stats.issued += 1;
-                self.stats.program_instrs += 1 + u64::from(slot.d.folded);
-                // A conditional entry whose step reports no direction
-                // halted before resolving: a parity-off opcode strike can
-                // turn a folded compare-and-branch into `halt`. It retires
-                // as no branch, matching `Machine::execute_observed`,
-                // which emits no `BranchRetire` for it.
-                if let (Some(taken), FoldClass::Cond { predict_taken, .. }) =
-                    (step.taken, slot.d.fold)
-                {
-                    self.stats.cond_branches += 1;
-                    // Shadow score of the compiler's static bit over the
-                    // same retired branch stream, independent of which
-                    // predictor actually drove the fetch — the basis of
-                    // the per-predictor mispredict split in the stats.
-                    if taken != predict_taken {
-                        self.stats.static_bit_mispredicts += 1;
-                    }
-                    if let Some(p) = self.predictor.as_mut() {
-                        p.train(
-                            slot.d.branch_pc.unwrap_or(slot.d.pc),
-                            taken,
-                            self.cfg.parity,
-                        );
-                    }
-                    if !slot.resolved {
-                        // Resolved only now — the folded-compare case.
-                        let mispredicted = taken != slot.followed;
-                        if O::PIPELINE {
-                            self.obs.event(PipeEvent::BranchResolve {
-                                cycle: cyc,
-                                branch_pc: slot.d.branch_pc.unwrap_or(slot.d.pc),
-                                stage: self.cfg.geometry.retire_stage() as u8,
-                                mispredicted,
-                            });
-                        }
-                        if mispredicted {
-                            // Every younger stage dies (plus this
-                            // cycle's fetch): `depth` slots in total.
-                            let retire_stage = self.cfg.geometry.retire_stage();
-                            self.stats.mispredicts_by_stage.bump(retire_stage);
-                            let cause = if slot.guess_miss {
-                                BubbleCause::BtbMiss
-                            } else {
-                                BubbleCause::Branch(retire_stage as u8)
-                            };
-                            let mut flushed = 0;
-                            for (q, latch) in younger.iter_mut().enumerate().rev() {
-                                // The planted SkipOrSquash bug skips the
-                                // stage just behind retire (OR on the
-                                // paper's machine).
-                                if q == depth - 2
-                                    && self.cfg.fault == Some(FaultInjection::SkipOrSquash)
-                                {
-                                    continue;
-                                }
-                                if kill_slot(latch, &mut flushed, cyc, (q + 1) as u8, &mut self.obs)
-                                {
-                                    self.front.causes[q] = cause;
-                                }
-                            }
-                            self.stats.flushed_slots += flushed;
-                            kill_fetch = true;
-                            self.front.fetch_kill_cause = cause;
-                            self.front.fetch_pc = Some(step.next_pc);
-                            self.front.waiting_on = None;
-                        }
-                    }
+        // Only the scalars that resolving it needs are copied out.
+        if let Some(slot) = &self.front.stages[depth - 1] {
+            let step = self.machine.execute_observed(&slot.d, cyc, &mut self.obs)?;
+            self.stats.issued += 1;
+            self.stats.program_instrs += 1 + u64::from(slot.d.folded);
+            let (seq, guess_miss) = (slot.seq, slot.guess_miss);
+            // A conditional entry whose step reports no direction halted
+            // before resolving: a parity-off opcode strike can turn a
+            // folded compare-and-branch into `halt`. It retires as no
+            // branch, matching `Machine::execute_observed`, which emits
+            // no `BranchRetire` for it.
+            if let (Some(taken), FoldClass::Cond { predict_taken, .. }) = (step.taken, slot.d.fold)
+            {
+                self.stats.cond_branches += 1;
+                // Shadow score of the compiler's static bit over the
+                // same retired branch stream, independent of which
+                // predictor actually drove the fetch — the basis of the
+                // per-predictor mispredict split in the stats.
+                if taken != predict_taken {
+                    self.stats.static_bit_mispredicts += 1;
                 }
-                if self.front.waiting_on == Some(slot.seq) {
-                    // This retirement supplies the pending indirect target.
-                    self.front.waiting_on = None;
-                    self.front.fetch_pc = Some(step.next_pc);
+                let branch_pc = slot.d.branch_pc.unwrap_or(slot.d.pc);
+                if let Some(p) = self.predictor.as_mut() {
+                    p.train(branch_pc, taken, self.cfg.parity);
                 }
-                if step.halted {
-                    if O::PIPELINE {
-                        // Close any open stall so begin/end pairs match
-                        // the stall-cycle counters exactly.
-                        self.front.sync_stall(&mut self.obs, cyc, None);
-                    }
-                    return Ok(true);
+                // Resolved only now — the folded-compare case. Every
+                // younger stage dies (plus this cycle's fetch): `depth`
+                // slots in total.
+                if !slot.resolved && self.resolve(cyc, branch_pc, depth, taken != slot.followed) {
+                    let to = NextPc::Known(step.next_pc);
+                    self.recover(cyc, depth - 1, guess_miss, to, seq, &mut kill_fetch);
                 }
+            }
+            if self.front.waiting_on == Some(seq) {
+                // This retirement supplies the pending indirect target.
+                self.front.waiting_on = None;
+                self.front.fetch_pc = Some(step.next_pc);
+            }
+            if step.halted {
+                if O::PIPELINE {
+                    // Close any open stall so begin/end pairs match the
+                    // stall-cycle counters exactly.
+                    self.front.sync_stall(&mut self.obs, cyc, None);
+                }
+                return Ok(true);
             }
         }
 
         // ---- 2. Early resolution: oldest pre-retire stage first (OR
         // then IR on the paper's machine). ---- A stage is blocked while
-        // an older pre-retire stage still holds a valid compare; one
+        // an older pre-retire stage still holds a compare; one
         // oldest-first walk carries that blocker incrementally instead
         // of rescanning the older stages at every position.
         let mut blocked = false;
@@ -734,7 +698,7 @@ impl<O: PipeObserver> CycleSim<O> {
                 self.try_resolve(cyc, pos, &mut kill_fetch);
             }
             if let Some(s) = &self.front.stages[pos] {
-                blocked |= s.valid && s.d.modifies_cc;
+                blocked |= s.d.modifies_cc;
             }
         }
 
@@ -792,7 +756,6 @@ impl<O: PipeObserver> CycleSim<O> {
                 self.front.next_seq += 1;
                 let mut slot = Slot {
                     d,
-                    valid: true,
                     resolved: false,
                     followed: false,
                     other: d.next_pc,
@@ -838,20 +801,10 @@ impl<O: PipeObserver> CycleSim<O> {
                         slot.resolved = true;
                         slot.followed = taken;
                         self.stats.resolved_at_fetch += 1;
-                        if O::PIPELINE {
-                            self.obs.event(PipeEvent::BranchResolve {
-                                cycle: cyc,
-                                branch_pc: d.branch_pc.unwrap_or(d.pc),
-                                stage: resolve_stage::FETCH as u8,
-                                mispredicted: guess != taken,
-                            });
-                        }
-                        if guess != taken {
-                            // Wrong guess, but zero cycles lost: "the
-                            // conditional branch has effectively been
-                            // turned into an unconditional branch".
-                            self.stats.mispredicts_by_stage.bump(resolve_stage::FETCH);
-                        }
+                        // A wrong guess costs zero cycles here: "the
+                        // conditional branch has effectively been turned
+                        // into an unconditional branch".
+                        self.resolve(cyc, branch_pc, resolve_stage::FETCH, guess != taken);
                         // Follow the actual direction. The Next-PC field
                         // holds the static-bit path; swap when needed.
                         chosen = if taken == predict_taken {
@@ -941,38 +894,6 @@ impl<O: PipeObserver> CycleSim<O> {
     }
 }
 
-/// Kill a stage's slot, counting it (and reporting the squash) if
-/// it held a valid entry. A free function over disjoint fields so
-/// callers can hold the observer alongside the stage latch. Returns
-/// whether a valid entry was actually killed, so the caller can
-/// re-tag the bubble's cause — an already-invalid slot keeps its
-/// original cause (no double attribution).
-fn kill_slot<O: PipeObserver>(
-    slot: &mut Option<Slot>,
-    flushed: &mut u64,
-    cycle: u64,
-    stage: u8,
-    obs: &mut O,
-) -> bool {
-    if let Some(s) = slot {
-        let was_valid = s.valid;
-        if was_valid {
-            *flushed += 1;
-            if O::PIPELINE {
-                obs.event(PipeEvent::Squash {
-                    cycle,
-                    pc: s.d.pc,
-                    stage,
-                });
-            }
-        }
-        s.valid = false;
-        was_valid
-    } else {
-        false
-    }
-}
-
 impl PipeFront {
     /// A fresh front end pointed at `entry`, for a pipe of the given
     /// geometry. Mirrors the reset state `CycleSim::with_observer`
@@ -994,15 +915,14 @@ impl PipeFront {
     }
 
     /// Whether this front end and `other` steer the same from here on:
-    /// the fetch register, the pending indirect wait and every valid
-    /// stage latch, with sequence numbers taken relative to each side's
-    /// `next_seq`. An invalid latch is dead (it retires nothing and
-    /// resolves nothing). Left out: the miss latch, the stall in
-    /// progress and the bubble provenance, which only feed counters and
-    /// events, and the fault latch, as a spent plan is inert.
+    /// the fetch register, the pending indirect wait and every stage
+    /// latch, with sequence numbers taken relative to each side's
+    /// `next_seq`. Left out: the miss latch, the stall in progress and
+    /// the bubble provenance, which only feed counters and events, and
+    /// the fault latch, as a spent plan is inert.
     fn same_future(&self, other: &PipeFront) -> bool {
         let live = |f: &PipeFront, s: &Option<Slot>| {
-            s.filter(|s| s.valid).map(|s| {
+            s.map(|s| {
                 (
                     s.d,
                     s.resolved,
@@ -1026,14 +946,14 @@ impl PipeFront {
         self.stages[..self.depth]
             .iter()
             .flatten()
-            .any(|s| s.valid && s.d.modifies_cc)
+            .any(|s| s.d.modifies_cc)
     }
 
     fn unresolved_branch_in_flight(&self) -> bool {
         self.stages[..self.depth]
             .iter()
             .flatten()
-            .any(|s| s.valid && !s.resolved && matches!(s.d.fold, FoldClass::Cond { .. }))
+            .any(|s| !s.resolved && matches!(s.d.fold, FoldClass::Cond { .. }))
     }
 
     /// Report a stall-state transition (begin, end, or kind change).
