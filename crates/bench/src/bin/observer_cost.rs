@@ -11,15 +11,18 @@
 //! * `EventRing` — every pipeline event, recorded into the 4096-event
 //!   ring the lockstep oracle keeps for its timeline excerpt.
 //!
-//! The criterion rows time each arm on its own. The in-window pass
-//! then alternates the arms round by round and prints each arm's best
-//! pass over `NullObserver`'s: on a noisy host the ratio holds where
-//! the absolute times drift.
+//! The arms alternate round by round, each round starting from the
+//! next arm, and the program prints each arm's best pass over
+//! `NullObserver`'s: on a noisy host the ratio holds where the
+//! absolute times drift. Every pass also checks its runs: each halts,
+//! `PrefixCheck` matches the whole reference, and every arm takes the
+//! same simulated cycles.
 //!
 //! ```sh
-//! cargo bench -p crisp-bench --bench observer_cost
+//! cargo run --release -p crisp-bench --bin observer_cost
 //! ```
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,16 +32,14 @@ use crisp_sim::{
     diff_reference, sweep_configs, CommitLog, CycleSim, EventRing, MachinePool, NullObserver,
     PipeObserver, PredecodedImage, PrefixCheck, RunEnd, SimConfig,
 };
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 /// The campaign seed of the benchmark's seed-1 `diff_campaign` spawn.
 const SEED: u64 = 200_006;
-/// Programs per pass (two in a debug build, whose timings mean
-/// nothing: there the bench is only a smoke test).
+/// Programs per pass.
 const PROGRAMS: u64 = 24;
 /// `crisp-diff`'s default `--max-blocks`.
 const MAX_BLOCKS: usize = 10;
-/// Alternating rounds of the in-window pass.
+/// Rounds; each runs every arm once.
 const ROUNDS: usize = 9;
 /// The lockstep oracle's timeline ring.
 const RING: usize = 4096;
@@ -50,9 +51,9 @@ struct Case {
     runs: Vec<(SimConfig, Arc<PredecodedImage>, Arc<CommitLog>)>,
 }
 
-fn corpus(programs: u64) -> Vec<Case> {
+fn corpus() -> Vec<Case> {
     let mut pool = MachinePool::default();
-    (0..programs)
+    (0..PROGRAMS)
         .map(|i| {
             let image = GenProgram::generate(SEED + i, MAX_BLOCKS)
                 .image()
@@ -120,25 +121,15 @@ fn run_arm(arm: usize, cases: &[Case], pool: &mut MachinePool) -> u64 {
     }
 }
 
-fn bench_observer_cost(c: &mut Criterion) {
-    let smoke = cfg!(debug_assertions);
-    let cases = corpus(if smoke { 2 } else { PROGRAMS });
+fn main() {
+    let cases = corpus();
     let mut pool = MachinePool::default();
     let cycles = run_arm(0, &cases, &mut pool);
 
-    let mut g = c.benchmark_group("observer_cost");
-    g.throughput(Throughput::Elements(cycles));
-    g.sample_size(10);
-    for (arm, name) in ARMS.iter().enumerate() {
-        g.bench_function(*name, |b| b.iter(|| run_arm(arm, &cases, &mut pool)));
-    }
-    g.finish();
-
-    // In-window ratios: rotate which arm goes first each round and keep
-    // each arm's best pass.
-    let rounds = if smoke { 1 } else { ROUNDS };
+    // Rotate which arm goes first each round and keep each arm's best
+    // pass.
     let mut best = [Duration::MAX; 3];
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         for k in 0..ARMS.len() {
             let arm = (round + k) % ARMS.len();
             let start = Instant::now();
@@ -148,7 +139,7 @@ fn bench_observer_cost(c: &mut Criterion) {
     }
     let null = best[0].as_secs_f64();
     let runs: usize = cases.iter().map(|c| c.runs.len()).sum();
-    print!("observer_cost/in_window ({runs} runs, {cycles} cycles, best of {rounds}):");
+    print!("observer_cost/in_window ({runs} runs, {cycles} cycles, best of {ROUNDS}):");
     for (arm, name) in ARMS.iter().enumerate() {
         print!(
             "  {name} {:.1} ns/cycle = {:.2}x",
@@ -158,6 +149,3 @@ fn bench_observer_cost(c: &mut Criterion) {
     }
     println!();
 }
-
-criterion_group!(benches, bench_observer_cost);
-criterion_main!(benches);

@@ -46,15 +46,29 @@ pub fn trace_of(source: &str) -> Trace {
         .trace
 }
 
-/// Run an image through the cycle simulator.
+/// The cycle budget of every [`cycles_of`] run. The largest run any
+/// table makes is 577,110 cycles (`cc-proxy` under the static bit, in
+/// `btb_compare` and `ablation_predictor`), so a run still going here
+/// is a hang, not a result.
+const CYCLE_BUDGET: u64 = 1_000_000;
+
+/// Run an image through the cycle simulator, with a budget of one
+/// million cycles in place of `cfg.max_cycles`.
 ///
 /// # Panics
 ///
-/// Panics on simulation failure.
+/// Panics on simulation failure, or if the run has not halted within
+/// the budget.
 pub fn cycles_of(image: &Image, cfg: SimConfig) -> crisp_sim::CycleRun {
-    CycleSim::new(Machine::load(image).expect("image loads"), cfg)
+    let cfg = SimConfig {
+        max_cycles: CYCLE_BUDGET,
+        ..cfg
+    };
+    let run = CycleSim::new(Machine::load(image).expect("image loads"), cfg)
         .run()
-        .expect("cycle run halts")
+        .expect("cycle run succeeds");
+    assert!(run.halted, "cycle run did not halt under {cfg:?}");
+    run
 }
 
 // ---------------------------------------------------------------------
@@ -842,6 +856,13 @@ fn full_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "cycle run did not halt")]
+    fn cycles_of_panics_on_a_run_that_never_halts() {
+        let image = crisp_asm::assemble_text("top: jmp top").expect("assembles");
+        cycles_of(&image, SimConfig::default());
+    }
 
     #[test]
     fn table4_shape_matches_paper() {

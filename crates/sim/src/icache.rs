@@ -201,11 +201,6 @@ impl DecodedCache {
         Some(pc)
     }
 
-    /// Invalidate everything (used between experiment runs).
-    pub fn clear(&mut self) {
-        self.entries.fill(None);
-    }
-
     /// Whether `slot` (taken modulo the cache size, as
     /// [`DecodedCache::corrupt`] takes it) holds an entry: a strike on
     /// an unoccupied slot flips nothing.
@@ -289,16 +284,6 @@ mod tests {
         assert_eq!(c.evictions, 0);
         assert_eq!(c.inserts, 1);
         assert_eq!(c.refills, 1);
-    }
-
-    #[test]
-    fn clear_invalidates() {
-        let mut c = DecodedCache::new(4);
-        c.insert(entry(0));
-        assert!(!c.is_empty());
-        c.clear();
-        assert!(c.is_empty());
-        assert!(!c.contains(0));
     }
 
     #[test]

@@ -82,7 +82,10 @@ pub struct CycleRun {
 /// Generic over a [`PipeObserver`] that receives the typed event
 /// stream; the default [`NullObserver`] monomorphizes every emission
 /// site away, so `CycleSim::new` costs nothing over the
-/// uninstrumented model (the `sim_throughput` benchmark guards this).
+/// uninstrumented model. Const asserts in `diff.rs` pin
+/// `NullObserver`'s `ENABLED` and `PIPELINE` to `false`, and
+/// `tests/prop_commit_only.rs` holds every emission site behind one of
+/// the two.
 #[derive(Debug)]
 pub struct CycleSim<O: PipeObserver = NullObserver> {
     machine: Machine,
